@@ -19,6 +19,8 @@ Four substrates mirror the paper's execution models:
   embeddings per NumPy kernel pass and feeds them straight into
   ``venn_batch`` + the compiled fringe polynomial, eliminating the
   per-embedding Python loop end to end (the warp model of Listing 7);
+  both batched backends compute one Venn per distinct anchor set
+  (:func:`venn_poly_sums`);
 * :class:`MultiprocessBackend` — fork-pool distribution of start-vertex
   chunks across workers, each running an inner backend; the read-only CSR
   graph and the plan are shared copy-on-write, never pickled;
@@ -50,7 +52,7 @@ from .fringe_count import fc_iterative, fc_recursive
 from .frontier import FrontierStats, iter_frontier_blocks
 from .matcher import match_cores
 from .plan import CountingPlan
-from .venn import VENN_IMPLS, venn_batch
+from .venn import VENN_IMPLS, row_venns, unique_anchor_sets, venn_batch
 
 __all__ = [
     "PartialSum",
@@ -63,6 +65,7 @@ __all__ = [
     "PoolBackend",
     "record_worker_metrics",
     "select_backend",
+    "venn_poly_sums",
 ]
 
 
@@ -130,6 +133,56 @@ class Backend(Protocol):
         graph: CSRGraph,
         start_vertices: Sequence[int] | None = None,
     ) -> PartialSum: ...
+
+
+def venn_poly_sums(
+    graph: CSRGraph,
+    block: np.ndarray,
+    positions: Sequence[int],
+    polys: Sequence,
+    batch_size: int,
+    registry=None,
+) -> tuple[list[int], int]:
+    """Σ over a block of core embeddings of each polynomial's F(venn).
+
+    ``block`` is ``(B, p)`` with the anchors at columns ``positions``;
+    ``polys`` are :class:`~repro.core.fringe_poly.FringePolynomial` s
+    that share those anchors. Returns one sum per polynomial and the
+    number of ``batch_size`` row chunks evaluated.
+
+    ``venn_batch`` runs once per distinct anchor set of the block, in
+    ``batch_size`` chunks of sets; each row chunk then rebuilds its own
+    diagrams from its sets' (:func:`~repro.core.venn.row_venns`) and
+    feeds them to every polynomial. With ``registry`` set it records
+    one ``repro_venn_set_size`` sample per row, one
+    ``repro_batch_matches`` sample per chunk, and the number of distinct
+    sets in ``repro_venn_unique_anchor_rows_total``.
+    """
+    sums = [0] * len(polys)
+    if len(block) == 0:
+        return sums, 0
+    sets, inverse, rank = unique_anchor_sets(block[:, positions], graph.num_vertices)
+    with obs.span("venn_unique", sets=len(sets), matches=len(block)):
+        set_venns = np.empty((len(sets), 1 << len(positions)), dtype=np.int64)
+        for s in range(0, len(sets), batch_size):
+            chunk = sets[s : s + batch_size]
+            set_venns[s : s + len(chunk)] = venn_batch(graph, chunk, chunk)
+    batches = 0
+    for s in range(0, len(block), batch_size):
+        e = min(s + batch_size, len(block))
+        with obs.span("venn_fc_batch", matches=e - s):
+            venns = row_venns(graph, set_venns[inverse[s:e]], rank[s:e], block[s:e], positions)
+            if registry is not None:
+                registry.histogram("repro_batch_matches").observe(e - s)
+                registry.histogram("repro_venn_set_size").observe_many(
+                    venns.sum(axis=1).tolist()
+                )
+            for i, poly in enumerate(polys):
+                sums[i] += poly.evaluate_batch(venns)
+        batches += 1
+    if registry is not None:
+        registry.counter("repro_venn_unique_anchor_rows_total").inc(len(sets))
+    return sums, batches
 
 
 def _count_matches_only(plan, graph, start_vertices) -> PartialSum:
@@ -203,19 +256,13 @@ class BatchBackend:
         buf: list[tuple[int, ...]] = []
 
         def flush() -> int:
-            with obs.span("venn_fc_batch", matches=len(buf)):
-                core_matrix = np.asarray(buf, dtype=np.int64)
-                anchor_matrix = core_matrix[:, positions]
-                venns = venn_batch(graph, anchor_matrix, core_matrix)
-                if registry is not None:
-                    registry.histogram("repro_batch_matches").observe(len(buf))
-                    registry.histogram("repro_venn_set_size").observe_many(
-                        venns.sum(axis=1).tolist()
-                    )
-                    registry.histogram("repro_candidate_set_size").observe_many(
-                        graph.degrees[anchor_matrix].sum(axis=1).tolist()
-                    )
-                return poly.evaluate_batch(venns)
+            core_matrix = np.asarray(buf, dtype=np.int64)
+            if registry is not None:
+                registry.histogram("repro_candidate_set_size").observe_many(
+                    graph.degrees[core_matrix[:, positions]].sum(axis=1).tolist()
+                )
+            (sigma,), _ = venn_poly_sums(graph, core_matrix, positions, [poly], bs, registry)
+            return sigma
 
         for match in match_cores(graph, plan.core_plan, start_vertices=start_vertices):
             matches += 1
@@ -243,8 +290,9 @@ class FrontierBackend:
 
     The matcher side runs level-synchronously over 2-D embedding blocks
     (:func:`repro.core.frontier.iter_frontier_blocks`); each completed
-    block goes through ``venn_batch`` and the compiled fringe polynomial
-    in ``batch_size`` chunks. ``EngineConfig.max_frontier_rows`` bounds
+    block goes through :func:`venn_poly_sums`: one ``venn_batch`` per
+    distinct anchor set, then the compiled fringe polynomial in
+    ``batch_size`` row chunks. ``EngineConfig.max_frontier_rows`` bounds
     the candidate volume of any expansion step (larger frontiers split
     and traverse depth-first), so memory stays fixed on dense graphs.
     """
@@ -281,17 +329,11 @@ class FrontierBackend:
                     sigma += len(block)
                     continue
                 t0 = time.perf_counter()
-                for s in range(0, len(block), cfg.batch_size):
-                    chunk = block[s : s + cfg.batch_size]
-                    with obs.span("venn_fc_batch", matches=len(chunk)):
-                        venns = venn_batch(graph, chunk[:, positions], chunk)
-                        if registry is not None:
-                            registry.histogram("repro_batch_matches").observe(len(chunk))
-                            registry.histogram("repro_venn_set_size").observe_many(
-                                venns.sum(axis=1).tolist()
-                            )
-                        sigma += poly.evaluate_batch(venns)
-                    batches += 1
+                (block_sigma,), block_batches = venn_poly_sums(
+                    graph, block, positions, [poly], cfg.batch_size, registry
+                )
+                sigma += block_sigma
+                batches += block_batches
                 venn_fc_s += time.perf_counter() - t0
         elapsed = time.perf_counter() - t_run
         if registry is not None:

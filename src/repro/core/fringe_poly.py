@@ -121,11 +121,11 @@ class FringePolynomial:
         """
         if len(venn_matrix) == 0:
             return 0
-        # Identical Venn rows are common on skewed graphs (low-degree
+        # Identical region profiles are common on skewed graphs (low-degree
         # matches repeat the same small profiles); evaluating each
-        # distinct row once and weighting by multiplicity shrinks both
+        # distinct profile once and weighting by multiplicity shrinks both
         # the float and the RNS passes.
-        venn_matrix, counts = np.unique(venn_matrix, axis=0, return_counts=True)
+        venn_matrix, counts = self._distinct_profiles(venn_matrix)
         n = len(venn_matrix)
         per_row = self._per_row_float(venn_matrix)
         # a row is exact iff its weighted value < 2^52: terms are
@@ -167,6 +167,31 @@ class FringePolynomial:
                 bound = n_primes * 29.0 + math.log2(len(local))
             total += self._evaluate_batch_rns(rows, bound, cnts)
         return total
+
+    def _distinct_profiles(self, venn_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One representative row per distinct ``regions`` profile, and
+        each profile's multiplicity.
+
+        F reads only the ``regions`` columns, so rows that differ
+        elsewhere share one value. Non-negative profiles whose columns
+        fit side by side in 62 bits are packed into one int64 key for a
+        1-D ``np.unique``; anything else (wide values, many regions, or a
+        negative entry) takes the row-wise ``np.unique`` on the projected
+        columns.
+        """
+        cols = venn_matrix[:, list(self.regions)]
+        if cols.shape[1] == 0:
+            return venn_matrix[:1], np.array([len(venn_matrix)], dtype=np.int64)
+        lo, hi = int(cols.min()), int(cols.max())
+        width = hi.bit_length()
+        if lo >= 0 and width * cols.shape[1] <= 62:
+            key = np.zeros(len(cols), dtype=np.int64)
+            for j in range(cols.shape[1]):
+                key = (key << width) | cols[:, j]
+            _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        else:
+            _, first, counts = np.unique(cols, axis=0, return_index=True, return_counts=True)
+        return venn_matrix[first], counts
 
     # -- Horner-factorized evaluation -----------------------------------
     def horner_plan(self) -> list[tuple[int, int]]:

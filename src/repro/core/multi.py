@@ -25,10 +25,10 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..patterns.pattern import Pattern
+from .backends import venn_poly_sums
 from .engine import CountResult, EngineConfig, FringeCounter
 from .plan import exact_divide
 from .matcher import match_cores
-from .venn import venn_batch
 
 __all__ = ["MultiPatternCounter", "count_many"]
 
@@ -109,6 +109,7 @@ class MultiPatternCounter:
             lead = members[0].counter
             plan = self._shared_plan(members)
             positions = list(lead._anchored_positions)
+            polys = [m.poly for m in members]
             bs = self.config.batch_size
             for m in members:
                 m.sigma = 0
@@ -117,10 +118,9 @@ class MultiPatternCounter:
 
             def flush():
                 core_matrix = np.asarray(buf, dtype=np.int64)
-                anchor_matrix = core_matrix[:, positions]
-                venns = venn_batch(graph, anchor_matrix, core_matrix)
-                for m in members:
-                    m.sigma += m.poly.evaluate_batch(venns)
+                sums, _ = venn_poly_sums(graph, core_matrix, positions, polys, bs)
+                for m, sigma in zip(members, sums):
+                    m.sigma += sigma
 
             for match in match_cores(graph, plan):
                 matches += 1

@@ -23,9 +23,19 @@ Three interchangeable *per-match* implementations (selected with
 Plus one *batched* formulation, :func:`venn_batch`: a ``(B, q)`` matrix
 of anchor rows in, a ``(B, 2^q)`` matrix of region counts out, computed
 with a single gather + sort-reduce pass across the whole batch. It is
-not part of :data:`VENN_IMPLS` (which holds the per-match paths); the
-batch and frontier backends call it directly and pair it with the
-compiled fringe polynomial (``fc_impl="poly"``).
+not part of :data:`VENN_IMPLS` (which holds the per-match paths).
+
+The batched backends do not call :func:`venn_batch` on every matched
+core. Core embeddings repeat the same anchor *set* — in another order,
+or with different non-anchor core vertices — so a block of embeddings
+is first reduced to its distinct sorted anchor sets
+(:func:`unique_anchor_sets`) and :func:`venn_batch` runs once per
+distinct set, excluding only the anchors. :func:`row_venns` then
+rebuilds any row's own diagram from its set's: it permutes the region
+bits back into the row's anchor order (one column map per anchor
+permutation, at most ``q!``) and removes each non-anchor core vertex
+from the one region its adjacency to the anchors names. The result
+equals ``venn_batch(graph, block[:, positions], block)`` row for row.
 """
 
 from __future__ import annotations
@@ -35,8 +45,17 @@ from typing import Sequence
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from .frontier import has_edges_bulk
 
-__all__ = ["venn_hash", "venn_sorted", "venn_merge", "venn_batch", "VENN_IMPLS"]
+__all__ = [
+    "venn_hash",
+    "venn_sorted",
+    "venn_merge",
+    "venn_batch",
+    "unique_anchor_sets",
+    "row_venns",
+    "VENN_IMPLS",
+]
 
 
 def venn_hash(
@@ -217,6 +236,93 @@ def venn_batch(
     flat = match_of[keep] * (1 << q) + masks[keep]
     venn = np.bincount(flat, minlength=b << q).reshape(b, 1 << q)
     return venn
+
+
+def unique_anchor_sets(
+    anchors: np.ndarray, num_vertices: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct anchor sets of a ``(B, q)`` anchor matrix.
+
+    Returns ``(sets, inverse, rank)``: ``sets`` is ``(U, q)``, each row
+    one distinct set with its vertices in ascending order; row ``i`` of
+    ``anchors`` holds the set ``sets[inverse[i]]``, and ``rank[i, j]``
+    is the position of ``anchors[i, j]`` within that sorted set. The
+    anchors of one row are distinct (matching is injective), so the rank
+    is a permutation of ``0..q-1``.
+
+    Each sorted row is packed into one int64 key (base ``num_vertices``)
+    when ``num_vertices^q`` fits, so deduplication is a 1-D
+    ``np.unique``; otherwise it falls back to a row-wise unique.
+    """
+    b, q = anchors.shape
+    rank = (anchors[:, None, :] < anchors[:, :, None]).sum(axis=2)
+    srt = np.sort(anchors, axis=1)
+    if int(num_vertices) ** q < 1 << 62:
+        key = np.zeros(b, dtype=np.int64)
+        for j in range(q):
+            key = key * num_vertices + srt[:, j]
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        sets = srt[first]
+    else:
+        sets, inverse = np.unique(srt, axis=0, return_inverse=True)
+    return sets, inverse.reshape(-1), rank
+
+
+def _region_maps(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column maps from sorted-set region order to each row's anchor order.
+
+    Returns ``(maps, which)``: ``maps`` is ``(P, 2^q)`` with one map per
+    distinct permutation among the rows of ``rank`` (``P <= q!``), and
+    row ``i`` uses ``maps[which[i]]``. A row's own region ``T`` reads
+    the sorted-set region ``maps[which[i], T]`` = ``{rank[i, j] : j in T}``.
+    """
+    q = rank.shape[1]
+    perm_id = np.zeros(len(rank), dtype=np.int64)
+    for j in range(q):
+        perm_id = perm_id * q + rank[:, j]
+    _, first, which = np.unique(perm_id, return_index=True, return_inverse=True)
+    members = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1  # (2^q, q)
+    maps = members @ (np.int64(1) << rank[first]).T  # (2^q, P)
+    return np.ascontiguousarray(maps.T), which
+
+
+def row_venns(
+    graph: CSRGraph,
+    set_venns: np.ndarray,
+    rank: np.ndarray,
+    core_matrix: np.ndarray,
+    positions: Sequence[int],
+) -> np.ndarray:
+    """Each row's Venn diagram, rebuilt from its anchor set's diagram.
+
+    ``set_venns[i]`` is the diagram of row ``i``'s sorted anchor set with
+    only the anchors excluded (``venn_batch(graph, sets, sets)`` gathered
+    through the inverse index of :func:`unique_anchor_sets`); ``rank``
+    holds the rows' anchor ranks from the same call; ``core_matrix`` is
+    ``(B, p)`` with the anchors at columns ``positions``. Returns a new
+    ``(B, 2^q)`` matrix equal to ``venn_batch(graph, core_matrix[:,
+    positions], core_matrix)``.
+    """
+    if (rank == np.arange(len(positions))).all():
+        venns = set_venns.copy()
+    else:
+        maps, which = _region_maps(rank)
+        venns = np.take_along_axis(set_venns, maps[which], axis=1)
+    # a non-anchor core vertex c is a neighbour of exactly the anchors
+    # named by its adjacency mask; venn_batch excludes it from that region
+    anchor_cols = set(positions)
+    rowptr, colidx = graph.rowptr, graph.colidx
+    rows = np.arange(len(core_matrix))
+    for c in range(core_matrix.shape[1]):
+        if c in anchor_cols:
+            continue
+        mask = np.zeros(len(core_matrix), dtype=np.int64)
+        for j, a in enumerate(positions):
+            hit = has_edges_bulk(rowptr, colidx, core_matrix[:, a], core_matrix[:, c])
+            mask |= hit.astype(np.int64) << j
+        sel = mask != 0
+        venns[rows[sel], mask[sel]] -= 1
+    return venns
 
 
 VENN_IMPLS = {

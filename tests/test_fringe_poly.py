@@ -3,6 +3,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from repro.core.fringe_count import fc_recursive
 from repro.core.fringe_poly import _crt, _RNS_PRIMES, compile_fringe_polynomial
@@ -51,6 +52,83 @@ class TestBatchEvaluation:
     def test_zero_venn(self):
         poly = compile_fringe_polynomial([1], [2], 1)
         assert poly.evaluate_batch(np.zeros((5, 2), dtype=np.int64)) == 0
+
+
+class TestProfileDeduplication:
+    """``evaluate_batch`` evaluates each distinct ``regions`` profile once."""
+
+    @staticmethod
+    def scalar_sum(poly, venns):
+        return sum(poly.evaluate([int(x) for x in row]) for row in venns)
+
+    @pytest.fixture
+    def unique_calls(self, monkeypatch):
+        """Records, per ``np.unique`` call, whether it was row-wise."""
+        calls: list[bool] = []
+        real = np.unique
+
+        def spy(ar, *args, **kwargs):
+            calls.append(kwargs.get("axis") is not None)
+            return real(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        return calls
+
+    def test_rows_differing_outside_regions_share_one_value(self):
+        poly = compile_fringe_polynomial([0b01], [2], 2)
+        assert poly.regions == (1, 3)  # column 2 is never read
+        rng = np.random.default_rng(2)
+        venns = np.zeros((300, 4), dtype=np.int64)
+        venns[:, 1] = rng.integers(0, 3, size=300)
+        venns[:, 3] = rng.integers(0, 2, size=300)
+        venns[:, 2] = rng.integers(0, 1000, size=300)
+        venns[:, 0] = rng.integers(0, 1000, size=300)
+        rows, counts = poly._distinct_profiles(venns)
+        assert len(rows) == len({(a, b) for a, b in venns[:, [1, 3]].tolist()}) <= 6
+        assert counts.sum() == 300
+        assert poly.evaluate_batch(venns) == self.scalar_sum(poly, venns)
+
+    def test_packed_key_path(self, unique_calls):
+        poly = compile_fringe_polynomial([0b001, 0b011, 0b110], [2, 1, 2], 3)
+        venns = np.random.default_rng(3).integers(0, 40, size=(2000, 8))
+        assert poly.evaluate_batch(venns) == self.scalar_sum(poly, venns)
+        assert unique_calls == [False]
+
+    @pytest.mark.parametrize(
+        "anch, k, q, low",
+        [
+            ([0b01, 0b10], [1, 2], 2, 1 << 21),  # 3 regions x 22 bits > 62
+            ([0b001, 0b010, 0b100], [1, 1, 2], 3, 512),  # 7 regions x 10 bits
+        ],
+    )
+    def test_row_wise_fallback_path(self, unique_calls, anch, k, q, low):
+        poly = compile_fringe_polynomial(anch, k, q)
+        rng = np.random.default_rng(4)
+        distinct = rng.integers(low, low + 40, size=(50, 1 << q))
+        venns = distinct[rng.integers(0, 50, size=400)]  # repeated rows
+        assert poly.evaluate_batch(venns) == self.scalar_sum(poly, venns)
+        assert unique_calls[0] is True
+        assert len(poly._distinct_profiles(venns)[0]) == len(np.unique(venns, axis=0))
+
+    def test_rns_rows_are_deduplicated_exactly(self):
+        from repro.core.plan import compile_pattern
+        from repro.patterns.dsl import parse_pattern
+
+        poly = compile_pattern(parse_pattern("triangle + 6x0&1")).poly
+        rng = np.random.default_rng(5)
+        distinct = rng.integers(3000, 9000, size=(30, 1 << poly.q))
+        venns = distinct[rng.integers(0, 30, size=200)]
+        got = poly.evaluate_batch(venns)
+        assert got == self.scalar_sum(poly, venns)
+        assert got > 2**53  # beyond float64: the RNS path produced it
+
+    def test_negative_values_are_never_packed(self, unique_calls):
+        poly = compile_fringe_polynomial([0b01, 0b10], [1, 1], 2)
+        # -1 packed with a 1-bit width would alias another profile
+        venns = np.array([[0, -1, 1, 1], [0, 1, 1, 1], [0, 1, -1, 1], [0, 1, 1, 1]])
+        assert poly.evaluate_batch(venns) == self.scalar_sum(poly, venns)
+        assert unique_calls == [True]
+        assert len(poly._distinct_profiles(venns)[0]) == 3
 
 
 class TestStructure:
