@@ -9,9 +9,10 @@ the graph and workers resident on the device across queries (§3.6).
 Cells land in ``benchmarks/results/BENCH_pool.json``; every
 (pattern, graph) cell is exact-count cross-checked across the serial
 engine, the fork pool, and the spawn-context persistent pool by
-``verify_counts_agree``. A serve-throughput record (32 concurrent
-queries through :class:`~repro.serve.CountingService` on the persistent
-pool executor) is appended to the same file.
+``verify_counts_agree``. Two serve-throughput records (the same 32
+concurrent queries through :class:`~repro.serve.CountingService` on the
+thread executor and on the persistent pool executor) are appended to the
+same file.
 
 Target (ISSUE): warm persistent-pool ``count()`` >= 3x faster than the
 cold per-call fork pool on the small inputs.
@@ -81,54 +82,78 @@ def test_warm_pool_beats_cold_fork(figure):
     assert overall >= 3.0, f"warm pool speedup below target: {overall:.2f}x {speedups}"
 
 
-def test_serve_throughput_on_pool_executor(results_dir):
-    """32 concurrent serve queries through the persistent pool executor."""
-    from repro.serve import CountRequest, CountingService, GraphRegistry, ServiceConfig
+# serve mix: four closed forms (1-/2-vertex cores, which stay on the
+# executor thread) and 4-clique, a 3-vertex core whose matcher work the
+# pool executor sends to the workers
+SERVE_MIX = ["diamond", "paw", "4-star", "triangle", "4-clique"]
+SERVE_QUERIES = 32
 
-    graph = next(iter(W.pool_inputs("tiny").values()))
+
+def _serve_mix(graph, executor: str) -> tuple[list, float]:
+    """Submit ``SERVE_QUERIES`` concurrent mix queries on one executor."""
+    from repro.serve import CountRequest, CountingService, GraphRegistry, ServiceConfig
 
     async def scenario():
         registry = GraphRegistry()
         registry.register("bench", graph)
-        config = ServiceConfig(executor="pool", pool_workers=2, result_cache_size=0)
+        config = ServiceConfig(executor=executor, pool_workers=2, result_cache_size=0)
         service = CountingService(registry, config=config)
         service.start()
         try:
-            patterns = ["diamond", "paw", "4-star", "triangle"]
             t0 = time.perf_counter()
             responses = await asyncio.gather(*[
                 service.submit(CountRequest(
-                    graph="bench", pattern=patterns[i % len(patterns)],
+                    graph="bench", pattern=SERVE_MIX[i % len(SERVE_MIX)],
                     use_cache=False,
                 ))
-                for i in range(32)
+                for i in range(SERVE_QUERIES)
             ])
             elapsed = time.perf_counter() - t0
         finally:
             await service.stop()
         return responses, elapsed
 
+    return asyncio.run(scenario())
+
+
+def test_serve_throughput_on_pool_executor(results_dir):
+    """The same concurrent serve mix on the thread and the pool executor.
+
+    Runs on amazon tiny (300 vertices, more than one 256-vertex chunk) so
+    the 4-clique queries really reach the pool workers.
+    """
+    graph = W.pool_inputs("tiny")["amazon0601"]
+    _serve_mix(graph, "pool")  # warm: spawn the workers, export the graph
+    runs = {}
     try:
-        responses, elapsed = asyncio.run(scenario())
+        for executor in ("thread", "pool"):
+            runs[executor] = _serve_mix(graph, executor)
     finally:
         shutdown_default_pool()
-    assert all(r.ok for r in responses), [r for r in responses if not r.ok]
+    for responses, _ in runs.values():
+        assert all(r.ok for r in responses), [r for r in responses if not r.ok]
+    thread_counts = [r.count for r in runs["thread"][0]]
+    assert [r.count for r in runs["pool"][0]] == thread_counts
+    assert any("fringe-pool" in r.engine for r in runs["pool"][0])
     path = _bench_record_path("pool", results_dir)
     appender = RecordAppender(path)
     try:
-        appender.append({
-            "figure": "pool",
-            "system": "serve-pool",
-            "pattern": "mixed[diamond,paw,4-star,triangle]",
-            "graph": "kron_g500-logn20",
-            "status": "ok",
-            "count": None,
-            "seconds": elapsed,
-            "queries": 32,
-            "throughput_qps": 32 / elapsed,
-            "unix_time": time.time(),
-        })
+        for executor, (_, elapsed) in runs.items():
+            appender.append({
+                "figure": "pool",
+                "system": f"serve-{executor}",
+                "pattern": f"mixed[{','.join(SERVE_MIX)}]",
+                "graph": "amazon0601",
+                "status": "ok",
+                "count": None,
+                "seconds": elapsed,
+                "queries": SERVE_QUERIES,
+                "throughput_qps": SERVE_QUERIES / elapsed,
+                "unix_time": time.time(),
+            })
     finally:
         appender.close()
-    print(f"\nserve on pool executor: 32 queries in {elapsed:.2f}s "
-          f"({32 / elapsed:.1f} qps)")
+    print()
+    for executor, (_, elapsed) in runs.items():
+        print(f"serve on {executor} executor: {SERVE_QUERIES} queries in {elapsed:.2f}s "
+              f"({SERVE_QUERIES / elapsed:.1f} qps)")

@@ -1,10 +1,12 @@
 """CI smoke for the persistent worker pool behind serve.
 
 Fires 32 concurrent queries through :class:`~repro.serve.CountingService`
-configured with ``executor="pool"`` (counts dispatched to the resident
-spawn-context worker pool over shared memory), cross-checks every
-response against a direct serial ``Runtime.count``, and asserts the pool
-actually executed them (engine string, pool call stats).
+configured with ``executor="pool"`` and cross-checks every response
+against a direct serial ``Runtime.count``. Patterns with a 3-vertex core
+on amazon tiny (300 vertices, more than one 256-vertex chunk) must run on
+the resident spawn-context worker pool over shared memory (engine string,
+pool call stats); patterns with 1-/2-vertex cores must stay on the
+executor thread as closed forms (``fringe-specialized(...)``).
 
 Must live in a file — spawn-context workers re-import ``__main__``, so
 the pool cannot be driven from a stdin heredoc. Everything below the
@@ -26,12 +28,15 @@ def main() -> int:
     registry.load_dataset("kron_g500-logn20", "tiny")
     registry.load_dataset("amazon0601", "tiny")
 
-    workload = [
+    pool_work = [
+        ("amazon0601", "4-clique"), ("amazon0601", "4-clique + 1x0"),
+        ("amazon0601", "4-cycle"), ("amazon0601", "fig4"),
+    ]
+    closed_form = [
         ("kron_g500-logn20", "triangle"), ("kron_g500-logn20", "diamond"),
-        ("kron_g500-logn20", "paw"), ("kron_g500-logn20", "4-star"),
-        ("amazon0601", "triangle"), ("amazon0601", "diamond"),
-        ("amazon0601", "wedge"), ("amazon0601", "3-star"),
-    ] * 4  # 32 queries, every unique question asked 4 times
+        ("kron_g500-logn20", "4-star"), ("amazon0601", "wedge"),
+    ]
+    workload = (pool_work + closed_form) * 4  # 32 queries, every unique question asked 4 times
 
     async def scenario():
         service = CountingService(
@@ -71,11 +76,15 @@ def main() -> int:
     ]
     assert not mismatches, f"count mismatches: {mismatches}"
 
-    pooled = sum(1 for r in responses if "fringe-pool" in r.engine)
+    pooled = sum(1 for gp, r in zip(workload, responses)
+                 if gp in pool_work and "fringe-pool" in r.engine)
     stats = get_default_pool(2).stats
     shutdown_default_pool()
     assert pooled > 0, "no response executed on the persistent pool"
     assert stats.calls > 0, "pool recorded no calls"
+    stray = [(gp, r.engine) for gp, r in zip(workload, responses)
+             if gp in closed_form and not r.engine.startswith("fringe-specialized(")]
+    assert not stray, f"closed-form queries left the executor thread: {stray}"
     print(
         f"32/32 responses correct in {elapsed:.2f}s ({32 / elapsed:.1f} qps); "
         f"{pooled} on the pool, calls={stats.calls} steals={stats.steals}"

@@ -11,12 +11,13 @@ Commands
         python -m repro count --dataset internet --pattern fig4 --engine general
 
     Engine knobs and the parallel path are reachable without writing
-    Python: ``--workers N --schedule strided`` selects the fork-pool
-    backend, ``--venn-impl/--fc-impl/--batch-size`` tune the general
-    engine, and ``--stats`` prints the runtime's per-stage breakdown
+    Python: ``--workers N --schedule strided`` runs matcher work on the
+    fork pool (closed forms stay in-process),
+    ``--venn-impl/--fc-impl/--batch-size`` tune the general engine, and
+    ``--stats`` prints the runtime's per-stage breakdown
     (compile vs. match vs. venn/fc time, plan-cache hits/misses)::
 
-        python -m repro count --dataset internet --pattern diamond \
+        python -m repro count --dataset internet --pattern 4-cycle \
             --workers 8 --schedule dynamic --stats
 
     Observability (``repro.obs``): ``--trace FILE`` writes a JSONL span

@@ -257,9 +257,10 @@ def count_subgraphs(
 
     ``engine``:
 
-    * ``"auto"`` — specialized closed-form engines for 1-/2-vertex cores
-      (paper §3.4 "specialized code for patterns with small cores"), the
-      general engine otherwise;
+    * ``"auto"`` — specialized closed-form engines for 1-/2-/3-vertex
+      cores (paper §3.4 "specialized code for patterns with small
+      cores"; the 3-vertex one only without a worker pool), the frontier
+      matcher otherwise;
     * ``"general"`` — always the general matcher + Venn + fc pipeline;
     * ``"specialized"`` — require a specialized engine (raises if none);
     * ``"frontier"`` — the vectorized frontier-at-a-time backend

@@ -5,10 +5,11 @@ reuses it across inputs; :class:`Runtime` is the front door that makes
 the amortization automatic for a *serving* workload. It holds an LRU
 cache of compiled :class:`~repro.core.plan.CountingPlan` artifacts keyed
 by :func:`~repro.core.plan.plan_key` (canonical pattern form + config),
-routes each call to the right execution substrate (specialized engine,
-serial/batch backend, fork pool, or the persistent spawn pool), owns the
-persistent pool's lifecycle (lazy start on first use, :meth:`Runtime.close`,
-``atexit``), and reports per-call
+routes each call engine first and substrate second (a closed-form
+specialized engine always runs on the calling thread; only matcher work
+— frontier, batch or serial — goes to the fork pool or the persistent
+spawn pool), owns the persistent pool's lifecycle (lazy start on first
+use, :meth:`Runtime.close`, ``atexit``), and reports per-call
 :class:`~repro.core.engine.ExecutionStats` — compile vs. match vs.
 Venn/fc time, batch flushes, and plan-cache hit/miss counters — on
 ``CountResult.stats``.
@@ -242,10 +243,20 @@ class Runtime:
         """Count ``pattern`` in ``graph`` through the cached-plan pipeline.
 
         Same semantics as the historical ``count_subgraphs`` /
-        ``parallel_count`` entry points (which now wrap this method);
-        ``parallel`` selects the fork-pool backend. A call with an
-        explicit ``decomposition`` compiles a fresh plan and bypasses the
-        cache — the cache key cannot see the core choice.
+        ``parallel_count`` entry points (which now wrap this method).
+        The engine is settled first, from plan data: ``auto`` takes the
+        closed form for a 1-/2-vertex core, the 3-vertex-core closed form
+        when ``parallel`` is None, and the frontier matcher otherwise
+        (the per-match serial matcher when ``fc_impl != "poly"``);
+        ``specialized`` always takes the closed form; ``general`` is the
+        batch/serial matcher and ``frontier`` the frontier matcher.
+        ``parallel`` then picks where *matcher* work runs — the fork pool
+        (``pool="fork"``) or the persistent spawn pool
+        (``pool="persistent"``); closed forms run on the calling thread
+        whatever it says. ``CountResult.engine`` and
+        ``ExecutionStats.backend`` name the route that actually ran. A
+        call with an explicit ``decomposition`` compiles a fresh plan and
+        bypasses the cache — the cache key cannot see the core choice.
         """
         if engine not in ("auto", "general", "specialized", "frontier"):
             raise ValueError(f"unknown engine {engine!r}")
@@ -325,59 +336,52 @@ class Runtime:
                 pattern=pattern,
                 core_matches=value,
                 elapsed_s=time.perf_counter() - t0,
-                engine=f"fringe-general({cfg.venn_impl},{cfg.fc_impl})",
+                engine=_engine_label("trivial", cfg),
                 decomposition=None,
                 stats=self._stats(plan_hit=hit, compile_s=compile_s, backend="trivial"),
             )
 
-        # specialized closed-form engines (never under the fork pool —
-        # they are whole-graph vectorized formulas, not root-sliceable;
-        # "general" and "frontier" both force the matcher pipeline)
-        if parallel is None and start_vertices is None and engine in ("auto", "specialized"):
-            if cfg.specialized or engine == "specialized":
-                special = plan.specialized_engine()
-                if special is not None:
-                    with obs.span("execute", backend=special.name):
-                        res = special(graph)
-                    return replace(
-                        res,
-                        stats=self._stats(
-                            plan_hit=hit,
-                            compile_s=compile_s,
-                            backend=special.name,
-                            execute_s=res.elapsed_s,
-                        ),
-                    )
-                if engine == "specialized":
-                    raise ValueError(
-                        f"no specialized engine for a {plan.decomp.num_core}-vertex core"
-                    )
+        # engine first: a closed form runs here, on the calling thread, and
+        # only matcher work ever reaches the pool or fork substrate
+        route = _resolve_route(engine, plan, cfg, parallel, start_vertices)
+        if route in _CLOSED_FORMS:
+            special = plan.specialized_engine()
+            with obs.span("execute", backend=special.name):
+                res = special(graph)
+            return replace(
+                res,
+                engine=_engine_label(route, cfg, parallel),
+                stats=self._stats(
+                    plan_hit=hit,
+                    compile_s=compile_s,
+                    backend=special.name,
+                    execute_s=res.elapsed_s,
+                ),
+            )
 
-        backend = select_backend(cfg, parallel, engine=engine)
+        # substrate second
+        backend = select_backend(
+            cfg, parallel, engine="frontier" if route == "frontier" else "general"
+        )
         t0 = time.perf_counter()
         with obs.span("execute", backend=backend.name):
             partial = backend.run(plan, graph, start_vertices=start_vertices)
         execute_s = time.perf_counter() - t0
         value = plan.normalize(partial.sigma, context="parallel count" if parallel else "count")
-        if parallel is not None and getattr(parallel, "pool", "fork") == "persistent":
-            engine_str = f"fringe-pool(x{parallel.num_workers},{parallel.schedule})"
-        elif parallel is not None:
-            engine_str = f"fringe-parallel(x{parallel.num_workers},{parallel.schedule})"
-        elif engine == "frontier":
-            engine_str = f"fringe-frontier(max_rows={cfg.max_frontier_rows})"
-        else:
-            engine_str = f"fringe-general({cfg.venn_impl},{cfg.fc_impl})"
+        # the pool and fork backends fall back to their inner matcher
+        # in-process for small graphs; only worker records prove they ran
+        pooled = bool(partial.workers)
         return CountResult(
             count=value,
             pattern=pattern,
             core_matches=partial.matches,
             elapsed_s=execute_s,
-            engine=engine_str,
+            engine=_engine_label(route, cfg, parallel, pooled=pooled),
             decomposition=plan.decomp,
             stats=self._stats(
                 plan_hit=hit,
                 compile_s=compile_s,
-                backend=backend.name,
+                backend=backend.name if pooled else route,
                 execute_s=execute_s,
                 venn_fc_s=partial.venn_fc_s,
                 batches=partial.batches,
@@ -412,6 +416,70 @@ class Runtime:
             cache_misses=cache_misses,
             workers=workers,
         )
+
+
+# ----------------------------------------------------------------------
+# routing: engine first, substrate second
+# ----------------------------------------------------------------------
+_CLOSED_FORMS = ("vertex-core", "edge-core", "3-core")
+
+
+def _resolve_route(
+    engine: str,
+    plan: CountingPlan,
+    cfg: EngineConfig,
+    parallel: "ParallelConfig | None",
+    start_vertices: Sequence[int] | None,
+) -> str:
+    """The concrete route of one count, decided from plan data alone.
+
+    Returns a closed-form kind (``"vertex-core"``, ``"edge-core"``,
+    ``"3-core"``) or a matcher backend name (``"frontier"``, ``"batch"``,
+    ``"serial"``). Closed forms are whole-graph formulas that run on the
+    calling thread whatever ``parallel`` says; ``parallel`` only decides
+    where matcher work runs. ``auto`` keeps the 3-vertex-core engine for
+    in-process counts and hands it to the frontier matcher when workers
+    are available. A start-vertex slice always takes the matcher.
+    """
+    general = "batch" if cfg.fc_impl == "poly" else "serial"
+    if engine == "frontier":
+        return "frontier"
+    if engine == "general" or start_vertices is not None:
+        return general
+    kind = plan.specialized_kind
+    if engine == "specialized":
+        if kind is None:
+            raise ValueError(f"no specialized engine for a {plan.decomp.num_core}-vertex core")
+        return kind
+    # auto
+    if cfg.specialized and kind is not None and (kind != "3-core" or parallel is None):
+        return kind
+    return "frontier" if general == "batch" else general
+
+
+def _engine_label(
+    route: str,
+    cfg: EngineConfig,
+    parallel: "ParallelConfig | None" = None,
+    *,
+    pooled: bool = False,
+) -> str:
+    """The ``CountResult.engine`` string of the route that actually ran.
+
+    A pool or fork label (``fringe-pool(x2,dynamic)+frontier``) appears
+    only when worker processes did the work; a ``parallel`` request that
+    ran on the calling thread says so with ``in-process(x1)``.
+    """
+    if pooled:
+        substrate = "pool" if getattr(parallel, "pool", "fork") == "persistent" else "parallel"
+        return f"fringe-{substrate}(x{parallel.num_workers},{parallel.schedule})+{route}"
+    if route in _CLOSED_FORMS:
+        label = f"fringe-specialized({route})"
+    elif route == "frontier":
+        label = f"fringe-frontier(max_rows={cfg.max_frontier_rows})"
+    else:
+        label = f"fringe-general({cfg.venn_impl},{cfg.fc_impl})"
+    return label if parallel is None else f"{label} in-process(x1)"
 
 
 # ----------------------------------------------------------------------

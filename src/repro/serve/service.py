@@ -70,9 +70,10 @@ class ServiceConfig:
     ``executor_workers`` bounds concurrently executing batches;
     ``executor`` picks where the CPU-bound count itself runs —
     ``"thread"`` keeps it on the service's thread pool (GIL-bound),
-    ``"pool"`` dispatches through the persistent shared-memory
-    :class:`~repro.parallel.workerpool.WorkerPool` with ``pool_workers``
-    processes (None = the parallel layer's default);
+    ``"pool"`` dispatches matcher work through the persistent
+    shared-memory :class:`~repro.parallel.workerpool.WorkerPool` with
+    ``pool_workers`` processes (None = the parallel layer's default),
+    while closed-form counts stay on the executor thread;
     ``result_cache_size``/``result_cache_ttl_s`` shape the LRU+TTL result
     cache (size 0 disables it); ``default_timeout_s`` is the deadline for
     requests that do not carry their own (None = no deadline).
@@ -157,9 +158,10 @@ class CountingService:
         # threading lock because executor threads populate it.
         self._cache: OrderedDict[tuple, tuple[float, CountResponse]] = OrderedDict()
         self._cache_lock = threading.Lock()
-        # executor="pool": CPU-bound counts leave the thread pool and run
-        # on the persistent spawn-context WorkerPool (true multi-core;
-        # the executor thread merely dispatches and waits).
+        # executor="pool": matcher work leaves the thread pool and runs on
+        # the persistent spawn-context WorkerPool (true multi-core; the
+        # executor thread merely dispatches and waits). Closed-form counts
+        # stay on the executor thread: the Runtime settles the engine first.
         if self.config.executor == "pool":
             from ..parallel import ParallelConfig
 

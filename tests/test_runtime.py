@@ -154,8 +154,10 @@ class TestBackendAgreement:
     def test_multiprocess_schedules_agree(self, kron, name, schedule):
         pat = CATALOG[name]
         expect = count_subgraphs(kron, pat).count
+        # chunk_size below the 64-vertex graph: a single dynamic chunk would
+        # run in-process, off the fork pool
         res = parallel_count(
-            kron, pat, parallel=ParallelConfig(num_workers=2, schedule=schedule)
+            kron, pat, parallel=ParallelConfig(num_workers=2, schedule=schedule, chunk_size=16)
         )
         assert res.count == expect
         assert f"x2,{schedule}" in res.engine
@@ -219,6 +221,125 @@ class TestNormalizationAndStats:
     def test_unknown_engine_rejected(self, kron):
         with pytest.raises(ValueError, match="unknown engine"):
             Runtime().count(kron, catalog.paw(), engine="warp")
+
+
+# ----------------------------------------------------------------------
+# routing: engine first, substrate second
+# ----------------------------------------------------------------------
+# (pattern, core size): one pattern per closed-form kind plus a 4-vertex core
+ROUTE_PATTERNS = {
+    "3-star": (catalog.star(3), 1),
+    "paw": (catalog.paw(), 2),
+    "4-cycle": (catalog.four_cycle(), 3),
+    "5-cycle": (catalog.cycle(5), 4),
+}
+CLOSED_FORMS = {1: "vertex-core", 2: "edge-core", 3: "3-core"}
+# chunks well below the 64-vertex kron graph, so both pools really engage
+ROUTE_PARALLEL = {
+    "none": None,
+    "fork": ParallelConfig(num_workers=2, chunk_size=16),
+    "persistent": ParallelConfig(num_workers=2, chunk_size=16, pool="persistent"),
+}
+ORACLE = EngineConfig(fc_impl="iterative", specialized=False)
+
+
+def expected_route(engine: str, core: int, parallel) -> str | None:
+    """The route table: a closed-form kind or the matcher backend name."""
+    closed = CLOSED_FORMS.get(core)
+    if engine == "general":
+        return "batch"
+    if engine == "frontier":
+        return "frontier"
+    if engine == "specialized":
+        return closed  # None: no closed form, the request is refused
+    if closed is not None and (core < 3 or parallel is None):
+        return closed
+    return "frontier"
+
+
+class TestRouting:
+    @pytest.fixture(scope="class", autouse=True)
+    def _release_pool(self):
+        from repro.parallel.shm import shm_available
+        from repro.parallel.workerpool import shutdown_default_pool
+
+        if not shm_available():
+            pytest.skip("no shared memory")
+        yield
+        shutdown_default_pool()
+
+    @pytest.fixture(scope="class")
+    def oracle(self, kron):
+        rt = Runtime()
+        return {
+            name: rt.count(kron, pat, engine="general", config=ORACLE).count
+            for name, (pat, _) in ROUTE_PATTERNS.items()
+        }
+
+    @pytest.mark.parametrize("engine", ["auto", "specialized", "general", "frontier"])
+    @pytest.mark.parametrize("substrate", sorted(ROUTE_PARALLEL))
+    @pytest.mark.parametrize("name", sorted(ROUTE_PATTERNS))
+    def test_route_table(self, kron, oracle, name, substrate, engine):
+        pat, core = ROUTE_PATTERNS[name]
+        parallel = ROUTE_PARALLEL[substrate]
+        route = expected_route(engine, core, parallel)
+        rt = Runtime()
+        if route is None:
+            with pytest.raises(ValueError, match="no specialized engine"):
+                rt.count(kron, pat, engine=engine, parallel=parallel)
+            return
+        res = rt.count(kron, pat, engine=engine, parallel=parallel)
+        assert res.count == oracle[name]
+        if route in CLOSED_FORMS.values():
+            assert res.engine.startswith(f"fringe-specialized({route})")
+            assert res.stats.backend == f"fringe-specialized({route})"
+            assert res.stats.workers == 0
+        elif parallel is None:
+            assert res.stats.backend == route
+            assert res.engine.startswith("fringe-frontier" if route == "frontier"
+                                         else "fringe-general")
+        else:
+            kind = "pool" if substrate == "persistent" else "parallel"
+            assert res.engine == f"fringe-{kind}(x2,dynamic)+{route}"
+            assert res.stats.backend == ("pool" if substrate == "persistent"
+                                         else "multiprocess")
+            assert res.stats.workers >= 1
+
+    @pytest.mark.parametrize("substrate", ["fork", "persistent"])
+    def test_explicit_specialized_wins_over_parallel(self, kron, oracle, substrate):
+        res = Runtime().count(kron, catalog.four_cycle(), engine="specialized",
+                              parallel=ROUTE_PARALLEL[substrate])
+        assert res.count == oracle["4-cycle"]
+        assert res.engine == "fringe-specialized(3-core) in-process(x1)"
+        assert res.stats.workers == 0
+
+    def test_pool_label_only_when_workers_ran(self):
+        """A pool request on a graph of one chunk runs in-process and says so."""
+        from repro.graph import datasets
+
+        graph = datasets.make("amazon0601", "tiny")
+        pat = catalog.four_clique()
+        expect = Runtime().count(graph, pat, engine="general", config=ORACLE).count
+        one_chunk = ParallelConfig(num_workers=2, chunk_size=100_000, pool="persistent")
+        res = Runtime().count(graph, pat, parallel=one_chunk)
+        assert res.count == expect
+        assert res.stats.workers == 0
+        assert res.stats.backend == "frontier"
+        assert "fringe-pool" not in res.engine
+        assert res.engine.endswith("in-process(x1)")
+        chunked = ParallelConfig(num_workers=2, chunk_size=64, pool="persistent")
+        pooled = Runtime().count(graph, pat, parallel=chunked)
+        assert pooled.count == expect
+        assert pooled.stats.workers >= 1
+        assert pooled.engine == "fringe-pool(x2,dynamic)+frontier"
+
+    def test_fork_label_only_when_workers_ran(self, kron):
+        one_chunk = ParallelConfig(num_workers=2, schedule="dynamic", chunk_size=256)
+        res = parallel_count(kron, catalog.diamond(), parallel=one_chunk)
+        assert res.count == count_subgraphs(kron, catalog.diamond()).count
+        assert res.stats.workers == 0
+        assert res.stats.backend == "batch"
+        assert res.engine == "fringe-general(sorted,poly) in-process(x1)"
 
 
 # ----------------------------------------------------------------------

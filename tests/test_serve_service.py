@@ -422,13 +422,21 @@ class TestPoolExecutor:
         assert service._parallel is None
 
     def test_pool_executor_counts_match_serial(self):
+        from repro.graph import datasets
         from repro.parallel.shm import shm_available
         from repro.parallel.workerpool import shutdown_default_pool
 
         if not shm_available():
             pytest.skip("no shared memory")
-        graph = gen.barabasi_albert(400, 4, seed=6)
-        expected = Runtime().count(graph, parse_pattern("diamond")).count
+        # amazon tiny has 300 vertices, more than the pool's 256-vertex
+        # chunks, so matcher work really leaves the executor thread
+        graph = datasets.make("amazon0601", "tiny")
+        # 3-vertex cores go to the pool; the 2-vertex-core diamond stays
+        # on the executor thread as a closed form
+        pooled = ["4-clique", "4-clique + 1x0"]
+        closed = ["diamond"]
+        patterns = (pooled + closed) * 2
+        expected = {p: Runtime().count(graph, parse_pattern(p)).count for p in set(patterns)}
 
         async def scenario():
             registry = GraphRegistry()
@@ -437,9 +445,8 @@ class TestPoolExecutor:
             service = await started_service(registry, config=config)
             try:
                 responses = await asyncio.gather(*[
-                    service.submit(CountRequest(graph="g", pattern="diamond",
-                                                use_cache=False))
-                    for _ in range(4)
+                    service.submit(CountRequest(graph="g", pattern=p, use_cache=False))
+                    for p in patterns
                 ])
             finally:
                 await service.stop()
@@ -450,5 +457,8 @@ class TestPoolExecutor:
         finally:
             shutdown_default_pool()
         assert all(isinstance(r, CountResponse) for r in responses)
-        assert all(r.count == expected for r in responses)
-        assert any("fringe-pool(x2" in r.engine for r in responses)
+        assert all(r.count == expected[p] for p, r in zip(patterns, responses))
+        assert all("fringe-pool(x2" in r.engine
+                   for p, r in zip(patterns, responses) if p in pooled)
+        assert all(r.engine.startswith("fringe-specialized(edge-core)")
+                   for p, r in zip(patterns, responses) if p in closed)

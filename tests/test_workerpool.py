@@ -54,7 +54,9 @@ class TestAgreement:
         expect = count_subgraphs(graph, pattern).count
         res = parallel_count(
             graph, pattern,
-            parallel=ParallelConfig(num_workers=2, pool="persistent"),
+            # chunks smaller than the graph: kron tiny has 253 vertices, and a
+            # graph of at most one chunk runs in-process, off the pool
+            parallel=ParallelConfig(num_workers=2, chunk_size=64, pool="persistent"),
         )
         assert res.count == expect
         assert "fringe-pool" in res.engine
