@@ -20,13 +20,18 @@ trajectory going forward.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import platform
+import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .. import obs
 from ..baselines import (
@@ -256,9 +261,34 @@ class FigureResult:
                 raise AssertionError(f"count disagreement on {key}: {sorted(counts)}")
 
 
-def measurement_record(figure: str, m: Measurement) -> dict:
-    """One cell as a plain JSON-serializable record (the BENCH_*.json row)."""
+@functools.cache
+def provenance() -> dict:
+    """Where a record was measured: the source revision (``-dirty`` when
+    tracked files differ from it; ``None`` outside a git checkout), the
+    Python and NumPy versions and the CPU count."""
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        ).stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        sha = None
     return {
+        "git_sha": sha,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "nproc": os.cpu_count(),
+    }
+
+
+def measurement_record(figure: str, m: Measurement) -> dict:
+    """One cell as a plain JSON-serializable record (the BENCH_*.json row),
+    stamped with :func:`provenance`."""
+    return {
+        **provenance(),
         "figure": figure,
         "system": m.system,
         "pattern": m.pattern,

@@ -16,8 +16,8 @@ Four substrates mirror the paper's execution models:
   matcher;
 * :class:`FrontierBackend` — fully vectorized: the frontier-at-a-time
   matcher (:mod:`repro.core.frontier`) produces whole *blocks* of core
-  embeddings per NumPy kernel pass and feeds them straight into
-  ``venn_batch`` + the compiled fringe polynomial, eliminating the
+  embeddings per NumPy kernel pass and feeds them straight into the
+  Venn pass + the compiled fringe polynomial, eliminating the
   per-embedding Python loop end to end (the warp model of Listing 7);
   both batched backends compute one Venn per distinct anchor set
   (:func:`venn_poly_sums`);
@@ -52,7 +52,10 @@ from .fringe_count import fc_iterative, fc_recursive
 from .frontier import FrontierStats, iter_frontier_blocks
 from .matcher import match_cores
 from .plan import CountingPlan
-from .venn import VENN_IMPLS, row_venns, unique_anchor_sets, venn_batch
+from .venn import VENN_IMPLS, row_venns, unique_anchor_sets, venn_sets
+# the sort-reduce oracle stays importable here: the repository benchmark's
+# layer tracer (perfbench/tracing.py) wraps it under this name
+from .venn import venn_batch  # noqa: F401
 
 __all__ = [
     "PartialSum",
@@ -95,8 +98,9 @@ class PartialSum:
 
     ``sigma`` is Σ F_sets over the visited symmetry-reduced core
     embeddings (un-normalized); ``matches`` counts those embeddings.
-    ``venn_fc_s`` is the time spent in Venn + fringe-count evaluation
-    (as opposed to core matching); ``batches`` counts vectorized batch
+    ``match_s`` is the time spent producing core matches and
+    ``venn_fc_s`` the time spent in Venn + fringe-count evaluation, each
+    timed directly by the backend; ``batches`` counts vectorized batch
     flushes. ``workers`` carries per-worker :class:`WorkerDelta` records
     out of the fork pool (empty for in-process execution); their fields
     sum to this object's totals. Partial sums add, so reductions are one
@@ -105,6 +109,7 @@ class PartialSum:
 
     sigma: int = 0
     matches: int = 0
+    match_s: float = 0.0
     venn_fc_s: float = 0.0
     batches: int = 0
     workers: tuple[WorkerDelta, ...] = ()
@@ -113,6 +118,7 @@ class PartialSum:
         return PartialSum(
             sigma=self.sigma + other.sigma,
             matches=self.matches + other.matches,
+            match_s=self.match_s + other.match_s,
             venn_fc_s=self.venn_fc_s + other.venn_fc_s,
             batches=self.batches + other.batches,
             workers=self.workers + other.workers,
@@ -150,13 +156,14 @@ def venn_poly_sums(
     that share those anchors. Returns one sum per polynomial and the
     number of ``batch_size`` row chunks evaluated.
 
-    ``venn_batch`` runs once per distinct anchor set of the block, in
-    ``batch_size`` chunks of sets; each row chunk then rebuilds its own
-    diagrams from its sets' (:func:`~repro.core.venn.row_venns`) and
-    feeds them to every polynomial. With ``registry`` set it records
-    one ``repro_venn_set_size`` sample per row, one
-    ``repro_batch_matches`` sample per chunk, and the number of distinct
-    sets in ``repro_venn_unique_anchor_rows_total``.
+    :func:`~repro.core.venn.venn_sets` runs once per distinct anchor set
+    of the block, in ``batch_size`` chunks of sets; each row chunk then
+    rebuilds its own diagrams from its sets'
+    (:func:`~repro.core.venn.row_venns`) and feeds them to every
+    polynomial. With ``registry`` set it records one
+    ``repro_venn_set_size`` sample per row, one ``repro_batch_matches``
+    sample per chunk, and the number of distinct sets in
+    ``repro_venn_unique_anchor_rows_total``.
     """
     sums = [0] * len(polys)
     if len(block) == 0:
@@ -166,7 +173,7 @@ def venn_poly_sums(
         set_venns = np.empty((len(sets), 1 << len(positions)), dtype=np.int64)
         for s in range(0, len(sets), batch_size):
             chunk = sets[s : s + batch_size]
-            set_venns[s : s + len(chunk)] = venn_batch(graph, chunk, chunk)
+            set_venns[s : s + len(chunk)] = venn_sets(graph, chunk)
     batches = 0
     for s in range(0, len(block), batch_size):
         e = min(s + batch_size, len(block))
@@ -187,8 +194,9 @@ def venn_poly_sums(
 
 def _count_matches_only(plan, graph, start_vertices) -> PartialSum:
     """q == 0 (no anchored fringes): every core embedding contributes 1."""
+    t0 = time.perf_counter()
     matches = sum(1 for _ in match_cores(graph, plan.core_plan, start_vertices=start_vertices))
-    return PartialSum(sigma=matches, matches=matches)
+    return PartialSum(sigma=matches, matches=matches, match_s=time.perf_counter() - t0)
 
 
 class SerialBackend:
@@ -213,23 +221,31 @@ class SerialBackend:
         degrees = graph.degrees
         total = 0
         matches = 0
-        venn_fc_s = 0.0
+        match_s = venn_fc_s = 0.0
+        # t_mark..t0 is one matcher pull, t0..t_mark one venn/fc evaluation
+        t_mark = time.perf_counter()
         for match in match_cores(graph, plan.core_plan, start_vertices=start_vertices):
-            matches += 1
             t0 = time.perf_counter()
+            match_s += t0 - t_mark
+            matches += 1
             anchors = [match[i] for i in positions]
             venn = venn_fn(graph, anchors, match)
             total += fc(venn, anch, k, q)
-            venn_fc_s += time.perf_counter() - t0
+            t_mark = time.perf_counter()
+            venn_fc_s += t_mark - t0
             if registry is not None:
                 registry.histogram("repro_venn_set_size").observe(sum(venn))
                 registry.histogram("repro_candidate_set_size").observe(
                     int(sum(degrees[a] for a in anchors))
                 )
+                t_mark = time.perf_counter()
+        match_s += time.perf_counter() - t_mark
         if registry is not None:
             registry.counter("repro_core_matches_total").inc(matches)
             registry.counter("repro_venn_fc_seconds_total").inc(venn_fc_s)
-        return PartialSum(sigma=total, matches=matches, venn_fc_s=venn_fc_s)
+        return PartialSum(
+            sigma=total, matches=matches, match_s=match_s, venn_fc_s=venn_fc_s
+        )
 
 
 class BatchBackend:
@@ -252,7 +268,7 @@ class BatchBackend:
         total = 0
         matches = 0
         batches = 0
-        venn_fc_s = 0.0
+        match_s = venn_fc_s = 0.0
         buf: list[tuple[int, ...]] = []
 
         def flush() -> int:
@@ -264,17 +280,22 @@ class BatchBackend:
             (sigma,), _ = venn_poly_sums(graph, core_matrix, positions, [poly], bs, registry)
             return sigma
 
+        # t_mark..t0 is matching (pulls + buffering), t0..t_mark one flush
+        t_mark = time.perf_counter()
         for match in match_cores(graph, plan.core_plan, start_vertices=start_vertices):
             matches += 1
             buf.append(match)
             if len(buf) >= bs:
                 t0 = time.perf_counter()
+                match_s += t0 - t_mark
                 total += flush()
-                venn_fc_s += time.perf_counter() - t0
+                t_mark = time.perf_counter()
+                venn_fc_s += t_mark - t0
                 batches += 1
                 buf.clear()
+        t0 = time.perf_counter()
+        match_s += t0 - t_mark
         if buf:
-            t0 = time.perf_counter()
             total += flush()
             venn_fc_s += time.perf_counter() - t0
             batches += 1
@@ -282,7 +303,9 @@ class BatchBackend:
             registry.counter("repro_core_matches_total").inc(matches)
             registry.counter("repro_batches_flushed_total").inc(batches)
             registry.counter("repro_venn_fc_seconds_total").inc(venn_fc_s)
-        return PartialSum(sigma=total, matches=matches, venn_fc_s=venn_fc_s, batches=batches)
+        return PartialSum(
+            sigma=total, matches=matches, match_s=match_s, venn_fc_s=venn_fc_s, batches=batches
+        )
 
 
 class FrontierBackend:
@@ -290,8 +313,8 @@ class FrontierBackend:
 
     The matcher side runs level-synchronously over 2-D embedding blocks
     (:func:`repro.core.frontier.iter_frontier_blocks`); each completed
-    block goes through :func:`venn_poly_sums`: one ``venn_batch`` per
-    distinct anchor set, then the compiled fringe polynomial in
+    block goes through :func:`venn_poly_sums`: one ``venn_sets`` diagram
+    per distinct anchor set, then the compiled fringe polynomial in
     ``batch_size`` row chunks. ``EngineConfig.max_frontier_rows`` bounds
     the candidate volume of any expansion step (larger frontiers split
     and traverse depth-first), so memory stays fixed on dense graphs.
@@ -312,17 +335,23 @@ class FrontierBackend:
         poly = plan.poly
         sigma = 0
         matches = 0
-        venn_fc_s = 0.0
+        match_s = venn_fc_s = 0.0
         batches = 0
         t_run = time.perf_counter()
         with obs.span("frontier.match", pattern_vertices=plan.pattern.n):
-            for block in iter_frontier_blocks(
+            blocks = iter_frontier_blocks(
                 graph,
                 plan.core_plan,
                 start_vertices=start_vertices,
                 max_rows=cfg.max_frontier_rows,
                 stats=fstats,
-            ):
+            )
+            while True:
+                t0 = time.perf_counter()
+                block = next(blocks, None)
+                match_s += time.perf_counter() - t0
+                if block is None:
+                    break
                 matches += len(block)
                 if plan.q == 0:
                     # no anchored fringes: every core embedding contributes 1
@@ -345,7 +374,9 @@ class FrontierBackend:
                 registry.gauge("repro_frontier_rows_per_second").set(
                     fstats.rows / elapsed
                 )
-        return PartialSum(sigma=sigma, matches=matches, venn_fc_s=venn_fc_s, batches=batches)
+        return PartialSum(
+            sigma=sigma, matches=matches, match_s=match_s, venn_fc_s=venn_fc_s, batches=batches
+        )
 
 
 # ----------------------------------------------------------------------

@@ -58,7 +58,7 @@ class EngineConfig:
 
     ``fc_impl="poly"`` selects the compiled fringe polynomial evaluated
     over *batches* of core matches with one vectorized Venn pass per batch
-    (:func:`repro.core.venn.venn_batch`) — the data-parallel formulation
+    (:func:`repro.core.venn.venn_sets`) — the data-parallel formulation
     and the default for benchmarks. ``"recursive"``/``"iterative"`` are
     the per-match Listing 5 ports.
 
@@ -91,13 +91,15 @@ class ExecutionStats:
     """Per-call breakdown of where a count's time went.
 
     ``compile_s`` is pattern-compilation time (zero on a plan-cache hit);
-    ``execute_s`` is graph-side execution; ``venn_fc_s`` is the share of
-    execution spent in Venn/fringe-count evaluation and ``match_s`` the
-    core-matching remainder. ``cache_hits``/``cache_misses`` snapshot the
-    serving runtime's cumulative plan-cache counters (both zero when the
-    count did not go through a runtime). ``workers`` is the number of
-    distinct fork-pool worker processes that contributed (zero when the
-    count ran in-process).
+    ``execute_s`` is graph-side execution; ``match_s`` (core matching)
+    and ``venn_fc_s`` (Venn/fringe-count evaluation) are the backend's
+    own timings of those two layers, so in-process ``match_s +
+    venn_fc_s <= execute_s`` (pooled counts sum them over workers); a
+    closed-form engine reports neither. ``cache_hits``/``cache_misses``
+    snapshot the serving runtime's cumulative plan-cache counters (both
+    zero when the count did not go through a runtime). ``workers`` is
+    the number of distinct fork-pool worker processes that contributed
+    (zero when the count ran in-process).
     """
 
     backend: str = ""
@@ -189,12 +191,11 @@ class FringeCounter:
             value = cplan.normalize(partial.sigma)
             matches = partial.matches
         elapsed = time.perf_counter() - start
-        venn_fc_s = partial.venn_fc_s if partial else 0.0
         stats = ExecutionStats(
             backend=backend.name if backend else "trivial",
             execute_s=elapsed,
-            match_s=max(0.0, elapsed - venn_fc_s),
-            venn_fc_s=venn_fc_s,
+            match_s=partial.match_s if partial else 0.0,
+            venn_fc_s=partial.venn_fc_s if partial else 0.0,
             batches_flushed=partial.batches if partial else 0,
         )
         return CountResult(

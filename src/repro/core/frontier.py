@@ -28,7 +28,7 @@ carried independently through the remaining levels (depth-first over
 blocks), so dense graphs degrade into more block iterations instead of
 one giant allocation. Completed embeddings stream out as blocks, which
 the :class:`repro.core.backends.FrontierBackend` feeds straight into
-``venn_batch`` + the compiled fringe polynomial — the per-embedding
+the Venn pass + the compiled fringe polynomial — the per-embedding
 Python loop disappears from the whole pipeline.
 
 Observability: each expansion emits a ``frontier.level`` span and a
@@ -53,6 +53,7 @@ __all__ = [
     "DEFAULT_MAX_FRONTIER_ROWS",
     "FrontierStats",
     "has_edges_bulk",
+    "row_lower_bound",
     "iter_frontier_blocks",
     "frontier_match_matrix",
 ]
@@ -79,30 +80,43 @@ class FrontierStats:
     spills: int = 0
 
 
-def has_edges_bulk(
+def row_lower_bound(
     rowptr: np.ndarray, colidx: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Element-wise edge membership: does ``adj(u[i])`` contain ``v[i]``?
+    """Element-wise lower bound: the first position in row ``u[i]``'s
+    slice ``colidx[rowptr[u[i]]:rowptr[u[i] + 1]]`` holding a value
+    ``>= v[i]`` (the row's end when there is none).
 
     All queries advance together through a synchronized binary search —
-    ``O(log max_degree)`` vectorized bisection rounds over the shared
+    ``O(log max_row_length)`` vectorized bisection rounds over the shared
     ``colidx`` array, the CPU shape of the warp-cooperative probes in
-    the paper's Listing 7.
+    the paper's Listing 7. ``colidx`` must be non-empty.
     """
-    m = len(u)
-    if m == 0 or len(colidx) == 0:
-        return np.zeros(m, dtype=bool)
     lo = rowptr[u].copy()
     hi = rowptr[u + 1].copy()
     while True:
         active = lo < hi
         if not active.any():
-            break
+            return lo
         mid = (lo + hi) >> 1
         midval = colidx[np.minimum(mid, len(colidx) - 1)]
         go_right = active & (midval < v)
         lo = np.where(go_right, mid + 1, lo)
         hi = np.where(active & ~go_right, mid, hi)
+
+
+def has_edges_bulk(
+    rowptr: np.ndarray, colidx: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Element-wise edge membership: does ``adj(u[i])`` contain ``v[i]``?
+
+    One :func:`row_lower_bound` search, then an equality test at the
+    position it lands on.
+    """
+    m = len(u)
+    if m == 0 or len(colidx) == 0:
+        return np.zeros(m, dtype=bool)
+    lo = row_lower_bound(rowptr, colidx, u, v)
     found = lo < rowptr[u + 1]
     return found & (colidx[np.where(found, lo, 0)] == v)
 

@@ -29,29 +29,67 @@ The batched backends do not call :func:`venn_batch` on every matched
 core. Core embeddings repeat the same anchor *set* — in another order,
 or with different non-anchor core vertices — so a block of embeddings
 is first reduced to its distinct sorted anchor sets
-(:func:`unique_anchor_sets`) and :func:`venn_batch` runs once per
-distinct set, excluding only the anchors. :func:`row_venns` then
-rebuilds any row's own diagram from its set's: it permutes the region
-bits back into the row's anchor order (one column map per anchor
-permutation, at most ``q!``) and removes each non-anchor core vertex
-from the one region its adjacency to the anchors names. The result
-equals ``venn_batch(graph, block[:, positions], block)`` row for row.
+(:func:`unique_anchor_sets`) and one diagram is computed per distinct
+set, excluding only the anchors. :func:`row_venns` then rebuilds any
+row's own diagram from its set's: it permutes the region bits back into
+the row's anchor order (one column map per anchor permutation, at most
+``q!``) and removes each non-anchor core vertex from the one region its
+adjacency to the anchors names. The result equals
+``venn_batch(graph, block[:, positions], block)`` row for row.
+
+The per-set diagrams come from :func:`venn_sets`, which never gathers
+whole neighbourhoods. Region sizes follow from intersection sizes
+``I[T] = |∩_{j in T} N(a_j)|`` by the superset Möbius inversion
+
+    venn[S] = Σ_{T ⊇ S} (−1)^{|T|−|S|} · I[T]
+
+(the paper's §3.6 "search later anchors, then correct", done
+algebraically): ``|T| = 1`` is a degree, ``|T| = 2`` one entry of
+``A·A``, and ``|T| >= 3`` scans only the smallest member's adjacency
+list with :func:`~repro.core.frontier.has_edges_bulk` probes into the
+others. An in-place ``O(q·2^q)`` transform inverts the sizes; each
+anchor then leaves the region its adjacency to the other anchors names.
+
+``A·A`` lives in a :class:`PairIndex`: its strict upper triangle in CSR
+form — ``int64`` row pointers, ``int32`` columns and ``int32`` common-
+neighbour counts, 8 B per nonzero. :func:`build_pair_index` counts the
+2-paths ``u–w–v`` (``v > u``) in row blocks of about
+:data:`INDEX_BLOCK_PATHS` 2-paths with NumPy alone, and
+:func:`pair_index` caches the result per graph object in a
+``WeakKeyDictionary`` (never on the graph, so it never enters a pickled
+graph; pool workers build their own on their attached graph). A graph
+gets an index only when the bound ``Σ_w C(deg w, 2) · 8`` bytes fits
+:data:`INDEX_BUDGET_BYTES` (64 MiB) and its ids fit ``int32``; otherwise
+:func:`venn_sets` falls back to :func:`venn_batch`, which also stays the
+differential oracle in the tests. Builds record a ``venn.index_build``
+span and the ``repro_venn_index_builds_total`` /
+``repro_venn_index_bytes`` metrics; fallbacks count into
+``repro_venn_index_fallbacks_total``.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .. import obs
 from ..graph.csr import CSRGraph
-from .frontier import has_edges_bulk
+from .frontier import has_edges_bulk, row_lower_bound
 
 __all__ = [
     "venn_hash",
     "venn_sorted",
     "venn_merge",
     "venn_batch",
+    "venn_sets",
+    "PairIndex",
+    "build_pair_index",
+    "pair_index",
+    "INDEX_BUDGET_BYTES",
     "unique_anchor_sets",
     "row_venns",
     "VENN_IMPLS",
@@ -214,13 +252,14 @@ def venn_batch(
         keys[pos : pos + m] = reps * n + colidx[idx]
         bits[pos : pos + m] = 1 << j
         pos += m
+    if pos == 0:  # every anchor isolated
+        return np.zeros((b, 1 << q), dtype=np.int64)
     keys, bits = keys[:pos], bits[:pos]
     order = np.argsort(keys, kind="stable")
     keys, bits = keys[order], bits[order]
     boundaries = np.empty(len(keys), dtype=bool)
-    if len(keys):
-        boundaries[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=boundaries[1:])
+    boundaries[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=boundaries[1:])
     uniq = keys[boundaries]
     group_ids = np.cumsum(boundaries) - 1
     masks = np.zeros(len(uniq), dtype=np.int64)
@@ -229,12 +268,201 @@ def venn_batch(
     # exclude matched core vertices: look their keys up among uniq
     excl_keys = (np.arange(b, dtype=np.int64)[:, None] * n + core_matrix).ravel()
     loc = np.searchsorted(uniq, excl_keys)
-    loc_c = np.minimum(loc, max(len(uniq) - 1, 0))
-    hit = (len(uniq) > 0) & (uniq[loc_c] == excl_keys)
+    loc_c = np.minimum(loc, len(uniq) - 1)
+    hit = uniq[loc_c] == excl_keys
     keep = np.ones(len(uniq), dtype=bool)
     keep[loc_c[hit]] = False
     flat = match_of[keep] * (1 << q) + masks[keep]
     venn = np.bincount(flat, minlength=b << q).reshape(b, 1 << q)
+    return venn
+
+
+# ----------------------------------------------------------------------
+# algebraic Venn: intersection sizes + superset Möbius inversion
+# ----------------------------------------------------------------------
+# Largest pair index one graph may get: the bound Σ_w C(deg w, 2) · 8 B
+# (an int32 column plus an int32 value per upper-triangle nonzero) must
+# fit, else venn_sets falls back to venn_batch for that graph.
+INDEX_BUDGET_BYTES = 64 << 20
+# 2-paths gathered per build block; bounds the build's transient memory
+INDEX_BLOCK_PATHS = 1 << 16
+
+_INDEXES: "weakref.WeakKeyDictionary[CSRGraph, PairIndex | None]" = (
+    weakref.WeakKeyDictionary()
+)
+_INDEX_LOCK = threading.Lock()
+_MISSING = object()
+
+
+@dataclass(frozen=True)
+class PairIndex:
+    """The strict upper triangle of ``A·A`` in CSR form.
+
+    For ``u < v``, ``cols[ptr[u]:ptr[u + 1]]`` lists (ascending) every
+    ``v`` that shares a neighbour with ``u`` and ``vals`` the number of
+    common neighbours ``|N(u) ∩ N(v)|``.
+    """
+
+    ptr: np.ndarray  # (n + 1,) int64
+    cols: np.ndarray  # (nnz,) int32
+    vals: np.ndarray  # (nnz,) int32
+
+    @property
+    def nbytes(self) -> int:
+        return self.ptr.nbytes + self.cols.nbytes + self.vals.nbytes
+
+    def lookup(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``|N(u[i]) ∩ N(v[i])|`` for element-wise pairs with ``u < v``."""
+        if len(self.cols) == 0:
+            return np.zeros(len(u), dtype=np.int64)
+        lo = row_lower_bound(self.ptr, self.cols, u, v)
+        at = np.minimum(lo, len(self.cols) - 1)
+        hit = (lo < self.ptr[u + 1]) & (self.cols[at] == v)
+        return np.where(hit, self.vals[at], 0).astype(np.int64)
+
+
+def build_pair_index(graph: CSRGraph, block_paths: int = INDEX_BLOCK_PATHS) -> PairIndex:
+    """Count the 2-paths ``u–w–v`` with ``u < v`` into a :class:`PairIndex`.
+
+    Rows ``u`` are processed in contiguous blocks of about
+    ``block_paths`` 2-paths. For an edge ``u → w`` the ``v > u`` in
+    ``N(w)`` are the entries after the reverse edge ``w → u``, so each
+    block is one repeat+offset gather and one ``np.unique`` count; the
+    blocks' keys are disjoint, so their outputs concatenate into CSR.
+    """
+    n = graph.num_vertices
+    rowptr, colidx = graph.rowptr, graph.colidx
+    # rev[e]: position of the reverse of edge e. CSR order is (u, w);
+    # a stable sort by w gives (w, u), the CSR order of the reverses.
+    rev = np.empty(len(colidx), dtype=np.int64)
+    rev[np.argsort(colidx, kind="stable")] = np.arange(len(colidx), dtype=np.int64)
+    after = rowptr[colidx + 1] - rev - 1  # v > u in N(w), per edge u → w
+    row_cum = np.concatenate(([0], np.cumsum(after)))[rowptr]  # (n + 1,)
+    total = int(row_cum[-1])
+    cuts = np.searchsorted(row_cum, np.arange(block_paths, total, block_paths))
+    cuts = np.unique(np.concatenate(([0], cuts, [n])))
+    row_nnz = np.zeros(n, dtype=np.int64)
+    cols, vals = [], []
+    for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        e0, e1 = int(rowptr[r0]), int(rowptr[r1])
+        lens = after[e0:e1]
+        m = int(lens.sum())
+        if m == 0:
+            continue
+        src = np.repeat(np.arange(r1 - r0, dtype=np.int64), graph.degrees[r0:r1])
+        reps = np.repeat(np.arange(e1 - e0, dtype=np.int64), lens)
+        offsets = np.arange(m, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
+        keys = src[reps] * n + colidx[rev[e0:e1][reps] + 1 + offsets]
+        keys, counts = np.unique(keys, return_counts=True)
+        row_nnz[r0:r1] = np.bincount(keys // n, minlength=r1 - r0)
+        cols.append((keys % n).astype(np.int32))
+        vals.append(counts.astype(np.int32))
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_nnz, out=ptr[1:])
+    return PairIndex(
+        ptr,
+        np.concatenate(cols) if cols else np.empty(0, dtype=np.int32),
+        np.concatenate(vals) if vals else np.empty(0, dtype=np.int32),
+    )
+
+
+def pair_index(graph: CSRGraph) -> PairIndex | None:
+    """The graph's cached :class:`PairIndex`, built on first use.
+
+    ``None`` when the index would exceed :data:`INDEX_BUDGET_BYTES` or
+    the vertex ids do not fit int32. The cache is keyed by the graph
+    object (weakly), so it never enters a pickled graph and dies with
+    it; the lock makes concurrent first users build it once.
+    """
+    index = _INDEXES.get(graph, _MISSING)
+    if index is not _MISSING:
+        return index
+    with _INDEX_LOCK:
+        index = _INDEXES.get(graph, _MISSING)
+        if index is _MISSING:
+            deg = graph.degrees.astype(np.float64)
+            bound = float((deg * (deg - 1)).sum()) / 2 * 8
+            index = None
+            if bound <= INDEX_BUDGET_BYTES and graph.num_vertices < 1 << 31:
+                with obs.span("venn.index_build", n=graph.num_vertices) as attrs:
+                    index = build_pair_index(graph)
+                    if attrs is not None:
+                        attrs.update(nnz=len(index.cols), bytes=index.nbytes)
+                registry = obs.active_metrics()
+                if registry is not None:
+                    registry.counter("repro_venn_index_builds_total").inc()
+                    registry.gauge("repro_venn_index_bytes").set(index.nbytes)
+            _INDEXES[graph] = index
+    return index
+
+
+def _intersection_sizes(
+    graph: CSRGraph, sets: np.ndarray, degs: np.ndarray, members: list[int]
+) -> np.ndarray:
+    """``|∩_{j in members} N(sets[:, j])|`` per row: the smallest member's
+    adjacency list, filtered by membership in each other member's."""
+    rowptr, colidx = graph.rowptr, graph.colidx
+    rows = np.arange(len(sets))
+    pick = np.asarray(members)[np.argmin(degs[:, members], axis=1)]
+    smallest = sets[rows, pick]
+    lens = degs[rows, pick]
+    m = int(lens.sum())
+    reps = np.repeat(rows, lens)
+    offsets = np.arange(m, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
+    x = colidx[rowptr[smallest][reps] + offsets]
+    for j in members:
+        test = pick[reps] != j
+        keep = ~test
+        keep[test] = has_edges_bulk(rowptr, colidx, sets[reps[test], j], x[test])
+        reps, x = reps[keep], x[keep]
+    return np.bincount(reps, minlength=len(sets))
+
+
+def venn_sets(graph: CSRGraph, sets: np.ndarray) -> np.ndarray:
+    """``venn_batch(graph, sets, sets)`` from intersection sizes.
+
+    ``sets`` is ``(U, q)``, each row ``q`` distinct vertices in any
+    order. Region sizes follow from the sizes of the intersections
+    ``I[T] = |∩_{j in T} N(sets[:, j])|`` by a superset Möbius
+    inversion, ``venn[S] = Σ_{T ⊇ S} (−1)^{|T|−|S|} I[T]``: degrees for
+    ``|T| = 1``, the cached :func:`pair_index` for ``|T| = 2``,
+    :func:`_intersection_sizes` for ``|T| >= 3``. Each anchor then
+    leaves the one region its adjacency to the other anchors names.
+    Falls back to :func:`venn_batch` when the graph has no index.
+    """
+    u, q = sets.shape
+    if u == 0 or q == 0:
+        return np.zeros((u, 1 << q), dtype=np.int64)
+    index = pair_index(graph) if q >= 2 else None
+    if q >= 2 and index is None:
+        obs.counter_add("repro_venn_index_fallbacks_total")
+        return venn_batch(graph, sets, sets)
+    rowptr, colidx = graph.rowptr, graph.colidx
+    degs = graph.degrees[sets]
+    venn = np.zeros((u, 1 << q), dtype=np.int64)
+    adj = np.zeros((u, q), dtype=np.int64)  # anchors adjacent to anchor j
+    for j in range(q):
+        venn[:, 1 << j] = degs[:, j]
+        for i in range(j):
+            a, b = sets[:, i], sets[:, j]
+            venn[:, (1 << i) | (1 << j)] = index.lookup(np.minimum(a, b), np.maximum(a, b))
+            hit = has_edges_bulk(rowptr, colidx, a, b).astype(np.int64)
+            adj[:, i] |= hit << j
+            adj[:, j] |= hit << i
+    for t in range(7, 1 << q):
+        members = [j for j in range(q) if t >> j & 1]
+        if len(members) >= 3:
+            venn[:, t] = _intersection_sizes(graph, sets, degs, members)
+    # superset Möbius transform, one bit at a time, in place
+    for j in range(q):
+        pairs = venn.reshape(u, -1, 2, 1 << j)
+        pairs[:, :, 0, :] -= pairs[:, :, 1, :]
+    venn[:, 0] = 0
+    # an anchor is a neighbour of exactly the anchors its mask names
+    rows = np.arange(u)
+    for j in range(q):
+        sel = adj[:, j] != 0
+        venn[rows[sel], adj[sel, j]] -= 1
     return venn
 
 

@@ -50,7 +50,10 @@ class Tracer:
     def span(self, name: str, **attrs):
         """Open a child of the context's current span; record on exit.
 
-        The span is appended when the block exits (even on exception), so
+        Yields the span's attribute dict, so the block can add attributes
+        it only learns while running (``with span(...) as attrs``; the
+        inactive :func:`repro.obs.span` yields ``None``). The span is
+        appended when the block exits (even on exception), so
         ``self.spans`` holds only finished spans — children before their
         parents, which exporters reorder by start time.
         """
@@ -59,7 +62,7 @@ class Tracer:
         token = self._current.set(span_id)
         start = time.perf_counter()
         try:
-            yield self
+            yield attrs
         finally:
             duration = time.perf_counter() - start
             self._current.reset(token)

@@ -383,6 +383,7 @@ class Runtime:
                 compile_s=compile_s,
                 backend=backend.name if pooled else route,
                 execute_s=execute_s,
+                match_s=partial.match_s,
                 venn_fc_s=partial.venn_fc_s,
                 batches=partial.batches,
                 workers=len({w.pid for w in partial.workers}),
@@ -397,6 +398,7 @@ class Runtime:
         compile_s: float,
         backend: str,
         execute_s: float = 0.0,
+        match_s: float = 0.0,
         venn_fc_s: float = 0.0,
         batches: int = 0,
         workers: int = 0,
@@ -409,7 +411,7 @@ class Runtime:
             plan_cache_hit=plan_hit,
             compile_s=compile_s,
             execute_s=execute_s,
-            match_s=max(0.0, execute_s - venn_fc_s),
+            match_s=match_s,
             venn_fc_s=venn_fc_s,
             batches_flushed=batches,
             cache_hits=cache_hits,

@@ -81,6 +81,8 @@ class TestAgreement:
         second = pool.count(plan, graph, chunk_size=64)
         assert first.sigma == second.sigma == expect.sigma
         assert first.matches == expect.matches
+        # the workers' own layer timings travel back on the PartialSum
+        assert first.match_s > 0.0 and first.venn_fc_s > 0.0
         assert pool.worker_pids() == pids  # same resident processes
         assert pool.stats.calls >= 2
 
