@@ -9,8 +9,8 @@ library with bit-identical results:
 2. **Graphs bigger than one device** — the paper's §3.6 multi-GPU plan:
    partition with ghost regions as wide as the pattern core's diameter
    (+1 for fringes), count partitions independently, reduce once;
-3. **Multicore CPUs** — fork-based workers over start-vertex chunks with
-   static/strided/dynamic schedules.
+3. **Multicore CPUs** — the persistent worker pool over start-vertex
+   chunks with static/strided/dynamic schedules.
 
 Run:  python examples/scale_out.py
 """
@@ -38,7 +38,7 @@ def main() -> None:
     t_shared = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    individual = {n: count_subgraphs(graph, p, engine="general") for n, p in family.items()}
+    individual = {n: count_subgraphs(graph, p, engine="frontier") for n, p in family.items()}
     t_each = time.perf_counter() - t0
 
     print(f"\nk-tailed-triangle census ({mpc.num_groups} shared core group):")

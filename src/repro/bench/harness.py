@@ -129,12 +129,22 @@ def _fringe_runner(
     return run
 
 
-def _parallel_config(pool: str):
+def _pool_runner(pattern: Pattern, *, cold: bool):
     # small chunks so two workers genuinely split the tiny bench inputs
-    # (the pool backends bypass themselves when one chunk covers the graph)
+    # (the pool backend bypasses itself when one chunk covers the graph)
     from ..parallel.pool import ParallelConfig
+    from ..parallel.workerpool import shutdown_default_pool
 
-    return ParallelConfig(num_workers=2, chunk_size=64, pool=pool)
+    count = _fringe_runner(
+        pattern, engine="frontier", parallel=ParallelConfig(num_workers=2, chunk_size=64)
+    )
+
+    def run(graph: CSRGraph, timeout_s: float) -> int | None:
+        if cold:  # pay worker start-up inside the measured call
+            shutdown_default_pool()
+        return count(graph, timeout_s)
+
+    return run
 
 
 # The frontier-vs-serial comparison pins both sides to general (non-
@@ -167,14 +177,10 @@ SYSTEMS: dict[str, Callable[[Pattern], Callable | None]] = {
     "graphset-like": _baseline_runner(IEPCounter),
     "tdfs-like": _baseline_runner(TDFSCounter),
     "stmatch-like": _baseline_runner(StackEnumerator),
-    # the pool comparison (BENCH_pool.json): per-call fork pool vs the
-    # persistent spawn pool, both 2 workers over the general engine
-    "fringe-fork": lambda pat: _fringe_runner(
-        pat, engine="general", parallel=_parallel_config("fork")
-    ),
-    "fringe-pool": lambda pat: _fringe_runner(
-        pat, engine="general", parallel=_parallel_config("persistent")
-    ),
+    # the pool comparison (BENCH_pool.json): a persistent pool started
+    # inside every call vs the warm one, both 2 workers over the frontier
+    "fringe-pool-cold": lambda pat: _pool_runner(pat, cold=True),
+    "fringe-pool": lambda pat: _pool_runner(pat, cold=False),
 }
 
 

@@ -40,7 +40,7 @@ ALL_SYSTEMS = ("fringe-sgc", "graphset-like", "tdfs-like", "stmatch-like")
 FRINGE_ONLY = ("fringe-sgc",)
 FRONTIER_VS_SERIAL = ("fringe-frontier", "fringe-serial")
 # serial reference first so every cell is cross-checked against it
-POOL_SYSTEMS = ("fringe-serial", "fringe-fork", "fringe-pool")
+POOL_SYSTEMS = ("fringe-serial", "fringe-pool-cold", "fringe-pool")
 
 
 def ten_inputs(scale: str = "tiny") -> dict[str, CSRGraph]:
@@ -138,9 +138,9 @@ def frontier_inputs(scale: str = "tiny") -> dict[str, CSRGraph]:
 
 
 # ----------------------------------------------------------------------
-# fork-pool vs persistent-pool (BENCH_pool.json): small inputs where the
-# per-call fork spin-up dominates — exactly the latency the resident
-# pool amortizes away.
+# cold vs warm persistent pool (BENCH_pool.json): small inputs where
+# worker start-up dominates — exactly the latency the resident pool
+# amortizes away.
 # ----------------------------------------------------------------------
 def pool_patterns() -> dict[str, Pattern]:
     return {

@@ -12,7 +12,7 @@ Commands
 
     Engine knobs and the parallel path are reachable without writing
     Python: ``--workers N --schedule strided`` runs matcher work on the
-    fork pool (closed forms stay in-process),
+    persistent worker pool (closed forms stay in-process),
     ``--venn-impl/--fc-impl/--batch-size`` tune the general engine, and
     ``--stats`` prints the runtime's per-stage breakdown
     (compile vs. match vs. venn/fc time, plan-cache hits/misses)::
@@ -65,13 +65,13 @@ Commands
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 from .core.engine import EngineConfig
 from .core.venn import VENN_IMPLS
 from .graph import datasets
 from .graph.io import load_graph
-from .parallel.pool import POOLS
 from .parallel.schedule import SCHEDULES
 from .patterns.decompose import decompose
 from .patterns.dsl import parse_pattern, pattern_names
@@ -102,6 +102,41 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
                         "(counts are invariant; improves chunk load balance)")
 
 
+def _run_with_timeout(fn, timeout: float | None):
+    """``fn()``, or None when ``timeout`` seconds pass first.
+
+    The same Deadline machinery the serve pipeline uses. Counting is not
+    cooperatively cancellable, so with a timeout the count runs on a
+    daemon thread and an expired deadline abandons it for a clean exit;
+    an exception from ``fn`` is re-raised on the calling thread.
+    """
+    if timeout is None:
+        return fn()
+    import threading
+
+    from .serve.protocol import Deadline
+
+    if timeout <= 0:
+        raise SystemExit("--timeout must be positive")
+    deadline = Deadline.after(timeout)
+    box: dict = {}
+
+    def work():
+        try:
+            box["res"] = fn()
+        except BaseException as exc:  # re-raised on the main thread
+            box["err"] = exc
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    worker.join(deadline.remaining())
+    if worker.is_alive():
+        return None
+    if "err" in box:
+        raise box["err"]
+    return box["res"]
+
+
 def _cmd_count(args) -> int:
     from contextlib import nullcontext
 
@@ -118,8 +153,8 @@ def _cmd_count(args) -> int:
         max_frontier_rows=args.max_frontier_rows,
     )
     parallel = (
-        ParallelConfig(num_workers=args.workers, schedule=args.schedule, pool=args.pool)
-        if args.workers > 1 or args.pool == "persistent"
+        ParallelConfig(num_workers=args.workers, schedule=args.schedule)
+        if args.workers > 1
         else None
     )
     observer = (
@@ -136,41 +171,20 @@ def _cmd_count(args) -> int:
             )
 
     t0 = time.perf_counter()
-    if args.timeout is not None:
-        # The same Deadline machinery the serve pipeline uses. Counting is
-        # not cooperatively cancellable, so the count runs on a daemon
-        # thread and an expired deadline abandons it for a clean exit.
-        import sys
-        import threading
+    try:
+        res = _run_with_timeout(run_count, args.timeout)
+    except ValueError as exc:  # a request the runtime refuses, e.g. no closed form
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if res is None:
+        from .serve.protocol import DEADLINE_EXCEEDED
 
-        from .serve.protocol import DEADLINE_EXCEEDED, Deadline
-
-        if args.timeout <= 0:
-            raise SystemExit("--timeout must be positive")
-        deadline = Deadline.after(args.timeout)
-        box: dict = {}
-
-        def work():
-            try:
-                box["res"] = run_count()
-            except BaseException as exc:  # re-raised on the main thread
-                box["err"] = exc
-
-        worker = threading.Thread(target=work, daemon=True)
-        worker.start()
-        worker.join(deadline.remaining())
-        if worker.is_alive():
-            print(
-                f"error: {DEADLINE_EXCEEDED}: count did not finish within "
-                f"{args.timeout:g} s",
-                file=sys.stderr,
-            )
-            return 124
-        if "err" in box:
-            raise box["err"]
-        res = box["res"]
-    else:
-        res = run_count()
+        print(
+            f"error: {DEADLINE_EXCEEDED}: count did not finish within "
+            f"{args.timeout:g} s",
+            file=sys.stderr,
+        )
+        return 124
     dt = time.perf_counter() - t0
     print(f"graph    : {gname} ({graph.num_vertices:,} vertices, {graph.num_edges:,} edges)")
     print(f"pattern  : {args.pattern} ({pattern.n} vertices, {pattern.num_edges} edges)")
@@ -305,7 +319,6 @@ def _cmd_serve(args) -> int:
 
 def _cmd_query(args) -> int:
     import json as _json
-    import sys
 
     from .serve.client import CountClient, ServeClientError
 
@@ -358,12 +371,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--engine", default="auto",
                    choices=["auto", "general", "specialized", "frontier"])
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (>1 enables the parallel backend)")
+                   help="worker processes (>1 runs matcher work on the "
+                        "persistent shared-memory worker pool)")
     p.add_argument("--schedule", default="dynamic", choices=list(SCHEDULES),
                    help="work-distribution strategy for --workers > 1")
-    p.add_argument("--pool", default="fork", choices=list(POOLS),
-                   help="parallel substrate: per-call fork pool or the "
-                        "persistent shared-memory worker pool")
     p.add_argument("--venn-impl", default="sorted", choices=sorted(VENN_IMPLS),
                    help="per-match Venn implementation")
     p.add_argument("--fc-impl", default="poly", choices=["poly", "recursive", "iterative"],

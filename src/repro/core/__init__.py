@@ -8,9 +8,7 @@ plan cache.
 
 from .backends import (
     Backend,
-    BatchBackend,
     FrontierBackend,
-    MultiprocessBackend,
     PartialSum,
     PoolBackend,
     SerialBackend,
@@ -41,13 +39,11 @@ from .venn import VENN_IMPLS, venn_hash, venn_merge, venn_sorted
 
 __all__ = [
     "Backend",
-    "BatchBackend",
     "FrontierBackend",
     "FrontierStats",
     "frontier_match_matrix",
     "has_edges_bulk",
     "iter_frontier_blocks",
-    "MultiprocessBackend",
     "PartialSum",
     "PoolBackend",
     "SerialBackend",

@@ -7,28 +7,22 @@ a :class:`PartialSum`: the raw symmetry-reduced ordered-embedding sum
 normalize; :meth:`CountingPlan.normalize` is the single shared
 normalization path.
 
-Four substrates mirror the paper's execution models:
+Three backends mirror the paper's execution models:
 
-* :class:`SerialBackend` — the per-match Venn + fc pipeline (Listing 5);
-* :class:`BatchBackend` — the vectorized fringe-polynomial formulation
-  (one batched Venn pass per ``batch_size`` matches — the data-parallel
-  shape the CUDA kernel uses), still driven by the per-match stack
-  matcher;
-* :class:`FrontierBackend` — fully vectorized: the frontier-at-a-time
-  matcher (:mod:`repro.core.frontier`) produces whole *blocks* of core
-  embeddings per NumPy kernel pass and feeds them straight into the
-  Venn pass + the compiled fringe polynomial, eliminating the
-  per-embedding Python loop end to end (the warp model of Listing 7);
-  both batched backends compute one Venn per distinct anchor set
-  (:func:`venn_poly_sums`);
-* :class:`MultiprocessBackend` — fork-pool distribution of start-vertex
-  chunks across workers, each running an inner backend; the read-only CSR
-  graph and the plan are shared copy-on-write, never pickled;
-* :class:`PoolBackend` — the *persistent* spawn-context pool
-  (:mod:`repro.parallel.workerpool`): workers started once and reused
+* :class:`SerialBackend` — the per-match Venn + fc pipeline (Listing 5),
+  kept as the reference oracle and for the paper's ablations;
+* :class:`FrontierBackend` — the production matcher: the
+  frontier-at-a-time matcher (:mod:`repro.core.frontier`) produces whole
+  *blocks* of core embeddings per NumPy kernel pass and feeds them
+  straight into one Venn per distinct anchor set + the compiled fringe
+  polynomial (:func:`venn_poly_sums`), with no per-embedding Python loop
+  (the warp model of Listing 7);
+* :class:`PoolBackend` — the worker substrate: the *persistent* pool
+  (:mod:`repro.parallel.workerpool`), workers started once and reused
   across calls, the graph resident in named shared memory
-  (:mod:`repro.parallel.shm`), chunks served by split-half work stealing.
-  Selected with ``ParallelConfig(pool="persistent")``.
+  (:mod:`repro.parallel.shm`), start-vertex chunks served by split-half
+  work stealing, each worker running an inner backend. Selected by any
+  ``ParallelConfig`` with more than one worker.
 
 This is the seam the GraphBLAS-style multi-backend papers advocate: one
 logical algorithm, several execution substrates, all interchangeable and
@@ -37,11 +31,8 @@ all cross-checked in the test suite.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -62,9 +53,7 @@ __all__ = [
     "WorkerDelta",
     "Backend",
     "SerialBackend",
-    "BatchBackend",
     "FrontierBackend",
-    "MultiprocessBackend",
     "PoolBackend",
     "record_worker_metrics",
     "select_backend",
@@ -74,13 +63,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WorkerDelta:
-    """One fork-pool job's contribution, attributed to its worker process.
+    """One pool worker's contribution to a call, attributed to its process.
 
     Crosses the process boundary inside :class:`PartialSum`, so the
     parent can compute per-worker load-imbalance (the paper's §3.6
     dynamic-schedule discussion) after the reduction. ``metrics`` is a
     :meth:`repro.obs.MetricsRegistry.snapshot` delta recorded by the
-    worker while running this job (``None`` when observability is off).
+    worker while running this call (``None`` when observability is off).
     """
 
     pid: int
@@ -102,7 +91,7 @@ class PartialSum:
     ``venn_fc_s`` the time spent in Venn + fringe-count evaluation, each
     timed directly by the backend; ``batches`` counts vectorized batch
     flushes. ``workers`` carries per-worker :class:`WorkerDelta` records
-    out of the fork pool (empty for in-process execution); their fields
+    out of the worker pool (empty for in-process execution); their fields
     sum to this object's totals. Partial sums add, so reductions are one
     ``sum()``.
     """
@@ -248,66 +237,6 @@ class SerialBackend:
         )
 
 
-class BatchBackend:
-    """Vectorized fringe-polynomial evaluation over match batches."""
-
-    name = "batch"
-
-    def run(
-        self,
-        plan: CountingPlan,
-        graph: CSRGraph,
-        start_vertices: Sequence[int] | None = None,
-    ) -> PartialSum:
-        if plan.q == 0:
-            return _count_matches_only(plan, graph, start_vertices)
-        bs = plan.config.batch_size
-        positions = list(plan.anchored_positions)
-        poly = plan.poly
-        registry = obs.active_metrics()  # checked once, outside the hot loop
-        total = 0
-        matches = 0
-        batches = 0
-        match_s = venn_fc_s = 0.0
-        buf: list[tuple[int, ...]] = []
-
-        def flush() -> int:
-            core_matrix = np.asarray(buf, dtype=np.int64)
-            if registry is not None:
-                registry.histogram("repro_candidate_set_size").observe_many(
-                    graph.degrees[core_matrix[:, positions]].sum(axis=1).tolist()
-                )
-            (sigma,), _ = venn_poly_sums(graph, core_matrix, positions, [poly], bs, registry)
-            return sigma
-
-        # t_mark..t0 is matching (pulls + buffering), t0..t_mark one flush
-        t_mark = time.perf_counter()
-        for match in match_cores(graph, plan.core_plan, start_vertices=start_vertices):
-            matches += 1
-            buf.append(match)
-            if len(buf) >= bs:
-                t0 = time.perf_counter()
-                match_s += t0 - t_mark
-                total += flush()
-                t_mark = time.perf_counter()
-                venn_fc_s += t_mark - t0
-                batches += 1
-                buf.clear()
-        t0 = time.perf_counter()
-        match_s += t0 - t_mark
-        if buf:
-            total += flush()
-            venn_fc_s += time.perf_counter() - t0
-            batches += 1
-        if registry is not None:
-            registry.counter("repro_core_matches_total").inc(matches)
-            registry.counter("repro_batches_flushed_total").inc(batches)
-            registry.counter("repro_venn_fc_seconds_total").inc(venn_fc_s)
-        return PartialSum(
-            sigma=total, matches=matches, match_s=match_s, venn_fc_s=venn_fc_s, batches=batches
-        )
-
-
 class FrontierBackend:
     """Frontier-at-a-time vectorized matching + batched venn/fc.
 
@@ -379,123 +308,6 @@ class FrontierBackend:
         )
 
 
-# ----------------------------------------------------------------------
-# multiprocess execution
-# ----------------------------------------------------------------------
-# fork-shared state (set in the parent immediately before the pool starts,
-# cleared in a finally). Forked children see it copy-on-write; nothing is
-# ever pickled through the pool besides chunk indices and PartialSums.
-# _SHARED_LOCK serializes populate -> fork -> clear: two threads counting
-# concurrently (the serve executor path) must not interleave, or one
-# thread's children fork with the other thread's plan/graph.
-_SHARED: dict = {}
-_SHARED_LOCK = threading.Lock()
-
-
-def _worker_run(chunk_ids: Sequence[int]) -> PartialSum:
-    plan: CountingPlan = _SHARED["plan"]
-    graph: CSRGraph = _SHARED["graph"]
-    chunks = _SHARED["chunks"]
-    inner: Backend = _SHARED["inner"]
-    # When the forked parent had observability active, record this job's
-    # metrics into a fresh worker-local registry (the parent's registry
-    # is a copy-on-write copy — writes there would be lost) and ship the
-    # snapshot back as the job's delta for merge-at-reduction.
-    parent = obs.current()
-    local = (
-        obs.Observer(trace=False)
-        if parent is not None and parent.metrics is not None
-        else None
-    )
-    out = PartialSum()
-    t0 = time.perf_counter()
-    if local is not None:
-        with local:
-            for ci in chunk_ids:
-                out += inner.run(plan, graph, start_vertices=chunks[ci])
-    else:
-        for ci in chunk_ids:
-            out += inner.run(plan, graph, start_vertices=chunks[ci])
-    elapsed = time.perf_counter() - t0
-    delta = WorkerDelta(
-        pid=os.getpid(),
-        chunks=len(chunk_ids),
-        matches=out.matches,
-        venn_fc_s=out.venn_fc_s,
-        batches=out.batches,
-        elapsed_s=elapsed,
-        metrics=local.metrics.snapshot() if local is not None else None,
-    )
-    return replace(out, workers=(delta,))
-
-
-class MultiprocessBackend:
-    """Fork-pool distribution of start-vertex chunks over an inner backend.
-
-    ``schedule`` picks the work-distribution strategy (§3.6): ``static``
-    contiguous ranges, ``strided`` interleaving, or ``dynamic`` fixed-size
-    chunks served from the pool's queue. With one worker (or one chunk)
-    the pool is bypassed entirely and the inner backend runs in-process —
-    without touching the fork-shared state.
-    """
-
-    name = "multiprocess"
-
-    def __init__(
-        self,
-        num_workers: int,
-        schedule: str = "dynamic",
-        chunk_size: int = 256,
-        inner: Backend | None = None,
-    ):
-        self.num_workers = num_workers
-        self.schedule = schedule
-        self.chunk_size = chunk_size
-        self.inner = inner
-
-    def _inner_for(self, plan: CountingPlan) -> Backend:
-        if self.inner is not None:
-            return self.inner
-        return select_backend(plan.config)
-
-    def run(
-        self,
-        plan: CountingPlan,
-        graph: CSRGraph,
-        start_vertices: Sequence[int] | None = None,
-    ) -> PartialSum:
-        # deferred: importing repro.parallel at module scope would cycle
-        # back through repro.core.engine during package initialization
-        from ..parallel.schedule import make_chunks
-
-        inner = self._inner_for(plan)
-        if start_vertices is not None:
-            # a pre-sliced call (e.g. nested distribution) runs in-process
-            return inner.run(plan, graph, start_vertices=start_vertices)
-        chunks = make_chunks(graph.num_vertices, self.num_workers, self.schedule, self.chunk_size)
-        if self.num_workers <= 1 or len(chunks) <= 1:
-            return inner.run(plan, graph, start_vertices=None)
-        # the lock spans populate -> fork -> clear: concurrent counts from
-        # other threads wait here instead of clobbering the shared dict
-        with _SHARED_LOCK:
-            _SHARED["plan"] = plan
-            _SHARED["graph"] = graph
-            _SHARED["chunks"] = chunks
-            _SHARED["inner"] = inner
-            try:
-                ctx = mp.get_context("fork")
-                with ctx.Pool(processes=self.num_workers) as pool:
-                    # dynamic: many chunks round-robined by the pool's own
-                    # work queue; static/strided: one chunk list per worker
-                    jobs = [[i] for i in range(len(chunks))]
-                    results = pool.map(_worker_run, jobs)
-            finally:
-                _SHARED.clear()
-        total = sum(results, PartialSum())
-        record_worker_metrics(total)
-        return total
-
-
 def record_worker_metrics(total: PartialSum) -> None:
     """Merge worker deltas into the active registry at reduction.
 
@@ -503,8 +315,8 @@ def record_worker_metrics(total: PartialSum) -> None:
     per-worker view) plus a busy-time histogram, and the makespan /
     mean-busy ratio becomes the load-imbalance gauge the paper's
     dynamic-schedule discussion is about (1.0 = perfectly balanced).
-    Shared by the fork pool and the persistent pool — both reduce
-    :class:`WorkerDelta` records off ``PartialSum.workers``.
+    The persistent pool calls it on the :class:`WorkerDelta` records it
+    reduces off ``PartialSum.workers``.
     """
     registry = obs.active_metrics()
     if registry is None or not total.workers:
@@ -524,16 +336,15 @@ def record_worker_metrics(total: PartialSum) -> None:
 
 
 class PoolBackend:
-    """Persistent spawn-pool distribution over an inner backend.
+    """Persistent-pool distribution over an inner backend.
 
-    The warm-path sibling of :class:`MultiprocessBackend`: instead of
-    forking a pool per call, work goes to the process-wide
-    :class:`repro.parallel.workerpool.WorkerPool` — spawn-context
-    workers started once, the CSR graph resident in named shared memory
-    (zero-copy via :mod:`repro.parallel.shm`), start-vertex chunks
-    served by split-half work stealing. Selected with
-    ``ParallelConfig(pool="persistent")``. Like the fork pool, one
-    worker (or a pre-sliced call) runs the inner backend in-process.
+    Work goes to the process-wide
+    :class:`repro.parallel.workerpool.WorkerPool` — workers started once
+    (``mp_context`` picks the start method, ``"spawn"`` by default), the
+    CSR graph resident in named shared memory (zero-copy via
+    :mod:`repro.parallel.shm`), start-vertex chunks served by split-half
+    work stealing. One worker, a graph no bigger than one chunk, or a
+    pre-sliced call runs the inner backend in-process.
     """
 
     name = "pool"
@@ -575,31 +386,23 @@ class PoolBackend:
 def select_backend(config, parallel=None, engine: str = "auto") -> Backend:
     """Map an EngineConfig (+ optional ParallelConfig + engine) to a backend.
 
-    ``engine="frontier"`` forces the vectorized frontier matcher; with a
-    multi-worker ``parallel`` it becomes the pool's inner backend (each
-    worker runs the frontier over its start-vertex slice). The chosen
-    inner backend is always forwarded to the pool backend — an explicit
-    non-frontier inner is honored, not silently dropped.
-    ``parallel.pool`` picks the substrate: ``"fork"`` (per-call fork
-    pool) or ``"persistent"`` (resident spawn pool + shared memory).
+    The matcher is :class:`FrontierBackend` for ``engine="frontier"``, and
+    for ``"auto"`` when ``config.fc_impl == "poly"``; otherwise
+    (``engine="general"``, or a per-match ``fc_impl``) it is the
+    :class:`SerialBackend` oracle. A ``parallel`` with more than one
+    worker wraps that matcher in a :class:`PoolBackend`, which runs it in
+    every worker over its start-vertex slices.
     """
-    if engine == "frontier":
+    if engine == "frontier" or (engine == "auto" and config.fc_impl == "poly"):
         inner: Backend = FrontierBackend()
     else:
-        inner = BatchBackend() if config.fc_impl == "poly" else SerialBackend()
-    if parallel is not None and getattr(parallel, "num_workers", 1) > 1:
-        if getattr(parallel, "pool", "fork") == "persistent":
-            return PoolBackend(
-                num_workers=parallel.num_workers,
-                schedule=parallel.schedule,
-                chunk_size=parallel.chunk_size,
-                inner=inner,
-                mp_context=getattr(parallel, "mp_context", "spawn"),
-            )
-        return MultiprocessBackend(
+        inner = SerialBackend()
+    if parallel is not None and parallel.num_workers > 1:
+        return PoolBackend(
             num_workers=parallel.num_workers,
             schedule=parallel.schedule,
             chunk_size=parallel.chunk_size,
             inner=inner,
+            mp_context=parallel.mp_context,
         )
     return inner

@@ -46,12 +46,12 @@ class PascalTable:
         return math.comb(n, k)
 
 
-_SHARED = PascalTable()
+_PASCAL = PascalTable()
 
 
 def nCk(n: int, k: int) -> int:
     """Exact ``C(n, k)``; 0 for k < 0 or k > n (the fc convention)."""
-    return _SHARED.nck(n, k)
+    return _PASCAL.nck(n, k)
 
 
 def nck_array(n: np.ndarray, k: int) -> np.ndarray:

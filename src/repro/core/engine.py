@@ -57,15 +57,18 @@ class EngineConfig:
     """Knobs for the general engine (defaults match the paper's choices).
 
     ``fc_impl="poly"`` selects the compiled fringe polynomial evaluated
-    over *batches* of core matches with one vectorized Venn pass per batch
+    over the frontier matcher's blocks of core matches, with one
+    vectorized Venn per distinct anchor set
     (:func:`repro.core.venn.venn_sets`) — the data-parallel formulation
-    and the default for benchmarks. ``"recursive"``/``"iterative"`` are
-    the per-match Listing 5 ports.
+    and the default. ``"recursive"``/``"iterative"`` are the per-match
+    Listing 5 ports on the serial oracle, which ``engine="general"``
+    always runs (``venn_impl`` picks its per-match Venn).
 
     ``max_frontier_rows`` only affects the frontier backend
-    (``engine="frontier"``): it caps the candidate volume of one
-    frontier-expansion step; wider frontiers are split into blocks that
-    are traversed depth-first, bounding peak memory on dense graphs.
+    (``engine="frontier"`` and ``auto``'s matcher route): it caps the
+    candidate volume of one frontier-expansion step; wider frontiers are
+    split into blocks that are traversed depth-first, bounding peak
+    memory on dense graphs.
     """
 
     venn_impl: str = "sorted"  # "hash" | "sorted" | "merge" (per-match paths)
@@ -98,7 +101,7 @@ class ExecutionStats:
     closed-form engine reports neither. ``cache_hits``/``cache_misses``
     snapshot the serving runtime's cumulative plan-cache counters (both
     zero when the count did not go through a runtime). ``workers`` is
-    the number of distinct fork-pool worker processes that contributed
+    the number of distinct pool worker processes that contributed
     (zero when the count ran in-process).
     """
 
@@ -258,12 +261,13 @@ def count_subgraphs(
 
     ``engine``:
 
-    * ``"auto"`` — specialized closed-form engines for 1-/2-/3-vertex
-      cores (paper §3.4 "specialized code for patterns with small
-      cores"; the 3-vertex one only without a worker pool), the frontier
-      matcher otherwise;
-    * ``"general"`` — always the general matcher + Venn + fc pipeline;
-    * ``"specialized"`` — require a specialized engine (raises if none);
+    * ``"auto"`` — specialized closed-form engines for 1-/2-vertex cores
+      (paper §3.4 "specialized code for patterns with small cores"), the
+      frontier matcher otherwise;
+    * ``"general"`` — the per-match serial oracle (matcher + Venn + fc
+      per core match, the paper's Listing 5);
+    * ``"specialized"`` — require a closed form (raises ``ValueError``
+      for a core of three or more vertices);
     * ``"frontier"`` — the vectorized frontier-at-a-time backend
       (:mod:`repro.core.frontier`): whole blocks of core embeddings per
       NumPy pass instead of one per Python iteration.

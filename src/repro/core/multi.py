@@ -19,16 +19,14 @@ group shares a plan and Venn batches. Groups are processed sequentially.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from ..graph.csr import CSRGraph
 from ..patterns.pattern import Pattern
 from .backends import venn_poly_sums
 from .engine import CountResult, EngineConfig, FringeCounter
+from .frontier import iter_frontier_blocks
 from .plan import exact_divide
-from .matcher import match_cores
 
 __all__ = ["MultiPatternCounter", "count_many"]
 
@@ -49,13 +47,7 @@ class MultiPatternCounter:
             raise ValueError("need at least one pattern")
         cfg = config or EngineConfig()
         if cfg.fc_impl != "poly":
-            cfg = EngineConfig(
-                venn_impl=cfg.venn_impl,
-                fc_impl="poly",
-                symmetry_breaking=cfg.symmetry_breaking,
-                specialized=cfg.specialized,
-                batch_size=cfg.batch_size,
-            )
+            cfg = replace(cfg, fc_impl="poly")
         self.config = cfg
         self._trivial: dict[str, Pattern] = {}
         groups: dict[tuple, list[_Member]] = {}
@@ -90,13 +82,11 @@ class MultiPatternCounter:
         neighbours to place its fringes), so enumerating with the
         elementwise minimum is both safe and complete for everyone.
         """
-        import dataclasses
-
         plans = [m.counter.plan for m in members]
         min_degree = tuple(
             min(p.min_degree[i] for p in plans) for i in range(len(plans[0].min_degree))
         )
-        return dataclasses.replace(plans[0], min_degree=min_degree)
+        return replace(plans[0], min_degree=min_degree)
 
     def count_all(self, graph: CSRGraph) -> dict[str, CountResult]:
         """Count every pattern; one shared pass per group."""
@@ -110,26 +100,18 @@ class MultiPatternCounter:
             plan = self._shared_plan(members)
             positions = list(lead._anchored_positions)
             polys = [m.poly for m in members]
-            bs = self.config.batch_size
             for m in members:
                 m.sigma = 0
             matches = 0
-            buf: list[tuple[int, ...]] = []
-
-            def flush():
-                core_matrix = np.asarray(buf, dtype=np.int64)
-                sums, _ = venn_poly_sums(graph, core_matrix, positions, polys, bs)
+            for block in iter_frontier_blocks(
+                graph, plan, max_rows=self.config.max_frontier_rows
+            ):
+                matches += len(block)
+                sums, _ = venn_poly_sums(
+                    graph, block, positions, polys, self.config.batch_size
+                )
                 for m, sigma in zip(members, sums):
                     m.sigma += sigma
-
-            for match in match_cores(graph, plan):
-                matches += 1
-                buf.append(match)
-                if len(buf) >= bs:
-                    flush()
-                    buf.clear()
-            if buf:
-                flush()
             elapsed = time.perf_counter() - start
             for m in members:
                 total = m.sigma * m.counter.plan.group_order

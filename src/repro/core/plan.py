@@ -11,8 +11,8 @@ execution backends need into one immutable :class:`CountingPlan`:
   degree filters, symmetry restrictions, group order);
 * the ``(anch, k)`` anchor bitsets and the compiled
   :class:`~repro.core.fringe_poly.FringePolynomial`;
-* the specialized-engine dispatch decision (paper §3.4's dedicated code
-  for 1-/2-/3-vertex cores);
+* the specialized-engine dispatch decision (paper §3.4's dedicated code;
+  closed forms for 1-/2-vertex cores);
 * the structural normalizer ``inj(P, P) / Π k_t!``.
 
 Plans are value objects: they hold no graph state, pickle cleanly (so
@@ -45,7 +45,7 @@ __all__ = ["CountingPlan", "compile_pattern", "plan_key", "exact_divide"]
 # pure function of the decomposition; the engine object itself is built
 # lazily (and cached on the plan) because its constructor performs the
 # pattern-side precomputation.
-_SPECIALIZED_KINDS = {1: "vertex-core", 2: "edge-core", 3: "3-core"}
+_SPECIALIZED_KINDS = {1: "vertex-core", 2: "edge-core"}
 
 
 def exact_divide(total: int, denominator: int, context: str = "count") -> int:
@@ -184,8 +184,8 @@ def compile_pattern(
     core_plan = build_plan(decomp, symmetry_breaking=cfg.symmetry_breaking)
     anch, k = decomp.anchor_bitsets()
     anchored_positions = tuple(decomp.matching_order.index(c) for c in decomp.anchored)
-    # the polynomial is always compiled: it is the batch backend's kernel,
-    # it feeds MultiPatternCounter, and it makes the plan self-contained
+    # the polynomial is always compiled: it is the frontier backend's
+    # kernel, it feeds MultiPatternCounter, and it makes the plan self-contained
     # regardless of which fc_impl the caller later selects
     poly = compile_fringe_polynomial(anch, k, decomp.q)
 
@@ -203,12 +203,12 @@ def compile_pattern(
         denominator=1,
     )
     # |Aut(P)| / Π k_t! — the fringe method run on the pattern itself
-    # (DESIGN.md §1), evaluated through the same backend machinery that
-    # will consume the plan.
-    from .backends import BatchBackend
+    # (DESIGN.md §1), on the per-match oracle: a pattern graph has few
+    # core matches, so the vectorized backends only add set-up cost.
+    from .backends import SerialBackend
 
     pattern_graph = CSRGraph.from_edges(pattern.edges(), num_vertices=pattern.n)
-    partial = BatchBackend().run(draft, pattern_graph)
+    partial = SerialBackend().run(draft, pattern_graph)
     denominator = partial.sigma * core_plan.group_order
     if denominator <= 0:
         raise AssertionError("pattern must embed in itself")

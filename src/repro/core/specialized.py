@@ -1,17 +1,18 @@
 """Specialized counting engines for small cores (paper §3.4).
 
 The paper invokes dedicated code for patterns whose core has one, two, or
-three vertices:
+three vertices. Here the first two keep closed forms:
 
 * 1 vertex  — the k-star formula ``Σ_v C(d_v, k)`` evaluated on the degree
   *histogram* (exact big-int arithmetic over unique degrees only);
 * 2 vertices — the closed-form §3.1 double summation, vectorized with
   NumPy over every edge at once (the data-parallel formulation the CUDA
   kernel uses); per-edge values that could exceed float64's exact-integer
-  range are recomputed with Python big ints;
-* 3 vertices — dedicated wedge/triangle instance enumeration with one
-  shared Venn diagram per instance and an fc evaluation per role
-  assignment.
+  range are recomputed with Python big ints.
+
+A 3-vertex core has no closed form here: the frontier matcher
+(:class:`~repro.core.backends.FrontierBackend`) counts wedge and
+triangle cores faster than dedicated instance enumeration did.
 
 Each engine divides by the same structural normalizer as the general
 engine: the identical sum evaluated on the pattern itself.
@@ -30,10 +31,12 @@ from ..patterns.decompose import Decomposition
 from .binomial import nCk, nck_array
 from .engine import CountResult
 from .plan import exact_divide
+from .venn import venn_sets
 
-__all__ = ["dispatch", "VertexCoreEngine", "EdgeCoreEngine", "ThreeCoreEngine", "common_neighbor_counts"]
+__all__ = ["dispatch", "VertexCoreEngine", "EdgeCoreEngine", "common_neighbor_counts"]
 
 _EXACT_LIMIT = float(1 << 52)  # above this, float64 loses integer exactness
+_PAIR_CHUNK = 1 << 16  # edges per venn_sets call in common_neighbor_counts
 
 
 def dispatch(decomp: Decomposition) -> Callable[[CSRGraph], CountResult] | None:
@@ -44,8 +47,6 @@ def dispatch(decomp: Decomposition) -> Callable[[CSRGraph], CountResult] | None:
         return VertexCoreEngine(decomp)
     if p == 2:
         return EdgeCoreEngine(decomp)
-    if p == 3:
-        return ThreeCoreEngine(decomp)
     return None
 
 
@@ -191,211 +192,13 @@ class EdgeCoreEngine:
 def common_neighbor_counts(graph: CSRGraph, edges: np.ndarray) -> np.ndarray:
     """``c[e]`` = number of common neighbours of the endpoints of edge e.
 
-    Uses a sparse A·A product when the graph is small enough for the
-    intermediate to be cheap, else per-edge sorted-list intersection.
+    Region ``0b11`` of the two-anchor Venn diagram of each pair, read in
+    fixed-size edge slices through :func:`~repro.core.venn.venn_sets`:
+    the graph's cached ``A·A`` pair index, or ``venn_batch`` when the
+    index is over budget.
     """
-    n = graph.num_vertices
-    if len(edges) == 0:
-        return np.zeros(0, dtype=np.int64)
-    if n <= 20_000:
-        from scipy.sparse import csr_matrix
-
-        a = csr_matrix(
-            (np.ones(len(graph.colidx), dtype=np.int64), graph.colidx, graph.rowptr),
-            shape=(n, n),
-        )
-        sq = a @ a
-        return np.asarray(sq[edges[:, 0], edges[:, 1]]).ravel().astype(np.int64)
-    out = np.empty(len(edges), dtype=np.int64)
-    for i, (u, v) in enumerate(edges.tolist()):
-        au, av = graph.neighbors(u), graph.neighbors(v)
-        if len(au) > len(av):
-            au, av = av, au
-        pos = np.searchsorted(av, au)
-        pos = np.minimum(pos, len(av) - 1)
-        out[i] = int(np.count_nonzero(av[pos] == au))
+    pairs = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    out = np.empty(len(pairs), dtype=np.int64)
+    for s in range(0, len(pairs), _PAIR_CHUNK):
+        out[s : s + _PAIR_CHUNK] = venn_sets(graph, pairs[s : s + _PAIR_CHUNK])[:, 0b11]
     return out
-
-
-# ----------------------------------------------------------------------
-# 3-vertex cores: wedge and triangle (§3.2)
-# ----------------------------------------------------------------------
-class ThreeCoreEngine:
-    """Instance-based engine for wedge and triangle cores.
-
-    Enumerates each *unordered* core instance once, computes the 7-region
-    Venn diagram of the three matched vertices once, then evaluates fc for
-    every valid role assignment (6 for a triangle core, 2 per center
-    choice for a wedge core). The sum over role assignments equals the
-    ordered-embedding sum of the general engine, so the same structural
-    normalizer applies.
-    """
-
-    name = "fringe-specialized(3-core)"
-
-    def __init__(self, decomp: Decomposition):
-        if decomp.num_core != 3:
-            raise ValueError("ThreeCoreEngine needs a 3-vertex core")
-        self.decomp = decomp
-        core = decomp.core_pattern
-        ne = core.num_edges
-        if ne == 3:
-            self.core_kind = "triangle"
-        elif ne == 2:
-            self.core_kind = "wedge"
-            self.center = next(c for c in range(3) if core.degree(c) == 2)
-        else:
-            raise ValueError("3-vertex core must be a wedge or a triangle")
-        self.deco = decomp.decoration()  # core-local anchor set -> count
-        # fringe-type tables per role assignment are precomputed lazily
-        self._fc_tables: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self.denominator, _ = self._sum_over_graph(
-            CSRGraph.from_edges(decomp.pattern.edges(), num_vertices=decomp.pattern.n)
-        )
-        if self.denominator <= 0:
-            raise AssertionError("pattern must embed in itself")
-
-    # ------------------------------------------------------------------
-    def _assignments(self) -> list[tuple[int, int, int]]:
-        """Role assignments: position t holds the core-local id mapped to
-        instance slot t. Triangle: all 6 permutations. Wedge: the center
-        slot (slot 1) must hold the core's center."""
-        import itertools
-
-        if self.core_kind == "triangle":
-            return list(itertools.permutations(range(3)))
-        ends = [c for c in range(3) if c != self.center]
-        return [
-            (ends[0], self.center, ends[1]),
-            (ends[1], self.center, ends[0]),
-        ]
-
-    def _table_for(self, assignment: tuple[int, int, int]):
-        """(anch, k) arrays for fc under a role assignment: bit s of the
-        Venn index refers to instance slot s."""
-        key = assignment
-        tbl = self._fc_tables.get(key)
-        if tbl is None:
-            slot_of = {c: s for s, c in enumerate(assignment)}
-            pairs = []
-            for anchors, count in self.deco.items():
-                bits = 0
-                for c in anchors:
-                    bits |= 1 << slot_of[c]
-                pairs.append((bits, count))
-            pairs.sort()
-            tbl = (tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-            self._fc_tables[key] = tbl
-        return tbl
-
-    def _polynomials(self):
-        """Unique (polynomial, multiplicity) pairs over role assignments.
-
-        Role assignments related by a decoration-preserving core symmetry
-        produce identical (anch, k) tables; deduplicating them evaluates
-        each distinct polynomial once and scales by its multiplicity.
-        """
-        from .fringe_poly import compile_fringe_polynomial
-
-        if not hasattr(self, "_polys"):
-            groups: dict[tuple, int] = {}
-            for asg in self._assignments():
-                groups[self._table_for(asg)] = groups.get(self._table_for(asg), 0) + 1
-            self._polys = [
-                (compile_fringe_polynomial(anch, k, 3), mult)
-                for (anch, k), mult in groups.items()
-            ]
-        return self._polys
-
-    def _sum_over_graph(self, graph: CSRGraph, batch: int = 8192) -> tuple[int, int]:
-        from .venn import venn_batch
-
-        polys = self._polynomials()
-        total = 0
-        instances = 0
-        if self.core_kind == "triangle":
-            chunks = _triangle_batches(graph, batch)
-        else:
-            chunks = _wedge_batches(graph, batch)
-        for arr in chunks:
-            instances += len(arr)
-            venns = venn_batch(graph, arr, arr)
-            for poly, mult in polys:
-                total += mult * poly.evaluate_batch(venns)
-        return total, instances
-
-    def __call__(self, graph: CSRGraph) -> CountResult:
-        start = time.perf_counter()
-        total, instances = self._sum_over_graph(graph)
-        value = exact_divide(total, self.denominator, "3-core count")
-        return CountResult(
-            count=value,
-            pattern=self.decomp.pattern,
-            core_matches=instances,
-            elapsed_s=time.perf_counter() - start,
-            engine=self.name,
-            decomposition=self.decomp,
-        )
-
-
-def _triangle_batches(graph: CSRGraph, batch: int):
-    """Yield (B, 3) arrays of triangles (u < v < w), each triangle once."""
-    rowptr, colidx = graph.rowptr, graph.colidx
-    buf: list[np.ndarray] = []
-    filled = 0
-    for u in range(graph.num_vertices):
-        adj_u = colidx[rowptr[u] : rowptr[u + 1]]
-        fwd_u = adj_u[adj_u > u]
-        for v in fwd_u.tolist():
-            adj_v = colidx[rowptr[v] : rowptr[v + 1]]
-            fwd_v = adj_v[adj_v > v]
-            if len(fwd_v) == 0:
-                continue
-            ws = fwd_u[np.isin(fwd_u, fwd_v, assume_unique=True)]
-            ws = ws[ws > v]
-            if len(ws) == 0:
-                continue
-            rows = np.empty((len(ws), 3), dtype=np.int64)
-            rows[:, 0] = u
-            rows[:, 1] = v
-            rows[:, 2] = ws
-            buf.append(rows)
-            filled += len(ws)
-            if filled >= batch:
-                yield np.concatenate(buf)
-                buf, filled = [], 0
-    if buf:
-        yield np.concatenate(buf)
-
-
-def _wedge_batches(graph: CSRGraph, batch: int):
-    """Yield (B, 3) arrays of wedges (x, center, y) with x < y, each once.
-
-    The endpoints may or may not be adjacent in the graph: edge-induced
-    embeddings only require the two core edges to be present.
-    """
-    rowptr, colidx = graph.rowptr, graph.colidx
-    buf: list[np.ndarray] = []
-    filled = 0
-    for center in range(graph.num_vertices):
-        adj = colidx[rowptr[center] : rowptr[center + 1]]
-        d = len(adj)
-        if d < 2:
-            continue
-        ii, jj = np.triu_indices(d, 1)
-        # hubs produce C(d, 2) pairs — slice them so no single buffer
-        # holds more than ~2 batches of instances
-        step = max(batch, 1)
-        for s0 in range(0, len(ii), step):
-            s1 = min(s0 + step, len(ii))
-            rows = np.empty((s1 - s0, 3), dtype=np.int64)
-            rows[:, 0] = adj[ii[s0:s1]]
-            rows[:, 1] = center
-            rows[:, 2] = adj[jj[s0:s1]]
-            buf.append(rows)
-            filled += s1 - s0
-            if filled >= batch:
-                yield np.concatenate(buf)
-                buf, filled = [], 0
-    if buf:
-        yield np.concatenate(buf)

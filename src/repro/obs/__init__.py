@@ -6,7 +6,7 @@ this package is how the reproduction measures the same things end to
 end:
 
 * :mod:`repro.obs.metrics` — process-wide counters / gauges /
-  fixed-bucket histograms, snapshot-mergeable across fork-pool workers;
+  fixed-bucket histograms, snapshot-mergeable across pool workers;
 * :mod:`repro.obs.trace` — span-based tracing with ``contextvars``
   nesting and monotonic clocks;
 * :mod:`repro.obs.export` — JSONL traces, Prometheus text metrics, and
@@ -14,7 +14,7 @@ end:
 
 An :class:`Observer` bundles one tracer and one registry. Activation is
 scoped: ``with Observer() as ob`` installs it for the current execution
-context (threads and forked workers inherit it), and :func:`enable`
+context (threads inherit it), and :func:`enable`
 installs a process-global fallback. Instrumented code calls the module
 helpers (:func:`span`, :func:`counter_add`, :func:`observe`, ...) which
 resolve the active observer per call — when nothing is active each

@@ -9,7 +9,7 @@ stays one pointer check.
 
 Design constraints:
 
-* **mergeable** — fork-pool workers snapshot their registry and the
+* **mergeable** — pool workers snapshot their registry and the
   parent merges the deltas at reduction (``snapshot()`` / ``merge()``),
   which is how per-worker load-imbalance series cross the process
   boundary;

@@ -1,13 +1,13 @@
 """Multicore parallel counting layer.
 
-Work distribution (dynamic/static/strided schedules), the per-call fork
-pool, the persistent spawn-context :class:`WorkerPool` with work
-stealing, and zero-copy graph sharing over named shared memory
+Work distribution (dynamic/static/strided schedules), the persistent
+:class:`WorkerPool` with work stealing, and zero-copy graph sharing over
+named shared memory
 (:mod:`repro.parallel.shm`).
 """
 
 from .partition import Partition, ghost_width, partition_graph, partitioned_count
-from .pool import POOLS, ParallelConfig, parallel_count
+from .pool import ParallelConfig, parallel_count
 from .schedule import SCHEDULES, dynamic_chunks, make_chunks, static_contiguous, static_strided
 from .shm import GraphExport, ShmManager, attach_graph, default_manager, shm_available
 from .workerpool import PoolStats, WorkerPool, get_default_pool, shutdown_default_pool
@@ -19,7 +19,6 @@ __all__ = [
     "partitioned_count",
     "ParallelConfig",
     "parallel_count",
-    "POOLS",
     "SCHEDULES",
     "dynamic_chunks",
     "make_chunks",

@@ -4,17 +4,16 @@ Each worker runs the same compiled :class:`~repro.core.plan.CountingPlan`
 over a slice of start vertices (the matcher's unit of work distribution —
 the same decomposition the CUDA code uses across thread blocks) and
 returns its partial core sum; the parent reduces and normalizes once
-through the plan's single normalization path. Workers are forked, so the
-read-only CSR graph is shared copy-on-write and never pickled.
+through the plan's single normalization path.
 
-The fork-pool mechanics live in
-:class:`repro.core.backends.MultiprocessBackend`; this module keeps the
-historical :func:`parallel_count` entry point as a thin wrapper over the
-process-wide :class:`repro.runtime.Runtime` (so parallel calls share the
-plan cache with everything else).
+The workers are the persistent :class:`~repro.parallel.workerpool.WorkerPool`
+(reached through :class:`repro.core.backends.PoolBackend`); this module
+holds :class:`ParallelConfig` and the :func:`parallel_count` entry point,
+a thin wrapper over the process-wide :class:`repro.runtime.Runtime` (so
+parallel calls share the plan cache with everything else).
 
 ``num_workers=1`` bypasses multiprocessing entirely (useful under
-pytest-benchmark and on platforms without fork).
+pytest-benchmark).
 """
 
 from __future__ import annotations
@@ -26,27 +25,21 @@ from ..graph.csr import CSRGraph
 from ..patterns.pattern import Pattern
 from .schedule import SCHEDULES
 
-__all__ = ["parallel_count", "ParallelConfig", "POOLS"]
-
-
-#: execution substrates for a multi-worker count (ParallelConfig.pool)
-POOLS: tuple[str, ...] = ("fork", "persistent")
+__all__ = ["parallel_count", "ParallelConfig"]
 
 
 class ParallelConfig:
-    """Worker count, schedule, and pool substrate for parallel counts.
+    """Worker count, schedule, and start method for parallel counts.
 
-    ``pool`` picks the execution substrate: ``"fork"`` spins up a fresh
-    fork pool per call (copy-on-write sharing, fork platforms only);
-    ``"persistent"`` routes to the resident spawn-context
+    More than one worker sends matcher work to the resident
     :class:`~repro.parallel.workerpool.WorkerPool` — started once,
     reused across calls, graph shared through named shared memory, work
-    stealing between workers. ``mp_context`` selects the start method of
-    the persistent pool (ignored for ``"fork"``).
+    stealing between workers. ``mp_context`` selects the pool's start
+    method (``"spawn"``, ``"fork"`` or ``"forkserver"``).
 
-    Validates eagerly: a bad worker count, schedule name, chunk size, or
-    pool name raises here, at construction, instead of failing deep
-    inside ``make_chunks`` mid-run.
+    Validates eagerly: a bad worker count, schedule name, or chunk size
+    raises here, at construction, instead of failing deep inside
+    ``make_chunks`` mid-run.
     """
 
     def __init__(
@@ -54,7 +47,6 @@ class ParallelConfig:
         num_workers: int | None = None,
         schedule: str = "dynamic",
         chunk_size: int = 256,
-        pool: str = "fork",
         mp_context: str = "spawn",
     ):
         if num_workers is not None and num_workers < 1:
@@ -65,19 +57,16 @@ class ParallelConfig:
             )
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if pool not in POOLS:
-            raise ValueError(f"unknown pool {pool!r}; use {'|'.join(POOLS)}")
         self.num_workers = num_workers or max(1, (os.cpu_count() or 2) - 1)
         self.schedule = schedule
         self.chunk_size = chunk_size
-        self.pool = pool
         self.mp_context = mp_context
 
     def __repr__(self) -> str:
         return (
             f"ParallelConfig(num_workers={self.num_workers}, "
             f"schedule={self.schedule!r}, chunk_size={self.chunk_size}, "
-            f"pool={self.pool!r})"
+            f"mp_context={self.mp_context!r})"
         )
 
 
@@ -91,9 +80,9 @@ def parallel_count(
     """Count ``pattern`` in ``graph`` across processes.
 
     Exact same result as :func:`repro.count_subgraphs`; only the work
-    distribution differs.
+    distribution differs. Every worker runs the frontier matcher.
     """
     from ..runtime import get_runtime
 
     par = parallel or ParallelConfig()
-    return get_runtime().count(graph, pattern, engine="general", config=config, parallel=par)
+    return get_runtime().count(graph, pattern, engine="frontier", config=config, parallel=par)

@@ -19,11 +19,12 @@ split-half stealing protocol over start-vertex chunk spans:
   :class:`~repro.core.backends.PartialSum` (plus steal/busy stats) and
   parks on its control pipe waiting for the next call.
 
-Compare :class:`repro.core.backends.MultiprocessBackend`, which pays a
-full fork-pool spin-up per ``count()``: this pool starts its workers
-once, reuses them across calls (``repro_pool_dispatch_seconds`` measures
-the per-call overhead that remains), detects dead workers and respawns,
-and shuts itself down after ``idle_ttl_s`` without traffic.
+The pool starts its workers once and reuses them across calls
+(``repro_pool_dispatch_seconds`` measures the per-call overhead that
+remains), detects dead workers and respawns, and shuts itself down after
+``idle_ttl_s`` without traffic. It is the only worker substrate:
+``mp_context`` picks the start method (``"spawn"`` by default;
+``"fork"`` is accepted).
 
 ``get_default_pool()`` hands out a process-wide pool (the
 :class:`~repro.core.backends.PoolBackend`'s path);

@@ -7,9 +7,9 @@ cache of compiled :class:`~repro.core.plan.CountingPlan` artifacts keyed
 by :func:`~repro.core.plan.plan_key` (canonical pattern form + config),
 routes each call engine first and substrate second (a closed-form
 specialized engine always runs on the calling thread; only matcher work
-— frontier, batch or serial — goes to the fork pool or the persistent
-spawn pool), owns the persistent pool's lifecycle (lazy start on first
-use, :meth:`Runtime.close`, ``atexit``), and reports per-call
+— frontier or serial — goes to the persistent worker pool), owns the
+pool's lifecycle (lazy start on first use, :meth:`Runtime.close`,
+``atexit``), and reports per-call
 :class:`~repro.core.engine.ExecutionStats` — compile vs. match vs.
 Venn/fc time, batch flushes, and plan-cache hit/miss counters — on
 ``CountResult.stats``.
@@ -216,8 +216,8 @@ class Runtime:
     def close(self) -> None:
         """Release execution resources owned through this runtime.
 
-        Shuts down the process-wide persistent worker pool (counts with
-        ``ParallelConfig(pool="persistent")`` lazily restart it). The
+        Shuts down the process-wide persistent worker pool (the next
+        count with a multi-worker ``ParallelConfig`` restarts it). The
         plan cache is left intact — plans are cheap, workers are not.
         An ``atexit`` hook performs the same sweep, so calling this is
         only needed to reclaim workers early (e.g. between test suites).
@@ -245,14 +245,13 @@ class Runtime:
         Same semantics as the historical ``count_subgraphs`` /
         ``parallel_count`` entry points (which now wrap this method).
         The engine is settled first, from plan data: ``auto`` takes the
-        closed form for a 1-/2-vertex core, the 3-vertex-core closed form
-        when ``parallel`` is None, and the frontier matcher otherwise
-        (the per-match serial matcher when ``fc_impl != "poly"``);
-        ``specialized`` always takes the closed form; ``general`` is the
-        batch/serial matcher and ``frontier`` the frontier matcher.
-        ``parallel`` then picks where *matcher* work runs — the fork pool
-        (``pool="fork"``) or the persistent spawn pool
-        (``pool="persistent"``); closed forms run on the calling thread
+        closed form for a 1-/2-vertex core and the frontier matcher
+        otherwise (the per-match serial matcher when ``fc_impl !=
+        "poly"``); ``specialized`` requires the closed form and raises
+        ``ValueError`` for a core of three or more vertices; ``general``
+        is the serial oracle and ``frontier`` the frontier matcher.
+        ``parallel`` then decides whether *matcher* work runs on the
+        persistent worker pool; closed forms run on the calling thread
         whatever it says. ``CountResult.engine`` and
         ``ExecutionStats.backend`` name the route that actually ran. A
         call with an explicit ``decomposition`` compiles a fresh plan and
@@ -342,8 +341,8 @@ class Runtime:
             )
 
         # engine first: a closed form runs here, on the calling thread, and
-        # only matcher work ever reaches the pool or fork substrate
-        route = _resolve_route(engine, plan, cfg, parallel, start_vertices)
+        # only matcher work ever reaches the worker pool
+        route = _resolve_route(engine, plan, cfg, start_vertices)
         if route in _CLOSED_FORMS:
             special = plan.specialized_engine()
             with obs.span("execute", backend=special.name):
@@ -368,8 +367,8 @@ class Runtime:
             partial = backend.run(plan, graph, start_vertices=start_vertices)
         execute_s = time.perf_counter() - t0
         value = plan.normalize(partial.sigma, context="parallel count" if parallel else "count")
-        # the pool and fork backends fall back to their inner matcher
-        # in-process for small graphs; only worker records prove they ran
+        # the pool backend falls back to its inner matcher in-process for
+        # small graphs; only worker records prove the workers ran
         pooled = bool(partial.workers)
         return CountResult(
             count=value,
@@ -423,40 +422,38 @@ class Runtime:
 # ----------------------------------------------------------------------
 # routing: engine first, substrate second
 # ----------------------------------------------------------------------
-_CLOSED_FORMS = ("vertex-core", "edge-core", "3-core")
+_CLOSED_FORMS = ("vertex-core", "edge-core")
 
 
 def _resolve_route(
     engine: str,
     plan: CountingPlan,
     cfg: EngineConfig,
-    parallel: "ParallelConfig | None",
     start_vertices: Sequence[int] | None,
 ) -> str:
     """The concrete route of one count, decided from plan data alone.
 
-    Returns a closed-form kind (``"vertex-core"``, ``"edge-core"``,
-    ``"3-core"``) or a matcher backend name (``"frontier"``, ``"batch"``,
-    ``"serial"``). Closed forms are whole-graph formulas that run on the
-    calling thread whatever ``parallel`` says; ``parallel`` only decides
-    where matcher work runs. ``auto`` keeps the 3-vertex-core engine for
-    in-process counts and hands it to the frontier matcher when workers
-    are available. A start-vertex slice always takes the matcher.
+    Returns a closed-form kind (``"vertex-core"``, ``"edge-core"``) or a
+    matcher backend name (``"frontier"``, ``"serial"``). Closed forms
+    are whole-graph formulas that run on the calling thread whatever
+    ``parallel`` says; ``parallel`` only decides where matcher work
+    runs. A start-vertex slice always takes a matcher.
     """
-    general = "batch" if cfg.fc_impl == "poly" else "serial"
     if engine == "frontier":
         return "frontier"
-    if engine == "general" or start_vertices is not None:
-        return general
+    if engine == "general":
+        return "serial"
     kind = plan.specialized_kind
-    if engine == "specialized":
-        if kind is None:
-            raise ValueError(f"no specialized engine for a {plan.decomp.num_core}-vertex core")
-        return kind
-    # auto
-    if cfg.specialized and kind is not None and (kind != "3-core" or parallel is None):
-        return kind
-    return "frontier" if general == "batch" else general
+    if start_vertices is None:
+        if engine == "specialized":
+            if kind is None:
+                raise ValueError(
+                    f"no specialized engine for a {plan.decomp.num_core}-vertex core"
+                )
+            return kind
+        if cfg.specialized and kind is not None:
+            return kind
+    return "frontier" if cfg.fc_impl == "poly" else "serial"
 
 
 def _engine_label(
@@ -468,13 +465,12 @@ def _engine_label(
 ) -> str:
     """The ``CountResult.engine`` string of the route that actually ran.
 
-    A pool or fork label (``fringe-pool(x2,dynamic)+frontier``) appears
-    only when worker processes did the work; a ``parallel`` request that
-    ran on the calling thread says so with ``in-process(x1)``.
+    A pool label (``fringe-pool(x2,dynamic)+frontier``) appears only when
+    worker processes did the work; a ``parallel`` request that ran on the
+    calling thread says so with ``in-process(x1)``.
     """
     if pooled:
-        substrate = "pool" if getattr(parallel, "pool", "fork") == "persistent" else "parallel"
-        return f"fringe-{substrate}(x{parallel.num_workers},{parallel.schedule})+{route}"
+        return f"fringe-pool(x{parallel.num_workers},{parallel.schedule})+{route}"
     if route in _CLOSED_FORMS:
         label = f"fringe-specialized({route})"
     elif route == "frontier":

@@ -45,6 +45,7 @@ from ..patterns.dsl import parse_pattern
 from ..runtime import Runtime
 from .protocol import (
     BAD_PATTERN,
+    BAD_REQUEST,
     DEADLINE_EXCEEDED,
     INTERNAL,
     OVERLOADED,
@@ -166,7 +167,7 @@ class CountingService:
             from ..parallel import ParallelConfig
 
             self._parallel: "ParallelConfig | None" = ParallelConfig(
-                num_workers=self.config.pool_workers, pool="persistent"
+                num_workers=self.config.pool_workers
             )
         else:
             self._parallel = None
@@ -377,6 +378,9 @@ class CountingService:
                 elapsed_s=result.elapsed_s,
                 batch_size=batch_size,
             )
+        except ValueError as exc:  # the runtime refused the request itself
+            self._resolve(entry, ErrorResponse(code=BAD_REQUEST, message=str(exc)))
+            return
         except Exception as exc:
             self._resolve(
                 entry,

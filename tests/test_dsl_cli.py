@@ -141,7 +141,7 @@ class TestCLI:
     def test_count_persistent_pool(self, capsys):
         assert cli_main([
             "count", "--dataset", "internet", "--scale", "tiny",
-            "--pattern", "triangle", "--workers", "2", "--pool", "persistent",
+            "--pattern", "triangle", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert cli_main([

@@ -71,7 +71,7 @@ class TestResultMetadata:
     def test_engine_labels(self, graph):
         assert "vertex-core" in count_subgraphs(graph, catalog.star(3)).engine
         assert "edge-core" in count_subgraphs(graph, catalog.diamond()).engine
-        assert "3-core" in count_subgraphs(graph, catalog.four_clique()).engine
+        assert "frontier" in count_subgraphs(graph, catalog.four_clique()).engine
         assert "general" in count_subgraphs(graph, catalog.clique(5), engine="general").engine
 
     def test_elapsed_recorded(self, graph):

@@ -29,6 +29,19 @@ class TestGrouping:
         with pytest.raises(ValueError):
             MultiPatternCounter({})
 
+    def test_per_match_fc_impl_keeps_the_other_fields(self, graph):
+        from repro.core.engine import EngineConfig
+
+        cfg = EngineConfig(fc_impl="iterative", batch_size=333, max_frontier_rows=4321)
+        fam = {"4-cycle": catalog.four_cycle(), "fig4": catalog.fig4_pattern()}
+        mpc = MultiPatternCounter(fam, config=cfg)
+        assert mpc.config.fc_impl == "poly"
+        assert mpc.config.batch_size == 333
+        assert mpc.config.max_frontier_rows == 4321
+        results = mpc.count_all(graph)
+        for name, pat in fam.items():
+            assert results[name].count == count_subgraphs(graph, pat).count
+
 
 class TestCorrectness:
     def test_matches_individual_counts(self, graph):
@@ -77,7 +90,7 @@ class TestCorrectness:
         assert mpc.num_groups == 1
         got = mpc.count_all(graph)
         for name in fam:
-            assert got[name].count == count_subgraphs(graph, fam[name], engine="general").count
+            assert got[name].count == count_subgraphs(graph, fam[name], engine="frontier").count
 
     def test_symmetry_breaking_fringe_split_still_exact(self, graph):
         # wedge additions change the symmetry group: two groups, but the
@@ -88,7 +101,7 @@ class TestCorrectness:
         assert mpc.num_groups == 2
         got = mpc.count_all(graph)
         for name in fam:
-            assert got[name].count == count_subgraphs(graph, fam[name], engine="general").count
+            assert got[name].count == count_subgraphs(graph, fam[name], engine="frontier").count
 
 
 class TestSharedWorkEfficiency:

@@ -25,7 +25,7 @@ import pytest
 from repro import Observer, Runtime, compile_pattern, count_subgraphs
 from repro import obs
 from repro import runtime as runtime_mod
-from repro.core.backends import BatchBackend, MultiprocessBackend, SerialBackend
+from repro.core.backends import FrontierBackend, PoolBackend, SerialBackend
 from repro.core.engine import EngineConfig
 from repro.graph import generators as gen
 from repro.obs.metrics import MetricsRegistry
@@ -41,7 +41,7 @@ def kron():
 
 @pytest.fixture(scope="module")
 def kron_mid():
-    """Large enough that the fork pool actually forks (many chunks)."""
+    """Large enough that the worker pool really runs (many chunks)."""
     return gen.kronecker(7, edge_factor=8, seed=3)
 
 
@@ -210,13 +210,15 @@ class TestRuntimeObservability:
     def test_span_tree_covers_compile_execute_venn_fc(self, kron):
         ob = Observer()
         rt = Runtime(observer=ob)
-        rt.count(kron, catalog.diamond(), engine="general")
+        rt.count(kron, catalog.diamond(), engine="frontier")
         roots = ob.tracer.roots()
         assert [r.name for r in roots] == ["count"]
         children = [c.name for c in ob.tracer.children(roots[0])]
         assert children == ["compile", "execute"]
         execute = ob.tracer.children(roots[0])[1]
-        assert any(s.name == "venn_fc_batch" for s in ob.tracer.children(execute))
+        (match,) = ob.tracer.children(execute)
+        assert match.name == "frontier.match"
+        assert any(s.name == "venn_fc_batch" for s in ob.tracer.children(match))
 
     def test_cache_hit_skips_compile_span(self, kron):
         ob = Observer()
@@ -304,8 +306,8 @@ class TestStatsPropagation:
         serial_plan = compile_pattern(catalog.paw(), EngineConfig(fc_impl="iterative"))
         return {
             "serial": SerialBackend().run(serial_plan, kron_mid),
-            "batch": BatchBackend().run(plan, kron_mid),
-            "process": MultiprocessBackend(
+            "frontier": FrontierBackend().run(plan, kron_mid),
+            "process": PoolBackend(
                 num_workers=2, schedule="dynamic", chunk_size=16
             ).run(plan, kron_mid),
         }
@@ -317,7 +319,7 @@ class TestStatsPropagation:
         for name, p in partials.items():
             assert p.matches > 0, name
             assert p.venn_fc_s > 0.0, name
-        assert partials["batch"].batches >= 1
+        assert partials["frontier"].batches >= 1
         assert partials["process"].batches >= 1
 
     def test_runtime_stats_consistent_across_backends(self, kron_mid):
@@ -338,9 +340,9 @@ class TestStatsPropagation:
 
     def test_worker_deltas_sum_to_totals(self, partials):
         process = partials["process"]
-        batch = partials["batch"]
+        frontier = partials["frontier"]
         assert len(process.workers) > 0
-        assert sum(w.matches for w in process.workers) == process.matches == batch.matches
+        assert sum(w.matches for w in process.workers) == process.matches == frontier.matches
         assert sum(w.batches for w in process.workers) == process.batches
         assert sum(w.venn_fc_s for w in process.workers) == pytest.approx(process.venn_fc_s)
         assert all(w.elapsed_s >= w.venn_fc_s for w in process.workers)
@@ -349,12 +351,12 @@ class TestStatsPropagation:
     def test_worker_metric_deltas_merge_to_single_process_totals(self, kron_mid):
         # single-process reference totals
         with Observer(trace=False) as ref:
-            BatchBackend().run(compile_pattern(catalog.paw()), kron_mid)
+            FrontierBackend().run(compile_pattern(catalog.paw()), kron_mid)
         ref_matches = ref.metrics.counter("repro_core_matches_total").value
         assert ref_matches > 0
-        # fork-pool run: worker-local registries merge at reduction
+        # pool run: worker-local registries merge at reduction
         with Observer(trace=False) as ob:
-            partial = MultiprocessBackend(
+            partial = PoolBackend(
                 num_workers=2, schedule="dynamic", chunk_size=16
             ).run(compile_pattern(catalog.paw()), kron_mid)
         m = ob.metrics
@@ -503,7 +505,7 @@ class TestCLIObservability:
                 "count",
                 "--graph", graph_file,
                 "--pattern", "diamond",
-                "--engine", "general",
+                "--engine", "frontier",
                 "--trace", str(trace_path),
                 "--metrics",
                 "--prom", str(prom_path),
@@ -519,12 +521,14 @@ class TestCLIObservability:
         by_id = {r["span_id"]: r for r in records}
         execute = next(r for r in records if r["name"] == "execute")
         assert by_id[execute["parent_id"]]["name"] == "count"
-        # venn/fc spans appear both under execute (the real run) and under
-        # compile (the plan's self-count deriving the automorphism factor)
+        # venn/fc spans belong to the real run's frontier pass; the plan's
+        # self-count in compile runs the per-match oracle, which has none
         venn_parents = {
             by_id[r["parent_id"]]["name"] for r in records if r["name"] == "venn_fc_batch"
         }
-        assert "execute" in venn_parents
+        assert venn_parents == {"frontier.match"}
+        match = next(r for r in records if r["name"] == "frontier.match")
+        assert by_id[match["parent_id"]]["name"] == "execute"
         # Prometheus dump has plan-cache and histogram series
         prom = prom_path.read_text()
         assert "# TYPE repro_count_latency_seconds histogram" in prom

@@ -71,72 +71,81 @@ class TestParallelCount:
         assert cfg.num_workers >= 1
 
     def test_pool_validation(self):
-        assert ParallelConfig(pool="fork").pool == "fork"
-        assert ParallelConfig(pool="persistent").pool == "persistent"
-        assert "persistent" in repr(ParallelConfig(pool="persistent"))
-        with pytest.raises(ValueError):
-            ParallelConfig(pool="magic")
+        # one substrate: the start method is the only pool knob left
+        assert ParallelConfig().mp_context == "spawn"
+        assert ParallelConfig(mp_context="fork").mp_context == "fork"
+        assert "fork" in repr(ParallelConfig(mp_context="fork"))
+        with pytest.raises(TypeError):
+            ParallelConfig(pool="persistent")
 
 
 class TestSelectBackend:
-    """The inner backend must always be forwarded to the pool backends."""
+    """The inner backend must always be forwarded to the pool backend."""
 
     def test_inner_forwarded_to_fork_pool(self):
         from repro.core.backends import (
-            BatchBackend,
-            MultiprocessBackend,
+            FrontierBackend,
+            PoolBackend,
             SerialBackend,
             select_backend,
         )
         from repro.core.engine import EngineConfig
 
-        be = select_backend(EngineConfig(), ParallelConfig(num_workers=2))
-        assert isinstance(be, MultiprocessBackend)
-        assert isinstance(be.inner, BatchBackend)
-        # a non-frontier inner override is honored, not silently dropped
-        be = select_backend(EngineConfig(fc_impl="recursive"), ParallelConfig(num_workers=2))
+        fork = ParallelConfig(num_workers=2, mp_context="fork")
+        be = select_backend(EngineConfig(), fork)
+        assert isinstance(be, PoolBackend)
+        assert be.mp_context == "fork"
+        assert isinstance(be.inner, FrontierBackend)
+        # a per-match fc_impl or the general engine selects the serial oracle
+        be = select_backend(EngineConfig(fc_impl="recursive"), fork)
+        assert isinstance(be.inner, SerialBackend)
+        be = select_backend(EngineConfig(), fork, engine="general")
         assert isinstance(be.inner, SerialBackend)
 
     def test_frontier_inner_forwarded(self):
-        from repro.core.backends import FrontierBackend, MultiprocessBackend, select_backend
-        from repro.core.engine import EngineConfig
-
-        be = select_backend(EngineConfig(), ParallelConfig(num_workers=2), engine="frontier")
-        assert isinstance(be, MultiprocessBackend)
-        assert isinstance(be.inner, FrontierBackend)
-
-    def test_persistent_pool_selected(self):
-        from repro.core.backends import BatchBackend, PoolBackend, select_backend
+        from repro.core.backends import FrontierBackend, PoolBackend, select_backend
         from repro.core.engine import EngineConfig
 
         be = select_backend(
-            EngineConfig(), ParallelConfig(num_workers=2, pool="persistent")
+            EngineConfig(fc_impl="iterative"), ParallelConfig(num_workers=2), engine="frontier"
         )
         assert isinstance(be, PoolBackend)
-        assert isinstance(be.inner, BatchBackend)
+        assert isinstance(be.inner, FrontierBackend)
+
+    def test_persistent_pool_selected(self):
+        from repro.core.backends import FrontierBackend, PoolBackend, select_backend
+        from repro.core.engine import EngineConfig
+
+        be = select_backend(EngineConfig(), ParallelConfig(num_workers=2))
+        assert isinstance(be, PoolBackend)
+        assert isinstance(be.inner, FrontierBackend)
         assert be.mp_context == "spawn"
 
     def test_single_worker_returns_inner(self):
-        from repro.core.backends import BatchBackend, select_backend
+        from repro.core.backends import FrontierBackend, select_backend
         from repro.core.engine import EngineConfig
 
         be = select_backend(EngineConfig(), ParallelConfig(num_workers=1))
-        assert isinstance(be, BatchBackend)
+        assert isinstance(be, FrontierBackend)
 
 
 class TestSharedStateRace:
-    """Regression: concurrent fork-pool counts must not clobber _SHARED.
+    """Regression: concurrent counts on one persistent pool stay exact.
 
-    Before the module lock, two threads interleaving populate → fork →
-    clear could fork workers that saw the *other* call's plan/graph (or
-    an empty dict). With the lock the calls serialize and every result
-    is exact.
+    Two threads share the process-wide pool, which runs one call at a
+    time behind its call lock; each call must see its own plan and graph.
+    Both graphs exceed ``chunk_size``, so every call reaches the workers.
     """
 
-    def test_concurrent_fork_counts_are_exact(self):
+    def test_concurrent_pool_counts_are_exact(self):
+        from repro.parallel.shm import shm_available
+        from repro.parallel.workerpool import shutdown_default_pool
+
+        if not shm_available():
+            pytest.skip("no shared memory")
         g1 = gen.barabasi_albert(200, 4, seed=31)
         g2 = gen.barabasi_albert(260, 3, seed=32)
-        p1, p2 = catalog.diamond(), catalog.paw()
+        p1, p2 = catalog.four_clique(), catalog.four_cycle()
         expect1 = count_subgraphs(g1, p1).count
         expect2 = count_subgraphs(g2, p2).count
         errors: list = []
@@ -149,6 +158,7 @@ class TestSharedStateRace:
                         parallel=ParallelConfig(num_workers=2, chunk_size=64),
                     )
                     assert res.count == expect, f"{res.count} != {expect}"
+                    assert res.stats.workers > 0, res.engine
             except BaseException as exc:  # noqa: BLE001 - surface on main thread
                 errors.append(exc)
 
@@ -158,13 +168,11 @@ class TestSharedStateRace:
             threading.Thread(target=hammer, args=(g1, p1, expect1)),
             threading.Thread(target=hammer, args=(g2, p2, expect2)),
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=300)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            shutdown_default_pool()
         assert not errors, errors
-
-    def test_shared_lock_exists(self):
-        from repro.core import backends
-
-        assert isinstance(backends._SHARED_LOCK, type(backends.threading.Lock()))

@@ -4,8 +4,9 @@ Covers the three contracts the architecture makes:
 
 * plans are frozen, picklable value objects built once per
   (canonical pattern, config) and cached by the runtime's LRU;
-* every backend (serial / batch / multiprocess x static / strided /
-  dynamic) computes the same counts as the reference entry point;
+* every backend (serial / frontier / persistent pool x static /
+  strided / dynamic) computes the same counts as the reference entry
+  point;
 * normalization lives in exactly one code path and execution stats are
   populated per call.
 """
@@ -18,8 +19,7 @@ import numpy as np
 import pytest
 
 from repro import Runtime, compile_pattern, count_subgraphs, get_runtime
-from repro.core import backends as backends_mod
-from repro.core.backends import BatchBackend, MultiprocessBackend, SerialBackend
+from repro.core.backends import FrontierBackend, PoolBackend, SerialBackend
 from repro.core.engine import EngineConfig
 from repro.core.plan import exact_divide, plan_key
 from repro.graph import generators as gen
@@ -123,8 +123,8 @@ class TestPlanPickle:
         assert clone.anch == plan.anch and clone.k == plan.k
         assert clone.key == plan.key
         assert clone.specialized_kind == plan.specialized_kind
-        p1 = BatchBackend().run(plan, kron)
-        p2 = BatchBackend().run(clone, kron)
+        p1 = FrontierBackend().run(plan, kron)
+        p2 = FrontierBackend().run(clone, kron)
         assert p1.sigma == p2.sigma and p1.matches == p2.matches
         assert clone.normalize(p2.sigma) == plan.normalize(p1.sigma)
 
@@ -145,7 +145,7 @@ class TestBackendAgreement:
         pat = CATALOG[name]
         expect = count_subgraphs(kron, pat).count
         plan = compile_pattern(pat)
-        for backend in (SerialBackend(), BatchBackend()):
+        for backend in (SerialBackend(), FrontierBackend()):
             partial = backend.run(plan, kron)
             assert plan.normalize(partial.sigma) == expect, (name, backend.name)
 
@@ -154,8 +154,8 @@ class TestBackendAgreement:
     def test_multiprocess_schedules_agree(self, kron, name, schedule):
         pat = CATALOG[name]
         expect = count_subgraphs(kron, pat).count
-        # chunk_size below the 64-vertex graph: a single dynamic chunk would
-        # run in-process, off the fork pool
+        # chunk_size below the 64-vertex graph: a graph of one chunk would
+        # run in-process, off the pool
         res = parallel_count(
             kron, pat, parallel=ParallelConfig(num_workers=2, schedule=schedule, chunk_size=16)
         )
@@ -165,15 +165,16 @@ class TestBackendAgreement:
     def test_multiprocess_backend_direct(self, kron):
         plan = compile_pattern(catalog.four_clique())
         expect = count_subgraphs(kron, catalog.four_clique()).count
-        partial = MultiprocessBackend(num_workers=2, schedule="dynamic").run(plan, kron)
+        partial = PoolBackend(num_workers=2, schedule="dynamic", chunk_size=16).run(plan, kron)
+        assert len(partial.workers) > 0
         assert plan.normalize(partial.sigma) == expect
 
     def test_start_vertex_slices_partition_the_sum(self, kron):
         plan = compile_pattern(catalog.paw())
-        whole = BatchBackend().run(plan, kron)
+        whole = FrontierBackend().run(plan, kron)
         n = kron.num_vertices
-        half = BatchBackend().run(plan, kron, start_vertices=np.arange(n // 2))
-        rest = BatchBackend().run(plan, kron, start_vertices=np.arange(n // 2, n))
+        half = FrontierBackend().run(plan, kron, start_vertices=np.arange(n // 2))
+        rest = FrontierBackend().run(plan, kron, start_vertices=np.arange(n // 2, n))
         assert half.sigma + rest.sigma == whole.sigma
         assert half.matches + rest.matches == whole.matches
 
@@ -200,14 +201,14 @@ class TestNormalizationAndStats:
             kron, catalog.paw(), parallel=ParallelConfig(num_workers=1)
         )
         assert res.count == count_subgraphs(kron, catalog.paw()).count
-        assert backends_mod._SHARED == {}
+        assert res.stats.workers == 0
         assert "x1" in res.engine
 
     def test_stats_populated_per_stage(self, kron):
         rt = Runtime()
-        res = rt.count(kron, catalog.diamond(), engine="general")
+        res = rt.count(kron, catalog.diamond(), engine="frontier")
         s = res.stats
-        assert s is not None and s.backend == "batch"
+        assert s is not None and s.backend == "frontier"
         assert s.execute_s > 0.0
         assert s.batches_flushed >= 1
         assert 0.0 <= s.venn_fc_s <= s.execute_s
@@ -244,28 +245,27 @@ ROUTE_PATTERNS = {
     "4-cycle": (catalog.four_cycle(), 3),
     "5-cycle": (catalog.cycle(5), 4),
 }
-CLOSED_FORMS = {1: "vertex-core", 2: "edge-core", 3: "3-core"}
-# chunks well below the 64-vertex kron graph, so both pools really engage
+CLOSED_FORMS = {1: "vertex-core", 2: "edge-core"}
+# chunks well below the 64-vertex kron graph, so the pool really engages;
+# "fork" and "persistent" are the one persistent pool under two start methods
 ROUTE_PARALLEL = {
     "none": None,
-    "fork": ParallelConfig(num_workers=2, chunk_size=16),
-    "persistent": ParallelConfig(num_workers=2, chunk_size=16, pool="persistent"),
+    "fork": ParallelConfig(num_workers=2, chunk_size=16, mp_context="fork"),
+    "persistent": ParallelConfig(num_workers=2, chunk_size=16),
 }
 ORACLE = EngineConfig(fc_impl="iterative", specialized=False)
 
 
-def expected_route(engine: str, core: int, parallel) -> str | None:
+def expected_route(engine: str, core: int) -> str | None:
     """The route table: a closed-form kind or the matcher backend name."""
     closed = CLOSED_FORMS.get(core)
     if engine == "general":
-        return "batch"
+        return "serial"
     if engine == "frontier":
         return "frontier"
     if engine == "specialized":
         return closed  # None: no closed form, the request is refused
-    if closed is not None and (core < 3 or parallel is None):
-        return closed
-    return "frontier"
+    return closed or "frontier"
 
 
 class TestRouting:
@@ -293,7 +293,7 @@ class TestRouting:
     def test_route_table(self, kron, oracle, name, substrate, engine):
         pat, core = ROUTE_PATTERNS[name]
         parallel = ROUTE_PARALLEL[substrate]
-        route = expected_route(engine, core, parallel)
+        route = expected_route(engine, core)
         rt = Runtime()
         if route is None:
             with pytest.raises(ValueError, match="no specialized engine"):
@@ -310,18 +310,16 @@ class TestRouting:
             assert res.engine.startswith("fringe-frontier" if route == "frontier"
                                          else "fringe-general")
         else:
-            kind = "pool" if substrate == "persistent" else "parallel"
-            assert res.engine == f"fringe-{kind}(x2,dynamic)+{route}"
-            assert res.stats.backend == ("pool" if substrate == "persistent"
-                                         else "multiprocess")
+            assert res.engine == f"fringe-pool(x2,dynamic)+{route}"
+            assert res.stats.backend == "pool"
             assert res.stats.workers >= 1
 
     @pytest.mark.parametrize("substrate", ["fork", "persistent"])
     def test_explicit_specialized_wins_over_parallel(self, kron, oracle, substrate):
-        res = Runtime().count(kron, catalog.four_cycle(), engine="specialized",
+        res = Runtime().count(kron, catalog.paw(), engine="specialized",
                               parallel=ROUTE_PARALLEL[substrate])
-        assert res.count == oracle["4-cycle"]
-        assert res.engine == "fringe-specialized(3-core) in-process(x1)"
+        assert res.count == oracle["paw"]
+        assert res.engine == "fringe-specialized(edge-core) in-process(x1)"
         assert res.stats.workers == 0
 
     def test_pool_label_only_when_workers_ran(self):
@@ -331,26 +329,28 @@ class TestRouting:
         graph = datasets.make("amazon0601", "tiny")
         pat = catalog.four_clique()
         expect = Runtime().count(graph, pat, engine="general", config=ORACLE).count
-        one_chunk = ParallelConfig(num_workers=2, chunk_size=100_000, pool="persistent")
+        one_chunk = ParallelConfig(num_workers=2, chunk_size=100_000)
         res = Runtime().count(graph, pat, parallel=one_chunk)
         assert res.count == expect
         assert res.stats.workers == 0
         assert res.stats.backend == "frontier"
         assert "fringe-pool" not in res.engine
         assert res.engine.endswith("in-process(x1)")
-        chunked = ParallelConfig(num_workers=2, chunk_size=64, pool="persistent")
+        chunked = ParallelConfig(num_workers=2, chunk_size=64)
         pooled = Runtime().count(graph, pat, parallel=chunked)
         assert pooled.count == expect
         assert pooled.stats.workers >= 1
         assert pooled.engine == "fringe-pool(x2,dynamic)+frontier"
 
     def test_fork_label_only_when_workers_ran(self, kron):
-        one_chunk = ParallelConfig(num_workers=2, schedule="dynamic", chunk_size=256)
+        one_chunk = ParallelConfig(
+            num_workers=2, schedule="dynamic", chunk_size=256, mp_context="fork"
+        )
         res = parallel_count(kron, catalog.diamond(), parallel=one_chunk)
         assert res.count == count_subgraphs(kron, catalog.diamond()).count
         assert res.stats.workers == 0
-        assert res.stats.backend == "batch"
-        assert res.engine == "fringe-general(sorted,poly) in-process(x1)"
+        assert res.stats.backend == "frontier"
+        assert res.engine == "fringe-frontier(max_rows=1048576) in-process(x1)"
 
 
 # ----------------------------------------------------------------------
@@ -364,14 +364,19 @@ class TestCLI:
         path.write_text("\n".join(lines) + "\n")
         return str(path)
 
-    def test_count_with_engine_knobs_and_stats(self, graph_file, kron, capsys):
+    def test_count_with_engine_knobs_and_stats(self, tmp_path, capsys):
         from repro.cli import main
+        from repro.parallel.workerpool import shutdown_default_pool
 
-        assert (
-            main(
+        # more vertices than one 256-vertex chunk, so the pool really runs
+        big = gen.barabasi_albert(300, 4, seed=5)
+        path = tmp_path / "big.el"
+        path.write_text("\n".join(f"{u} {v}" for u, v in big.edge_array().tolist()) + "\n")
+        try:
+            code = main(
                 [
                     "count",
-                    "--graph", graph_file,
+                    "--graph", str(path),
                     "--pattern", "diamond",
                     "--engine", "general",
                     "--workers", "2",
@@ -382,13 +387,14 @@ class TestCLI:
                     "--stats",
                 ]
             )
-            == 0
-        )
+        finally:
+            shutdown_default_pool()
+        assert code == 0
         out = capsys.readouterr().out
-        expect = count_subgraphs(kron, catalog.diamond()).count
+        expect = count_subgraphs(big, catalog.diamond()).count
         assert f"count    : {expect:,}" in out
-        assert "fringe-parallel(x2,strided)" in out
-        assert "backend  : multiprocess" in out
+        assert "fringe-pool(x2,strided)+serial" in out
+        assert "backend  : pool" in out
         assert "venn/fc" in out
 
     def test_count_stats_reports_cache_state(self, graph_file, capsys):
@@ -400,3 +406,36 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "compiled" in out or "cache hit" in out
         assert "cache hit" in out.split("count    :")[-1]
+
+    @pytest.mark.parametrize("pattern", ["4-clique", "5-clique"])
+    def test_specialized_without_closed_form_is_a_one_line_error(
+        self, graph_file, capsys, pattern
+    ):
+        from repro.cli import main
+
+        code = main(["count", "--graph", graph_file, "--pattern", pattern,
+                     "--engine", "specialized"])
+        captured = capsys.readouterr()
+        assert code != 0
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: no specialized engine for a")
+        assert len(err.splitlines()) == 1
+
+    def test_edge_core_count_never_imports_scipy_sparse(self, graph_file):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        # -X importtime logs every module the process imports to stderr
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "count",
+             "--graph", graph_file, "--pattern", "triangle"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert "fringe-specialized(edge-core)" in proc.stdout
+        assert "repro.core.specialized" in proc.stderr  # the log is complete
+        assert "scipy.sparse" not in proc.stderr

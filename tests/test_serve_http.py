@@ -78,6 +78,13 @@ class TestRoutes:
             client.count("er", "not a pattern @@@")
         assert exc.value.code == "bad_pattern" and exc.value.status == 400
 
+    @pytest.mark.parametrize("pattern", ["4-clique", "5-clique"])
+    def test_specialized_without_closed_form_is_bad_request(self, client, pattern):
+        with pytest.raises(ServeClientError) as exc:
+            client.count("er", pattern, engine="specialized")
+        assert exc.value.code == "bad_request" and exc.value.status == 400
+        assert "no specialized engine" in exc.value.message
+
     def test_unknown_route_and_wrong_method(self, client):
         status, body = client._json("GET", "/v2/nope")
         assert status == 404

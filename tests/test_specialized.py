@@ -7,9 +7,11 @@ import pytest
 
 from repro.baselines.vf2 import count_vf2
 from repro.core.engine import count_subgraphs
+from repro.core import specialized
+from repro.core import venn as venn_mod
+from repro.core.plan import compile_pattern
 from repro.core.specialized import (
     EdgeCoreEngine,
-    ThreeCoreEngine,
     VertexCoreEngine,
     common_neighbor_counts,
     dispatch,
@@ -24,7 +26,8 @@ class TestDispatch:
     def test_by_core_size(self):
         assert isinstance(dispatch(decompose(catalog.star(3))), VertexCoreEngine)
         assert isinstance(dispatch(decompose(catalog.diamond())), EdgeCoreEngine)
-        assert isinstance(dispatch(decompose(catalog.four_clique())), ThreeCoreEngine)
+        # 3-vertex cores have no closed form: the frontier matcher counts them
+        assert dispatch(decompose(catalog.four_clique())) is None
         assert dispatch(decompose(catalog.clique(5))) is None
 
     def test_engine_type_validation(self):
@@ -32,8 +35,6 @@ class TestDispatch:
             VertexCoreEngine(decompose(catalog.diamond()))
         with pytest.raises(ValueError):
             EdgeCoreEngine(decompose(catalog.star(3)))
-        with pytest.raises(ValueError):
-            ThreeCoreEngine(decompose(catalog.diamond()))
 
 
 class TestVertexCore:
@@ -94,7 +95,7 @@ class TestCommonNeighborCounts:
         g = gen.barabasi_albert(120, 4, seed=8)
         edges = g.edge_array()
         via_matmul = common_neighbor_counts(g, edges)
-        # force the merge path by lying about the threshold
+        # against plain set intersection
         out = np.empty(len(edges), dtype=np.int64)
         for i, (u, v) in enumerate(edges.tolist()):
             au, av = set(g.neighbors(u).tolist()), set(g.neighbors(v).tolist())
@@ -105,8 +106,22 @@ class TestCommonNeighborCounts:
         g = gen.path_graph(3)
         assert len(common_neighbor_counts(g, np.empty((0, 2), dtype=np.int64))) == 0
 
+    def test_over_budget_fallback_and_chunks_agree(self, monkeypatch):
+        g = gen.barabasi_albert(150, 5, seed=9)
+        edges = g.edge_array()
+        via_index = common_neighbor_counts(g, edges)
+        # reversed pairs and small chunks read the same entries
+        monkeypatch.setattr(specialized, "_PAIR_CHUNK", 7)
+        assert common_neighbor_counts(g, edges[:, ::-1]).tolist() == via_index.tolist()
+        fresh = CSRGraph.from_edges(edges.tolist(), num_vertices=g.num_vertices)
+        monkeypatch.setattr(venn_mod, "INDEX_BUDGET_BYTES", 0)
+        assert common_neighbor_counts(fresh, edges).tolist() == via_index.tolist()
+
 
 class TestThreeCore:
+    """3-vertex cores have no closed form; ``auto`` counts them on the
+    frontier matcher, which must still match VF2."""
+
     TRIANGLE_PATTERNS = [
         catalog.four_clique(),
         catalog.tailed_four_clique(1),
@@ -123,24 +138,19 @@ class TestThreeCore:
         "pat", TRIANGLE_PATTERNS + WEDGE_PATTERNS, ids=lambda p: f"n{p.n}m{p.num_edges}"
     )
     def test_matches_vf2(self, small_graphs, pat):
-        eng = ThreeCoreEngine(decompose(pat))
         for g in small_graphs[:5]:
-            assert eng(g).count == count_vf2(g, pat)
+            res = count_subgraphs(g, pat)
+            assert res.stats.backend == "frontier"
+            assert res.count == count_vf2(g, pat)
 
     def test_core_kind_detection(self):
-        assert ThreeCoreEngine(decompose(catalog.four_clique())).core_kind == "triangle"
-        assert ThreeCoreEngine(decompose(catalog.four_cycle())).core_kind == "wedge"
+        for pat in (catalog.four_clique(), catalog.four_cycle()):
+            plan = compile_pattern(pat)
+            assert plan.decomp.num_core == 3
+            assert plan.specialized_kind is None
+            assert plan.specialized_engine() is None
 
     def test_fig4_in_itself(self):
         pat = catalog.fig4_pattern()
         g = CSRGraph.from_edges(pat.edges(), num_vertices=pat.n)
-        eng = ThreeCoreEngine(decompose(pat))
-        assert eng(g).count == 1
-
-    def test_assignment_dedup_multiplicities(self):
-        # fully symmetric decoration: all 6 triangle-role assignments give
-        # the same table, so one polynomial with multiplicity 6
-        eng = ThreeCoreEngine(decompose(catalog.four_clique()))
-        polys = eng._polynomials()
-        assert sum(m for _, m in polys) == 6
-        assert len(polys) == 1
+        assert count_subgraphs(g, pat).count == 1

@@ -56,7 +56,7 @@ class TestAgreement:
             graph, pattern,
             # chunks smaller than the graph: kron tiny has 253 vertices, and a
             # graph of at most one chunk runs in-process, off the pool
-            parallel=ParallelConfig(num_workers=2, chunk_size=64, pool="persistent"),
+            parallel=ParallelConfig(num_workers=2, chunk_size=64),
         )
         assert res.count == expect
         assert "fringe-pool" in res.engine
@@ -68,7 +68,7 @@ class TestAgreement:
         expect = count_subgraphs(graph, pat).count
         res = parallel_count(
             graph, pat,
-            parallel=ParallelConfig(num_workers=2, schedule=schedule, pool="persistent"),
+            parallel=ParallelConfig(num_workers=2, schedule=schedule),
         )
         assert res.count == expect
 
