@@ -9,7 +9,7 @@ statistics.
 Run:  python examples/quickstart.py
 """
 
-from repro import CSRGraph, count_subgraphs
+from repro import CSRGraph, compile_pattern, count_subgraphs
 from repro.patterns import catalog, decompose
 
 
@@ -45,10 +45,8 @@ def main() -> None:
     result = count_subgraphs(graph, big)
     print(f"\nFig. 4 pattern (16 vertices) in this tiny graph: {result.count}")
 
-    from repro import FringeCounter
-
-    counter = FringeCounter(catalog.k_tailed_triangle(6))
-    print(f"|Aut| of the 6-tailed triangle (structural, no enumeration): {counter.aut_size()}")
+    plan = compile_pattern(catalog.k_tailed_triangle(6))
+    print(f"|Aut| of the 6-tailed triangle (structural, no enumeration): {plan.aut_size}")
 
 
 if __name__ == "__main__":

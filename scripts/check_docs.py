@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checker (the CI ``docs-check`` job).
 
-Two checks, both cheap enough for tier-1:
+Three checks, all cheap enough for tier-1:
 
 * **API coverage** — every name in the ``__all__`` of the public
   modules (``repro.core``, ``repro.serve``, ``repro.runtime``) must
@@ -12,6 +12,10 @@ Two checks, both cheap enough for tier-1:
   doc set (``README.md``, ``DESIGN.md``, ``docs/*.md``, ...) must
   resolve to an existing file, including ``file#Lnn`` / ``file#anchor``
   forms (the anchor is checked for existence of the *file* only).
+* **Code anchors** — a link of the form ``[`Name`](path.py#Lnn)`` must
+  land on the line that defines ``Name``'s last dotted part (``def``,
+  ``class`` or an assignment), so line anchors follow the code they
+  name.
 
 Run from the repo root (or anywhere — paths resolve relative to this
 file): ``python scripts/check_docs.py``. Exit status 0 = clean.
@@ -40,6 +44,8 @@ DOC_FILES = (
 )
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+# [`Name`](path.py#Lnn): a link that names a definition by line
+_CODE_ANCHOR = re.compile(r"\[`([\w.]+)`\]\(([^)\s]+\.py)#L(\d+)\)")
 
 
 def missing_api_names() -> list[str]:
@@ -58,31 +64,58 @@ def missing_api_names() -> list[str]:
     return missing
 
 
-def broken_links() -> list[str]:
-    """Intra-repo markdown links whose target file does not exist."""
-    broken = []
+def _doc_lines():
+    """(relpath, doc path, lineno, line) for every non-fenced doc line."""
     for relpath in DOC_FILES:
         doc = REPO / relpath
         if not doc.exists():
-            broken.append(f"{relpath}: file listed in DOC_FILES is missing")
             continue
         in_fence = False
         for lineno, line in enumerate(doc.read_text(encoding="utf-8").splitlines(), 1):
             if line.lstrip().startswith("```"):
                 in_fence = not in_fence
                 continue
-            if in_fence:
+            if not in_fence:
+                yield relpath, doc, lineno, line
+
+
+def broken_links() -> list[str]:
+    """Intra-repo markdown links whose target file does not exist."""
+    broken = [
+        f"{relpath}: file listed in DOC_FILES is missing"
+        for relpath in DOC_FILES
+        if not (REPO / relpath).exists()
+    ]
+    for relpath, doc, lineno, line in _doc_lines():
+        for target in _LINK.findall(line):
+            if target.startswith(("http://", "https://", "mailto:", "#")):
                 continue
-            for target in _LINK.findall(line):
-                if target.startswith(("http://", "https://", "mailto:", "#")):
-                    continue
-                path = target.split("#", 1)[0]  # drop #anchor / #Lnn
-                if not path:
-                    continue
-                resolved = (doc.parent / path).resolve()
-                if not resolved.exists():
-                    broken.append(f"{relpath}:{lineno}: broken link -> {target}")
+            path = target.split("#", 1)[0]  # drop #anchor / #Lnn
+            if not path:
+                continue
+            resolved = (doc.parent / path).resolve()
+            if not resolved.exists():
+                broken.append(f"{relpath}:{lineno}: broken link -> {target}")
     return broken
+
+
+def stale_anchors() -> list[str]:
+    """``[`Name`](path.py#Lnn)`` links whose line does not define Name."""
+    stale = []
+    for relpath, doc, lineno, line in _doc_lines():
+        for name, path, target_line in _CODE_ANCHOR.findall(line):
+            source = (doc.parent / path).resolve()
+            if not source.exists():
+                continue  # reported by broken_links
+            short = re.escape(name.rsplit(".", 1)[-1])
+            defines = re.compile(
+                rf"\s*((async\s+)?def|class)\s+{short}\b|\s*{short}\s*(:[^=]*)?="
+            )
+            lines = source.read_text(encoding="utf-8").splitlines()
+            n = int(target_line)
+            if not (1 <= n <= len(lines) and defines.match(lines[n - 1])):
+                stale.append(f"{relpath}:{lineno}: {name} is not defined at {path}#L{n}")
+    return stale
 
 
 def main() -> int:
@@ -95,13 +128,19 @@ def main() -> int:
     dead = broken_links()
     if dead:
         failures.append("broken intra-repo links:\n  " + "\n  ".join(dead))
+    stale = stale_anchors()
+    if stale:
+        failures.append("line anchors off their definitions:\n  " + "\n  ".join(stale))
     if failures:
         print("docs-check FAILED\n" + "\n".join(failures))
         return 1
     names = sum(
         len(__import__("importlib").import_module(m).__all__) for m in PUBLIC_MODULES
     )
-    print(f"docs-check OK: {names} public names covered, all links resolve")
+    print(
+        f"docs-check OK: {names} public names covered, all links resolve, "
+        "all line anchors land on their definitions"
+    )
     return 0
 
 

@@ -4,11 +4,10 @@ Public entry points:
 
 * :func:`repro.count_subgraphs` — count a pattern in a graph (plan-cached
   through the process-wide :class:`repro.Runtime`);
-* :class:`repro.FringeCounter` — pattern-compiled counter for many graphs;
 * :class:`repro.Runtime` / :func:`repro.get_runtime` — the serving front
   door: LRU plan cache, backend routing, execution stats;
 * :func:`repro.compile_pattern` — build a reusable, picklable
-  :class:`repro.CountingPlan` by hand;
+  :class:`repro.CountingPlan` by hand (``plan.aut_size`` is |Aut(P)|);
 * :mod:`repro.graph` — CSR graphs, generators, datasets, I/O;
 * :mod:`repro.patterns` — pattern type, catalog, decomposition;
 * :mod:`repro.obs` — tracing + metrics (spans, Prometheus export, the
@@ -19,7 +18,6 @@ from .core.engine import (
     CountResult,
     EngineConfig,
     ExecutionStats,
-    FringeCounter,
     count_subgraphs,
 )
 from .core.multi import MultiPatternCounter, count_many
@@ -42,7 +40,6 @@ __all__ = [
     "count_many",
     "compile_pattern",
     "EngineConfig",
-    "FringeCounter",
     "count_subgraphs",
     "get_runtime",
     "CSRGraph",

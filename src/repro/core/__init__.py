@@ -26,7 +26,6 @@ from .engine import (
     CountResult,
     EngineConfig,
     ExecutionStats,
-    FringeCounter,
     count_subgraphs,
     injective_core_sum,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "nck_array",
     "CountResult",
     "EngineConfig",
-    "FringeCounter",
     "count_subgraphs",
     "injective_core_sum",
     "count_fringe_choices",

@@ -257,12 +257,28 @@ class FrontierBackend:
         graph: CSRGraph,
         start_vertices: Sequence[int] | None = None,
     ) -> PartialSum:
+        return self.run_polys(plan, [plan.poly], graph, start_vertices)[1]
+
+    def run_polys(
+        self,
+        plan: CountingPlan,
+        polys: Sequence,
+        graph: CSRGraph,
+        start_vertices: Sequence[int] | None = None,
+    ) -> tuple[list[int], PartialSum]:
+        """One matcher pass of ``plan``, evaluating several polynomials.
+
+        ``polys`` are :class:`~repro.core.fringe_poly.FringePolynomial` s
+        over ``plan``'s anchors (a pattern family sharing one core, as in
+        :class:`~repro.core.multi.MultiPatternCounter`). Returns one raw
+        sum per polynomial and the pass's :class:`PartialSum`, whose
+        ``sigma`` is the first polynomial's sum.
+        """
         cfg = plan.config
         registry = obs.active_metrics()  # checked once, outside the hot loop
         fstats = FrontierStats()
         positions = list(plan.anchored_positions)
-        poly = plan.poly
-        sigma = 0
+        sums = [0] * len(polys)
         matches = 0
         match_s = venn_fc_s = 0.0
         batches = 0
@@ -284,13 +300,13 @@ class FrontierBackend:
                 matches += len(block)
                 if plan.q == 0:
                     # no anchored fringes: every core embedding contributes 1
-                    sigma += len(block)
+                    sums = [s + len(block) for s in sums]
                     continue
                 t0 = time.perf_counter()
-                (block_sigma,), block_batches = venn_poly_sums(
-                    graph, block, positions, [poly], cfg.batch_size, registry
+                block_sums, block_batches = venn_poly_sums(
+                    graph, block, positions, polys, cfg.batch_size, registry
                 )
-                sigma += block_sigma
+                sums = [s + b for s, b in zip(sums, block_sums)]
                 batches += block_batches
                 venn_fc_s += time.perf_counter() - t0
         elapsed = time.perf_counter() - t_run
@@ -303,9 +319,10 @@ class FrontierBackend:
                 registry.gauge("repro_frontier_rows_per_second").set(
                     fstats.rows / elapsed
                 )
-        return PartialSum(
-            sigma=sigma, matches=matches, match_s=match_s, venn_fc_s=venn_fc_s, batches=batches
+        partial = PartialSum(
+            sigma=sums[0], matches=matches, match_s=match_s, venn_fc_s=venn_fc_s, batches=batches
         )
+        return sums, partial
 
 
 def record_worker_metrics(total: PartialSum) -> None:

@@ -24,29 +24,27 @@ compiles patterns into frozen :class:`~repro.core.plan.CountingPlan`
 artifacts, :mod:`repro.core.backends` executes plans over graphs, and
 :class:`repro.runtime.Runtime` fronts both with an LRU plan cache.
 
-Use :func:`count_subgraphs` for one-off counts (it routes through the
-process-wide runtime, so repeated patterns hit the plan cache) or
-:class:`FringeCounter` to hold one compiled pattern explicitly.
+Use :func:`count_subgraphs` to count (it routes through the process-wide
+runtime, so repeated patterns hit the plan cache), or
+:func:`~repro.core.plan.compile_pattern` to hold one compiled pattern
+explicitly.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..graph.csr import CSRGraph
 from ..patterns.decompose import Decomposition
 from ..patterns.pattern import Pattern
 from .backends import select_backend
-from .plan import CountingPlan, compile_pattern
+from .plan import compile_pattern
 from .venn import VENN_IMPLS
 
 __all__ = [
     "EngineConfig",
     "CountResult",
     "ExecutionStats",
-    "FringeCounter",
     "count_subgraphs",
     "injective_core_sum",
 ]
@@ -134,116 +132,15 @@ class CountResult:
         return graph_edges / self.elapsed_s if self.elapsed_s > 0 else float("inf")
 
 
-class FringeCounter:
-    """Pattern-compiled Fringe-SGC counter.
-
-    Thin stateful wrapper over a :class:`~repro.core.plan.CountingPlan`:
-    all pattern-side work happens once (at construction or in the plan
-    passed in) and is reused for any number of graphs. The historical
-    attribute surface (``decomp``, ``plan``, ``denominator``, ...) is
-    preserved for the listing/multi/gpusim layers built on top of it.
-    """
-
-    def __init__(
-        self,
-        pattern: Pattern,
-        *,
-        decomposition: Decomposition | None = None,
-        config: EngineConfig | None = None,
-        plan: CountingPlan | None = None,
-    ):
-        if plan is None:
-            plan = compile_pattern(pattern, config or EngineConfig(), decomposition=decomposition)
-        self.counting_plan = plan
-        self.pattern = plan.pattern
-        self.config = plan.config
-        self.decomp = plan.decomp
-        self.plan = plan.core_plan
-        self._denominator = plan.denominator
-        if plan.decomp is not None:
-            self._anch, self._k = plan.anch, plan.k
-            self._anchored_positions = plan.anchored_positions
-            self._poly = plan.poly
-
-    # ------------------------------------------------------------------
-    @property
-    def denominator(self) -> int:
-        """``inj(P, P) / Π k_t!`` — the normalization constant."""
-        return self._denominator
-
-    def aut_size(self) -> int:
-        """|Aut(P)| computed structurally (never by enumeration)."""
-        if self.pattern.n == 1:
-            return 1
-        if self.pattern.n == 2:
-            return 2
-        return self._denominator * self.decomp.fringe_permutation_factor()
-
-    def count(self, graph: CSRGraph, *, start_vertices: Sequence[int] | None = None) -> CountResult:
-        start = time.perf_counter()
-        cplan = self.counting_plan
-        backend = None
-        partial = None
-        if self.pattern.n == 1:
-            value, matches = graph.num_vertices, graph.num_vertices
-        elif self.pattern.n == 2:
-            value, matches = graph.num_edges, graph.num_edges
-        else:
-            backend = select_backend(self.config)
-            partial = backend.run(cplan, graph, start_vertices=start_vertices)
-            value = cplan.normalize(partial.sigma)
-            matches = partial.matches
-        elapsed = time.perf_counter() - start
-        stats = ExecutionStats(
-            backend=backend.name if backend else "trivial",
-            execute_s=elapsed,
-            match_s=partial.match_s if partial else 0.0,
-            venn_fc_s=partial.venn_fc_s if partial else 0.0,
-            batches_flushed=partial.batches if partial else 0,
-        )
-        return CountResult(
-            count=value,
-            pattern=self.pattern,
-            core_matches=matches,
-            elapsed_s=elapsed,
-            engine=f"fringe-general({self.config.venn_impl},{self.config.fc_impl})",
-            decomposition=self.decomp,
-            stats=stats,
-        )
-
-    def core_sum(self, graph: CSRGraph) -> int:
-        """Σ over *all* ordered core embeddings of the fringe-set count."""
-        if self.plan is None:
-            raise ValueError("core_sum is only defined for patterns with n >= 3")
-        return self._core_sum(graph)
-
-    # ------------------------------------------------------------------
-    # compatibility delegates (pre-layering internal API)
-    # ------------------------------------------------------------------
-    def _core_sum(self, graph: CSRGraph) -> int:
-        sigma, _ = self._core_sum_with_stats(graph, None)
-        return sigma * self.plan.group_order
-
-    def _core_sum_with_stats(
-        self, graph: CSRGraph, start_vertices: Sequence[int] | None
-    ) -> tuple[int, int]:
-        """(Σ F_sets over symmetry-reduced core embeddings, #embeddings)."""
-        partial = select_backend(self.config).run(
-            self.counting_plan, graph, start_vertices=start_vertices
-        )
-        return partial.sigma, partial.matches
-
-
 def injective_core_sum(
     graph: CSRGraph, decomp: Decomposition, *, config: EngineConfig | None = None
 ) -> int:
     """Σ over all ordered core embeddings of F_sets (module-level helper).
 
-    Multiplied by ``Π k_t!`` this equals ``inj(P, G)``. Used by tests and
-    by :func:`repro.patterns.automorphisms.aut_size_structural`.
+    Multiplied by ``Π k_t!`` this equals ``inj(P, G)``.
     """
-    counter = FringeCounter(decomp.pattern, decomposition=decomp, config=config)
-    return counter._core_sum(graph)
+    plan = compile_pattern(decomp.pattern, config, decomposition=decomp)
+    return select_backend(plan.config).run(plan, graph).sigma * plan.group_order
 
 
 def count_subgraphs(

@@ -34,9 +34,10 @@ from typing import Iterator
 from ..graph.csr import CSRGraph
 from ..patterns.decompose import Decomposition
 from ..patterns.pattern import Pattern
-from .engine import EngineConfig, FringeCounter
+from .engine import EngineConfig
 from .fringe_count import fc_recursive
 from .matcher import match_cores
+from .plan import compile_pattern
 from .venn import VENN_IMPLS
 
 __all__ = ["CoreMatch", "iter_core_matches", "per_vertex_counts", "top_cores"]
@@ -57,29 +58,6 @@ class CoreMatch:
     raw_choices: int
 
 
-class _ListingCounter(FringeCounter):
-    """FringeCounter variant that streams per-match results."""
-
-    def iter_matches(self, graph: CSRGraph) -> Iterator[CoreMatch]:
-        if self.pattern.n <= 2:
-            raise ValueError("listing mode needs a pattern with >= 3 vertices")
-        venn_fn = VENN_IMPLS[self.config.venn_impl]
-        anch, k, q = self._anch, self._k, self.decomp.q
-        positions = self._anchored_positions
-        scale = Fraction(self.plan.group_order, self.denominator)
-        for match in match_cores(graph, self.plan):
-            if q == 0:
-                raw = 1
-            else:
-                anchors = [match[i] for i in positions]
-                venn = venn_fn(graph, anchors, match)
-                raw = fc_recursive(venn, anch, k, q)
-            if raw:
-                yield CoreMatch(
-                    vertices=match, embeddings=raw * scale, raw_choices=raw
-                )
-
-
 def iter_core_matches(
     graph: CSRGraph,
     pattern: Pattern,
@@ -90,19 +68,24 @@ def iter_core_matches(
     """Stream every productive core match (raw fringe count > 0).
 
     Memory use is constant — matches are produced by the same
-    fixed-memory stack matcher the counting engine uses (§3.5).
+    fixed-memory stack matcher the counting engine uses (§3.5). Each
+    match is scored per match (``config.venn_impl`` + the recursive fc),
+    whatever ``config.fc_impl`` says.
     """
-    cfg = config or EngineConfig(fc_impl="recursive")
-    if cfg.fc_impl == "poly":
-        # per-match listing needs the scalar path; swap the default
-        cfg = EngineConfig(
-            venn_impl=cfg.venn_impl,
-            fc_impl="recursive",
-            symmetry_breaking=cfg.symmetry_breaking,
-            specialized=cfg.specialized,
-        )
-    counter = _ListingCounter(pattern, decomposition=decomposition, config=cfg)
-    return counter.iter_matches(graph)
+    if pattern.n <= 2:
+        raise ValueError("listing mode needs a pattern with >= 3 vertices")
+    plan = compile_pattern(pattern, config, decomposition=decomposition)
+    venn_fn = VENN_IMPLS[plan.config.venn_impl]
+    positions = plan.anchored_positions
+    scale = Fraction(plan.group_order, plan.denominator)
+    for match in match_cores(graph, plan.core_plan):
+        if plan.q == 0:
+            raw = 1
+        else:
+            venn = venn_fn(graph, [match[i] for i in positions], match)
+            raw = fc_recursive(venn, plan.anch, plan.k, plan.q)
+        if raw:
+            yield CoreMatch(vertices=match, embeddings=raw * scale, raw_choices=raw)
 
 
 def per_vertex_counts(

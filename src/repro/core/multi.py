@@ -13,30 +13,23 @@ computation trees (related work §4), and it is what makes e.g. the whole
 Fig. 13 series cost barely more than its largest member.
 
 Patterns are grouped by (core pattern, matching order, anchored set); a
-group shares a plan and Venn batches. Groups are processed sequentially.
+group shares a plan and Venn batches, and runs as one
+:meth:`~repro.core.backends.FrontierBackend.run_polys` pass. Groups are
+processed sequentially.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from ..graph.csr import CSRGraph
 from ..patterns.pattern import Pattern
-from .backends import venn_poly_sums
-from .engine import CountResult, EngineConfig, FringeCounter
-from .frontier import iter_frontier_blocks
-from .plan import exact_divide
+from .backends import FrontierBackend
+from .engine import CountResult, EngineConfig, ExecutionStats, count_subgraphs
+from .plan import CountingPlan, compile_pattern
 
 __all__ = ["MultiPatternCounter", "count_many"]
-
-
-@dataclass
-class _Member:
-    name: str
-    counter: FringeCounter
-    poly: object  # FringePolynomial
-    sigma: int = 0
 
 
 class MultiPatternCounter:
@@ -50,22 +43,20 @@ class MultiPatternCounter:
             cfg = replace(cfg, fc_impl="poly")
         self.config = cfg
         self._trivial: dict[str, Pattern] = {}
-        groups: dict[tuple, list[_Member]] = {}
+        groups: dict[tuple, dict[str, CountingPlan]] = {}
         for name, pattern in patterns.items():
             if pattern.n <= 2:
                 self._trivial[name] = pattern
                 continue
-            counter = FringeCounter(pattern, config=cfg)
+            plan = compile_pattern(pattern, cfg)
             key = (
-                counter.decomp.core_pattern,
-                counter.decomp.matching_order,
-                counter.decomp.anchored,
-                counter.plan.group_order,
-                tuple(counter.plan.less_than),
+                plan.decomp.core_pattern,
+                plan.decomp.matching_order,
+                plan.decomp.anchored,
+                plan.group_order,
+                tuple(plan.core_plan.less_than),
             )
-            groups.setdefault(key, []).append(
-                _Member(name=name, counter=counter, poly=counter._poly)
-            )
+            groups.setdefault(key, {})[name] = plan
         self.groups = groups
 
     @property
@@ -73,7 +64,7 @@ class MultiPatternCounter:
         return len(self.groups)
 
     @staticmethod
-    def _shared_plan(members: list[_Member]):
+    def _shared_plan(plans: list[CountingPlan]) -> CountingPlan:
         """The group's plan with the *weakest* per-position degree filter.
 
         Members carry different fringe loads, hence different full-pattern
@@ -82,47 +73,43 @@ class MultiPatternCounter:
         neighbours to place its fringes), so enumerating with the
         elementwise minimum is both safe and complete for everyone.
         """
-        plans = [m.counter.plan for m in members]
-        min_degree = tuple(
-            min(p.min_degree[i] for p in plans) for i in range(len(plans[0].min_degree))
-        )
-        return replace(plans[0], min_degree=min_degree)
+        min_degree = tuple(map(min, zip(*(p.core_plan.min_degree for p in plans))))
+        lead = plans[0]
+        return replace(lead, core_plan=replace(lead.core_plan, min_degree=min_degree))
 
     def count_all(self, graph: CSRGraph) -> dict[str, CountResult]:
-        """Count every pattern; one shared pass per group."""
-        out: dict[str, CountResult] = {}
-        for name, pattern in self._trivial.items():
-            out[name] = FringeCounter(pattern, config=self.config).count(graph)
+        """Count every pattern; one shared frontier pass per group.
 
-        for members in self.groups.values():
+        Each member's ``stats`` describe its group's shared pass.
+        """
+        out = {
+            name: count_subgraphs(graph, pattern, config=self.config)
+            for name, pattern in self._trivial.items()
+        }
+        backend = FrontierBackend()
+        for group in self.groups.values():
+            plans = list(group.values())
             start = time.perf_counter()
-            lead = members[0].counter
-            plan = self._shared_plan(members)
-            positions = list(lead._anchored_positions)
-            polys = [m.poly for m in members]
-            for m in members:
-                m.sigma = 0
-            matches = 0
-            for block in iter_frontier_blocks(
-                graph, plan, max_rows=self.config.max_frontier_rows
-            ):
-                matches += len(block)
-                sums, _ = venn_poly_sums(
-                    graph, block, positions, polys, self.config.batch_size
-                )
-                for m, sigma in zip(members, sums):
-                    m.sigma += sigma
+            sums, partial = backend.run_polys(
+                self._shared_plan(plans), [p.poly for p in plans], graph
+            )
             elapsed = time.perf_counter() - start
-            for m in members:
-                total = m.sigma * m.counter.plan.group_order
-                value = exact_divide(total, m.counter.denominator, f"count for {m.name}")
-                out[m.name] = CountResult(
-                    count=value,
-                    pattern=m.counter.pattern,
-                    core_matches=matches,
-                    elapsed_s=elapsed / len(members),
+            stats = ExecutionStats(
+                backend=backend.name,
+                execute_s=elapsed,
+                match_s=partial.match_s,
+                venn_fc_s=partial.venn_fc_s,
+                batches_flushed=partial.batches,
+            )
+            for (name, plan), sigma in zip(group.items(), sums):
+                out[name] = CountResult(
+                    count=plan.normalize(sigma, context=f"count for {name}"),
+                    pattern=plan.pattern,
+                    core_matches=partial.matches,
+                    elapsed_s=elapsed / len(plans),
                     engine="fringe-multi",
-                    decomposition=m.counter.decomp,
+                    decomposition=plan.decomp,
+                    stats=stats,
                 )
         return out
 

@@ -15,10 +15,11 @@ execution backends need into one immutable :class:`CountingPlan`:
   closed forms for 1-/2-vertex cores);
 * the structural normalizer ``inj(P, P) / Π k_t!``.
 
-Plans are value objects: they hold no graph state, pickle cleanly (so
-they cross process boundaries and can be persisted), and are keyed by a
-deterministic :func:`plan_key` (canonical pattern form + config) — the
-cache key the :class:`repro.runtime.Runtime` LRU uses.
+Plans are value objects: they hold no graph state and pickle cleanly (so
+they cross process boundaries and can be persisted). The
+:class:`repro.runtime.Runtime` LRU caches them under a deterministic
+:func:`plan_key` (canonical pattern form + config), computed by the
+cache, not by compilation.
 
 Normalization — ``sigma * group_order / denominator`` with the
 non-integrality assertion — lives *only* here (:func:`exact_divide` /
@@ -90,7 +91,6 @@ class CountingPlan:
 
     pattern: Pattern
     config: "EngineConfig"
-    key: tuple
     decomp: Decomposition | None
     core_plan: CorePlan | None
     anch: tuple[int, ...]
@@ -117,6 +117,13 @@ class CountingPlan:
     @property
     def group_order(self) -> int:
         return self.core_plan.group_order if self.core_plan is not None else 1
+
+    @property
+    def aut_size(self) -> int:
+        """|Aut(P)| computed structurally (never by enumeration)."""
+        if self.decomp is None:
+            return self.pattern.n  # K1: 1, K2: 2
+        return self.denominator * self.decomp.fringe_permutation_factor()
 
     def normalize(self, sigma: int, *, context: str = "count") -> int:
         """``sigma * group_order / denominator`` — the single shared
@@ -163,13 +170,11 @@ def compile_pattern(
     cfg = config or EngineConfig()
     if not pattern.is_connected:
         raise ValueError("Fringe-SGC counts connected patterns")
-    key = plan_key(pattern, cfg)
 
     if pattern.n <= 2:
         return CountingPlan(
             pattern=pattern,
             config=cfg,
-            key=key,
             decomp=None,
             core_plan=None,
             anch=(),
@@ -185,14 +190,14 @@ def compile_pattern(
     anch, k = decomp.anchor_bitsets()
     anchored_positions = tuple(decomp.matching_order.index(c) for c in decomp.anchored)
     # the polynomial is always compiled: it is the frontier backend's
-    # kernel, it feeds MultiPatternCounter, and it makes the plan self-contained
-    # regardless of which fc_impl the caller later selects
+    # kernel (MultiPatternCounter hands several plans' polynomials to one
+    # frontier pass), and it makes the plan self-contained regardless of
+    # which fc_impl the caller later selects
     poly = compile_fringe_polynomial(anch, k, decomp.q)
 
     draft = CountingPlan(
         pattern=pattern,
         config=cfg,
-        key=key,
         decomp=decomp,
         core_plan=core_plan,
         anch=anch,

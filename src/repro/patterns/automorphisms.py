@@ -6,9 +6,9 @@ Two distinct groups matter for Fringe-SGC:
   injective-homomorphism total by ``|Aut(P)|`` to obtain subgraph copies.
   For fringe-heavy patterns ``|Aut(P)|`` is astronomically large (it
   contains ``Π_t k_t!`` fringe permutations), so it is *never* enumerated;
-  the engine computes it structurally via the identity
+  the plan compiler computes it structurally via the identity
   ``|Aut(P)| = inj(P, P)`` — counting the pattern in itself with the very
-  same fringe formula (see ``repro.core.engine``).
+  same fringe formula (``repro.core.plan.CountingPlan.aut_size``).
 
 * ``Aut_dec(core)`` — the decoration-preserving core automorphisms: the
   core-pattern automorphisms that map every anchor set onto an anchor set
@@ -20,8 +20,6 @@ Two distinct groups matter for Fringe-SGC:
 
 from __future__ import annotations
 
-import math
-
 from .decompose import Decomposition
 from .isomorphism import automorphisms_of, isomorphisms
 from .pattern import Pattern
@@ -30,7 +28,6 @@ __all__ = [
     "aut_size_bruteforce",
     "decorated_core_automorphisms",
     "symmetry_restrictions",
-    "aut_size_structural",
 ]
 
 
@@ -103,21 +100,3 @@ def symmetry_restrictions(
                 restrictions.append((pos_of[c], pos_of[other]))
         group = [a for a in group if a[c] == c]
     return restrictions, group_order
-
-
-def aut_size_structural(decomp: Decomposition, count_injective_core) -> int:
-    """|Aut(P)| via inj(P, P) = Σ_φ F_sets · Π k_t! over the pattern itself.
-
-    ``count_injective_core`` is injected by the engine to avoid a circular
-    import: it must return Σ over ordered core embeddings of the fringe-set
-    count, for an arbitrary (graph, decomposition) pair.
-    """
-    from ..graph.csr import CSRGraph
-
-    pattern_as_graph = CSRGraph.from_edges(decomp.pattern.edges(), num_vertices=decomp.pattern.n)
-    sigma = count_injective_core(pattern_as_graph, decomp)
-    return sigma * decomp.fringe_permutation_factor()
-
-
-def fringe_factorial_product(decomp: Decomposition) -> int:
-    return math.prod(math.factorial(ft.count) for ft in decomp.fringe_types)

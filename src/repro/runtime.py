@@ -175,24 +175,6 @@ class Runtime:
         cfg = config or EngineConfig()
         return (graph.fingerprint(), plan_key(pattern, cfg), engine)
 
-    def count_batch(
-        self,
-        graph: CSRGraph,
-        specs: Sequence[tuple[Pattern, str, EngineConfig | None]],
-    ) -> list[CountResult]:
-        """Executor-friendly batch entry: count several patterns on one graph.
-
-        ``specs`` is a sequence of ``(pattern, engine, config)`` triples.
-        The calls run sequentially on the calling thread (safe to offload
-        to a thread-pool executor as one job), sharing the plan cache and
-        the graph; one ``count_batch`` span groups them in traces.
-        """
-        with obs.span("count_batch", graph_edges=graph.num_edges, batch=len(specs)):
-            return [
-                self.count(graph, pattern, engine=engine, config=config)
-                for pattern, engine, config in specs
-            ]
-
     def cache_info(self) -> dict:
         with self._lock:
             return {

@@ -13,12 +13,12 @@ lifecycle for one request:
    it: N concurrent clients asking the same question cost one execution.
    Otherwise check the LRU+TTL result cache, then enqueue.
 3. **batch** — a single batcher task drains the queue, groups compatible
-   requests *per graph*, and dispatches each group to the shared
-   :class:`~repro.runtime.Runtime` on a thread-pool executor
-   (:meth:`~repro.runtime.Runtime.count_batch`), so the event loop never
-   blocks on a count. In-flight executor jobs are bounded by the worker
-   count; when they are all busy the queue backs up and admission
-   control takes over.
+   requests *per graph*, and dispatches each group to a thread-pool
+   executor job that runs its requests one by one through the shared
+   :class:`~repro.runtime.Runtime` (:meth:`~repro.runtime.Runtime.count`),
+   so the event loop never blocks on a count. In-flight executor jobs
+   are bounded by the worker count; when they are all busy the queue
+   backs up and admission control takes over.
 4. **respond** — each waiter's future resolves with a typed response;
    waiters whose deadline lapses first get ``deadline_exceeded`` without
    cancelling the shared execution (late coalesced arrivals still

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.engine import FringeCounter
+from repro.core.plan import compile_pattern
 from repro.patterns import catalog
 from repro.patterns.automorphisms import (
     aut_size_bruteforce,
@@ -47,21 +47,20 @@ class TestStructuralAutSize:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_bruteforce(self, n):
         for pat in all_connected_patterns(n):
-            counter = FringeCounter(pat)
-            assert counter.aut_size() == aut_size_bruteforce(pat), pat.edges()
+            assert compile_pattern(pat).aut_size == aut_size_bruteforce(pat), pat.edges()
 
     def test_fringe_heavy_pattern(self):
         # 6 identical tails on a triangle vertex: Aut = 6! * 2 (tails
         # permute, the two other triangle vertices swap)
         pat = catalog.k_tailed_triangle(6)
-        assert FringeCounter(pat).aut_size() == math.factorial(6) * 2
+        assert compile_pattern(pat).aut_size == math.factorial(6) * 2
 
     def test_fig4_aut_size(self):
         # fig4: tails 2!^3, wedges 2!·2!·1, tri-fringes 2!; the asymmetric
         # decoration (1 wedge on {1,2} vs 2 elsewhere) leaves a single core
         # swap symmetry (0 fixed, 1<->2)
         expected = (2 * 2 * 2) * (2 * 2) * 2 * 2
-        assert FringeCounter(catalog.fig4_pattern()).aut_size() == expected
+        assert compile_pattern(catalog.fig4_pattern()).aut_size == expected
 
 
 class TestDecoratedCoreAutomorphisms:

@@ -3,7 +3,8 @@
 Runs the same checks as the CI ``docs-check`` job
 (``scripts/check_docs.py``): every public ``__all__`` name of
 ``repro.core`` / ``repro.serve`` / ``repro.runtime`` appears in
-docs/API.md, and every intra-repo markdown link resolves.
+docs/API.md, every intra-repo markdown link resolves, and every
+``[`Name`](path.py#Lnn)`` link lands on Name's definition.
 """
 
 import sys
@@ -23,6 +24,23 @@ def test_api_docs_cover_public_names():
 def test_intra_repo_links_resolve():
     dead = check_docs.broken_links()
     assert not dead, f"broken markdown links: {dead}"
+
+
+def test_line_anchors_land_on_definitions():
+    stale = check_docs.stale_anchors()
+    assert not stale, f"line anchors off their definitions: {stale}"
+
+
+def test_stale_anchor_is_reported(tmp_path, monkeypatch):
+    (tmp_path / "mod.py").write_text("import os\n\n\ndef target():\n    pass\n")
+    (tmp_path / "doc.md").write_text(
+        "[`target`](mod.py#L4) is right, [`mod.target`](mod.py#L1) is not\n"
+    )
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES", ("doc.md",))
+    assert check_docs.stale_anchors() == [
+        "doc.md:1: mod.target is not defined at mod.py#L1"
+    ]
 
 
 def test_docs_exist_and_are_linked():

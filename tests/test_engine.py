@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro import EngineConfig, FringeCounter, count_subgraphs
+from repro import EngineConfig, compile_pattern, count_subgraphs
 from repro.baselines.vf2 import count_vf2
+from repro.core.backends import select_backend
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.patterns import catalog
@@ -118,24 +119,21 @@ class TestCoreInvariance:
                 assert got == ref
 
 
-class TestFringeCounter:
+class TestCompiledPlan:
     def test_reuse_across_graphs(self, small_graphs):
-        counter = FringeCounter(catalog.diamond())
+        plan = compile_pattern(catalog.diamond())
+        backend = select_backend(plan.config)
         for g in small_graphs:
-            assert counter.count(g).count == count_vf2(g, catalog.diamond())
+            assert plan.normalize(backend.run(plan, g).sigma) == count_vf2(g, catalog.diamond())
 
     def test_aut_size(self):
-        assert FringeCounter(catalog.triangle()).aut_size() == 6
-        assert FringeCounter(catalog.edge()).aut_size() == 2
-        assert FringeCounter(catalog.single_vertex()).aut_size() == 1
+        assert compile_pattern(catalog.triangle()).aut_size == 6
+        assert compile_pattern(catalog.edge()).aut_size == 2
+        assert compile_pattern(catalog.single_vertex()).aut_size == 1
 
     def test_disconnected_pattern_rejected(self):
         with pytest.raises(ValueError):
-            FringeCounter(Pattern.from_edges([(0, 1), (2, 3)]))
-
-    def test_core_sum_requires_fringe_pattern(self, k5):
-        with pytest.raises(ValueError):
-            FringeCounter(catalog.edge()).core_sum(k5)
+            compile_pattern(Pattern.from_edges([(0, 1), (2, 3)]))
 
 
 class TestCountResult:

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro import EngineConfig, FringeCounter, count_subgraphs
+from repro import EngineConfig, compile_pattern, count_subgraphs, get_runtime
+from repro.core.backends import FrontierBackend, select_backend
 from repro.core.engine import injective_core_sum
 from repro.graph import generators as gen
 from repro.patterns import catalog
-from repro.patterns.automorphisms import aut_size_bruteforce, aut_size_structural
 from repro.patterns.decompose import decompose
 
 
@@ -19,32 +19,33 @@ class TestStartVertices:
     def test_partial_counts_recombine(self, graph):
         """Splitting the root space through `start_vertices` partitions
         the core-sum exactly (the parallel layer's foundation)."""
-        counter = FringeCounter(catalog.paw())
-        whole, _ = counter._core_sum_with_stats(graph, None)
+        plan = compile_pattern(catalog.paw())
+        backend = select_backend(plan.config)
+        whole = backend.run(plan, graph).sigma
         n = graph.num_vertices
         parts = [range(0, n // 3), range(n // 3, 2 * n // 3), range(2 * n // 3, n)]
-        split = sum(counter._core_sum_with_stats(graph, list(p))[0] for p in parts)
+        split = sum(backend.run(plan, graph, start_vertices=list(p)).sigma for p in parts)
         assert split == whole
 
     def test_empty_start_vertices(self, graph):
-        counter = FringeCounter(catalog.paw())
-        sigma, matches = counter._core_sum_with_stats(graph, [])
-        assert sigma == 0 and matches == 0
+        plan = compile_pattern(catalog.paw())
+        partial = select_backend(plan.config).run(plan, graph, start_vertices=[])
+        assert partial.sigma == 0 and partial.matches == 0
 
     def test_count_with_start_vertices(self, graph):
         """count() with a root subset divides by the full normalizer —
         useful for per-root attribution."""
-        counter = FringeCounter(catalog.star(3))
-        res = counter.count(graph, start_vertices=list(range(graph.num_vertices)))
-        assert res.count == counter.count(graph).count
+        star = catalog.star(3)
+        res = get_runtime().count(graph, star, start_vertices=list(range(graph.num_vertices)))
+        assert res.count == count_subgraphs(graph, star).count
 
 
 class TestInjectiveCoreSum:
     def test_matches_counter_core_sum(self, graph):
         d = decompose(catalog.diamond())
-        a = injective_core_sum(graph, d)
-        b = FringeCounter(catalog.diamond(), decomposition=d).core_sum(graph)
-        assert a == b
+        plan = compile_pattern(catalog.diamond(), decomposition=d)
+        expected = FrontierBackend().run(plan, graph).sigma * plan.group_order
+        assert injective_core_sum(graph, d) == expected
 
     def test_times_factorials_equals_inj(self, graph):
         """core_sum · Π k_t! = inj(P, G) (checked against brute force)."""
@@ -54,17 +55,6 @@ class TestInjectiveCoreSum:
             d = decompose(pat)
             lhs = injective_core_sum(graph, d) * d.fringe_permutation_factor()
             assert lhs == count_injective_maps(graph, pat)
-
-
-class TestAutSizeStructural:
-    def test_helper_agrees_with_bruteforce(self):
-        for pat in (catalog.paw(), catalog.diamond(), catalog.four_cycle()):
-            d = decompose(pat)
-
-            def core_sum(graph, decomp):
-                return injective_core_sum(graph, decomp)
-
-            assert aut_size_structural(d, core_sum) == aut_size_bruteforce(pat)
 
 
 class TestResultMetadata:

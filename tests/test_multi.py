@@ -123,3 +123,14 @@ class TestSharedWorkEfficiency:
             count_subgraphs(pattern=pattern, graph=graph, engine="general")
         individual = time.perf_counter() - t0
         assert shared < individual
+
+
+class TestStats:
+    def test_results_carry_frontier_execution_stats(self, graph):
+        fam = {"paw": catalog.paw(), "4-clique": catalog.four_clique()}
+        results = MultiPatternCounter(fam).count_all(graph)
+        for res in results.values():
+            assert res.stats is not None
+            assert res.stats.backend == "frontier"
+            assert res.stats.batches_flushed > 0
+            assert res.stats.match_s + res.stats.venn_fc_s <= res.stats.execute_s

@@ -114,6 +114,29 @@ class TestPlanCache:
         assert get_runtime() is get_runtime()
 
 
+class TestPlanKeyCalls:
+    def test_compile_never_keys_and_a_cache_miss_keys_once(self, kron, monkeypatch):
+        """The canonical key is the cache's business: compiling never
+        computes it, and a Runtime cache miss computes it exactly once."""
+        import repro.core.plan as plan_mod
+        import repro.runtime as runtime_mod
+
+        calls = []
+
+        def counting_key(pattern, config):
+            calls.append(pattern)
+            return plan_key(pattern, config)
+
+        monkeypatch.setattr(plan_mod, "plan_key", counting_key)
+        monkeypatch.setattr(runtime_mod, "plan_key", counting_key)
+        compile_pattern(catalog.fig4_pattern())
+        assert calls == []
+        rt = Runtime()
+        res = rt.count(kron, catalog.diamond())
+        assert not res.stats.plan_cache_hit
+        assert len(calls) == 1
+
+
 class TestPlanPickle:
     @pytest.mark.parametrize("name", ["3-star", "diamond", "4-clique", "fig4"])
     def test_roundtrip_preserves_counts(self, kron, name):
@@ -121,7 +144,6 @@ class TestPlanPickle:
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.denominator == plan.denominator
         assert clone.anch == plan.anch and clone.k == plan.k
-        assert clone.key == plan.key
         assert clone.specialized_kind == plan.specialized_kind
         p1 = FrontierBackend().run(plan, kron)
         p2 = FrontierBackend().run(clone, kron)
