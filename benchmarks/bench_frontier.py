@@ -2,7 +2,8 @@
 
 The repo's first recorded perf trajectory: the vectorized
 frontier-at-a-time matcher (``engine="frontier"``) against the scalar
-stack matcher with per-match venn + iterative fc (``fringe-serial``),
+stack matcher with the per-match later-anchors venn + recursive fc of
+the serial oracle (``fringe-serial``, ``engine="general"``),
 on patterns whose core has >= 3 vertices — the regime where matching,
 not fringe evaluation, dominates. Cells land in
 ``benchmarks/results/BENCH_frontier.json``; every cell is exact-count

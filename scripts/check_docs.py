@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation consistency checker (the CI ``docs-check`` job).
 
-Three checks, all cheap enough for tier-1:
+Four checks, all cheap enough for tier-1:
 
 * **API coverage** — every name in the ``__all__`` of the public
   modules (``repro.core``, ``repro.serve``, ``repro.runtime``) must
@@ -16,6 +16,11 @@ Three checks, all cheap enough for tier-1:
   land on the line that defines ``Name``'s last dotted part (``def``,
   ``class`` or an assignment), so line anchors follow the code they
   name.
+* **CLI flags** — every ``--flag`` on a ``python -m repro <cmd> …`` line
+  of the doc set or of ``repro.cli``'s module docstring (continued over
+  backslash-ended lines, cut at a closing backtick) must be accepted by that
+  subcommand's parser (:func:`repro.cli.build_parser`), so examples do
+  not outlive the options they show.
 
 Run from the repo root (or anywhere — paths resolve relative to this
 file): ``python scripts/check_docs.py``. Exit status 0 = clean.
@@ -23,6 +28,8 @@ file): ``python scripts/check_docs.py``. Exit status 0 = clean.
 
 from __future__ import annotations
 
+import argparse
+import ast
 import re
 import sys
 from pathlib import Path
@@ -43,9 +50,15 @@ DOC_FILES = (
     "docs/TUNING.md",
 )
 
+# the module whose docstring documents the CLI, checked with DOC_FILES
+CLI_MODULE = "src/repro/cli.py"
+
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # [`Name`](path.py#Lnn): a link that names a definition by line
 _CODE_ANCHOR = re.compile(r"\[`([\w.]+)`\]\(([^)\s]+\.py)#L(\d+)\)")
+# `python -m repro <cmd> <args>`; the args stop at a closing backtick
+_CLI_CALL = re.compile(r"python -m repro ([a-z][\w-]*)([^`\n]*)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 
 
 def missing_api_names() -> list[str]:
@@ -118,6 +131,53 @@ def stale_anchors() -> list[str]:
     return stale
 
 
+def _cli_texts():
+    """(relpath, first line number, text) of every document with CLI lines."""
+    for relpath in DOC_FILES:
+        doc = REPO / relpath
+        if doc.exists():
+            yield relpath, 1, doc.read_text(encoding="utf-8")
+    source = (REPO / CLI_MODULE).read_text(encoding="utf-8")
+    node = ast.parse(source).body[0]  # the module docstring, read raw
+    lines = source.splitlines()[node.lineno - 1 : node.end_lineno]
+    yield CLI_MODULE, node.lineno, "\n".join(lines)
+
+
+def _cli_calls(text: str):
+    """(line index, command, args) for every ``python -m repro`` call."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        for match in _CLI_CALL.finditer(line):
+            args, j = match.group(2), i
+            while args.rstrip().endswith("\\") and j + 1 < len(lines):
+                j += 1
+                args = args.rstrip()[:-1] + " " + lines[j].split("`", 1)[0]
+            yield i, match.group(1), args
+
+
+def unknown_cli_flags() -> list[str]:
+    """``python -m repro <cmd> --flag`` lines whose flag ``cmd`` rejects."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    unknown = []
+    for relpath, first, text in _cli_texts():
+        for i, command, args in _cli_calls(text):
+            where = f"{relpath}:{first + i}"
+            if command not in commands:
+                unknown.append(f"{where}: unknown command `repro {command}`")
+                continue
+            accepted = commands[command]._option_string_actions
+            for flag in _FLAG.findall(args):
+                if flag not in accepted:
+                    unknown.append(f"{where}: `repro {command}` does not accept {flag}")
+    return unknown
+
+
 def main() -> int:
     failures = []
     missing = missing_api_names()
@@ -131,6 +191,9 @@ def main() -> int:
     stale = stale_anchors()
     if stale:
         failures.append("line anchors off their definitions:\n  " + "\n  ".join(stale))
+    flags = unknown_cli_flags()
+    if flags:
+        failures.append("CLI examples with unknown flags:\n  " + "\n  ".join(flags))
     if failures:
         print("docs-check FAILED\n" + "\n".join(failures))
         return 1
@@ -139,7 +202,7 @@ def main() -> int:
     )
     print(
         f"docs-check OK: {names} public names covered, all links resolve, "
-        "all line anchors land on their definitions"
+        "all line anchors land on their definitions, all CLI example flags parse"
     )
     return 0
 

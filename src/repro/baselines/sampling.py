@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.backends import SerialBackend
-from ..core.engine import EngineConfig
 from ..core.plan import compile_pattern
 from ..graph.csr import CSRGraph
 from ..patterns.pattern import Pattern
@@ -67,7 +66,7 @@ def estimate_count(
         exact = graph.num_vertices if pattern.n == 1 else graph.num_edges
         return SampledCount(float(exact), 0.0, 0, graph.num_vertices)
 
-    plan = compile_pattern(pattern, EngineConfig(fc_impl="recursive"))
+    plan = compile_pattern(pattern)
     backend = SerialBackend()
     n = graph.num_vertices
     rng = np.random.default_rng(seed)

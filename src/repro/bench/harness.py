@@ -40,7 +40,6 @@ from ..baselines import (
     StackEnumerator,
     TDFSCounter,
 )
-from ..core.engine import EngineConfig
 from ..graph.csr import CSRGraph
 from ..patterns.pattern import Pattern
 from ..runtime import Runtime
@@ -115,16 +114,9 @@ class Measurement:
 _BENCH_RUNTIME = Runtime()
 
 
-def _fringe_runner(
-    pattern: Pattern,
-    engine: str = "auto",
-    config: EngineConfig | None = None,
-    parallel=None,
-):
+def _fringe_runner(pattern: Pattern, engine: str = "auto", parallel=None):
     def run(graph: CSRGraph, timeout_s: float) -> int | None:
-        return _BENCH_RUNTIME.count(
-            graph, pattern, engine=engine, config=config, parallel=parallel
-        ).count
+        return _BENCH_RUNTIME.count(graph, pattern, engine=engine, parallel=parallel).count
 
     return run
 
@@ -147,14 +139,6 @@ def _pool_runner(pattern: Pattern, *, cold: bool):
     return run
 
 
-# The frontier-vs-serial comparison pins both sides to general (non-
-# specialized) execution: "fringe-serial" is the per-match stack matcher
-# with scalar venn + iterative fc, "fringe-frontier" the vectorized
-# frontier-at-a-time backend. Same plans, same counts — the cell records
-# isolate the matching/evaluation substrate.
-_SERIAL_CONFIG = EngineConfig(fc_impl="iterative", specialized=False)
-
-
 def _baseline_runner(cls):
     def make(pattern: Pattern):
         try:
@@ -172,8 +156,12 @@ def _baseline_runner(cls):
 
 SYSTEMS: dict[str, Callable[[Pattern], Callable | None]] = {
     "fringe-sgc": lambda pat: _fringe_runner(pat),
+    # the frontier-vs-serial comparison pins both sides to a matcher route:
+    # "fringe-serial" is the per-match oracle (stack matcher, later-anchors
+    # venn, recursive fc), "fringe-frontier" the vectorized backend. Same
+    # plans, same counts — the cells isolate the evaluation substrate.
     "fringe-frontier": lambda pat: _fringe_runner(pat, engine="frontier"),
-    "fringe-serial": lambda pat: _fringe_runner(pat, engine="general", config=_SERIAL_CONFIG),
+    "fringe-serial": lambda pat: _fringe_runner(pat, engine="general"),
     "graphset-like": _baseline_runner(IEPCounter),
     "tdfs-like": _baseline_runner(TDFSCounter),
     "stmatch-like": _baseline_runner(StackEnumerator),

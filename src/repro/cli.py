@@ -13,7 +13,7 @@ Commands
     Engine knobs and the parallel path are reachable without writing
     Python: ``--workers N --schedule strided`` runs matcher work on the
     persistent worker pool (closed forms stay in-process),
-    ``--venn-impl/--fc-impl/--batch-size`` tune the general engine, and
+    ``--batch-size/--max-frontier-rows`` size the frontier engine's work, and
     ``--stats`` prints the runtime's per-stage breakdown
     (compile vs. match vs. venn/fc time, plan-cache hits/misses)::
 
@@ -68,15 +68,14 @@ import argparse
 import sys
 import time
 
-from .core.engine import EngineConfig
-from .core.venn import VENN_IMPLS
+from .core.engine import ENGINES, EngineConfig
 from .graph import datasets
 from .graph.io import load_graph
 from .parallel.schedule import SCHEDULES
 from .patterns.decompose import decompose
 from .patterns.dsl import parse_pattern, pattern_names
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 
 def _load_graph(args):
@@ -147,8 +146,6 @@ def _cmd_count(args) -> int:
     graph, gname = _load_graph(args)
     pattern = parse_pattern(args.pattern)
     cfg = EngineConfig(
-        venn_impl=args.venn_impl,
-        fc_impl=args.fc_impl,
         batch_size=args.batch_size,
         max_frontier_rows=args.max_frontier_rows,
     )
@@ -361,26 +358,22 @@ def _cmd_datasets(_args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, one subparser per command."""
     parser = argparse.ArgumentParser(prog="repro", description="Fringe-SGC subgraph counting")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count a pattern in a graph")
     _add_graph_args(p)
     p.add_argument("--pattern", required=True, help="pattern expression (DSL)")
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "general", "specialized", "frontier"])
+    p.add_argument("--engine", default="auto", choices=ENGINES)
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (>1 runs matcher work on the "
                         "persistent shared-memory worker pool)")
     p.add_argument("--schedule", default="dynamic", choices=list(SCHEDULES),
                    help="work-distribution strategy for --workers > 1")
-    p.add_argument("--venn-impl", default="sorted", choices=sorted(VENN_IMPLS),
-                   help="per-match Venn implementation")
-    p.add_argument("--fc-impl", default="poly", choices=["poly", "recursive", "iterative"],
-                   help="fringe-count implementation (poly = vectorized batches)")
     p.add_argument("--batch-size", type=int, default=4096,
-                   help="matches per vectorized batch (poly mode)")
+                   help="rows per vectorized Venn + polynomial chunk")
     p.add_argument("--max-frontier-rows", type=int, default=1 << 20,
                    help="frontier-engine expansion cap; wider frontiers split "
                         "into blocks (bounds memory on dense graphs)")
@@ -450,8 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--port", type=int, default=8765)
     p.add_argument("--graph-name", required=True, help="registry name of the graph")
     p.add_argument("--pattern", required=True, help="pattern expression (DSL)")
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "general", "specialized", "frontier"])
+    p.add_argument("--engine", default="auto", choices=ENGINES)
     p.add_argument("--timeout", type=float, metavar="SECONDS",
                    help="server-side deadline for this query")
     p.add_argument("--client-timeout", type=float, default=60.0,
@@ -463,8 +455,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("datasets", help="list built-in datasets")
     p.set_defaults(fn=_cmd_datasets)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

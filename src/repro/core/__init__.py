@@ -23,6 +23,7 @@ from .frontier import (
 )
 from .binomial import PascalTable, nCk, nck_array
 from .engine import (
+    ENGINES,
     CountResult,
     EngineConfig,
     ExecutionStats,
@@ -32,9 +33,9 @@ from .engine import (
 from .plan import CountingPlan, compile_pattern, exact_divide, plan_key
 from .listing import CoreMatch, iter_core_matches, per_vertex_counts, top_cores
 from .multi import MultiPatternCounter, count_many
-from .fringe_count import count_fringe_choices, fc_iterative, fc_recursive
+from .fringe_count import count_fringe_choices, fc_recursive
 from .matcher import CorePlan, build_plan, count_core_matches, match_cores
-from .venn import VENN_IMPLS, venn_hash, venn_merge, venn_sorted
+from .venn import venn_hash, venn_merge, venn_sorted
 
 __all__ = [
     "Backend",
@@ -63,17 +64,16 @@ __all__ = [
     "nCk",
     "nck_array",
     "CountResult",
+    "ENGINES",
     "EngineConfig",
     "count_subgraphs",
     "injective_core_sum",
     "count_fringe_choices",
-    "fc_iterative",
     "fc_recursive",
     "CorePlan",
     "build_plan",
     "count_core_matches",
     "match_cores",
-    "VENN_IMPLS",
     "venn_hash",
     "venn_merge",
     "venn_sorted",

@@ -9,8 +9,9 @@ normalization path.
 
 Three backends mirror the paper's execution models:
 
-* :class:`SerialBackend` — the per-match Venn + fc pipeline (Listing 5),
-  kept as the reference oracle and for the paper's ablations;
+* :class:`SerialBackend` — the per-match pipeline of Listing 5 (stack
+  matcher, §3.6 later-anchors Venn, recursive fc), kept as the single
+  reference oracle;
 * :class:`FrontierBackend` — the production matcher: the
   frontier-at-a-time matcher (:mod:`repro.core.frontier`) produces whole
   *blocks* of core embeddings per NumPy kernel pass and feeds them
@@ -39,11 +40,11 @@ import numpy as np
 
 from .. import obs
 from ..graph.csr import CSRGraph
-from .fringe_count import fc_iterative, fc_recursive
+from .fringe_count import fc_recursive
 from .frontier import FrontierStats, iter_frontier_blocks
 from .matcher import match_cores
 from .plan import CountingPlan
-from .venn import VENN_IMPLS, row_venns, unique_anchor_sets, venn_sets
+from .venn import row_venns, unique_anchor_sets, venn_merge, venn_sets
 # the sort-reduce oracle stays importable here: the repository benchmark's
 # layer tracer (perfbench/tracing.py) wraps it under this name
 from .venn import venn_batch  # noqa: F401
@@ -189,7 +190,9 @@ def _count_matches_only(plan, graph, start_vertices) -> PartialSum:
 
 
 class SerialBackend:
-    """Per-match Venn + fc evaluation (the paper's Listing 5 pipeline)."""
+    """Per-match evaluation, the paper's Listing 5 pipeline: each core
+    match from :func:`match_cores` gets its own :func:`venn_merge`
+    diagram and :func:`fc_recursive` count."""
 
     name = "serial"
 
@@ -201,9 +204,6 @@ class SerialBackend:
     ) -> PartialSum:
         if plan.q == 0:
             return _count_matches_only(plan, graph, start_vertices)
-        cfg = plan.config
-        venn_fn = VENN_IMPLS[cfg.venn_impl]
-        fc = fc_recursive if cfg.fc_impl == "recursive" else fc_iterative
         anch, k, q = plan.anch, plan.k, plan.q
         positions = plan.anchored_positions
         registry = obs.active_metrics()  # checked once, outside the hot loop
@@ -218,8 +218,8 @@ class SerialBackend:
             match_s += t0 - t_mark
             matches += 1
             anchors = [match[i] for i in positions]
-            venn = venn_fn(graph, anchors, match)
-            total += fc(venn, anch, k, q)
+            venn = venn_merge(graph, anchors, match)
+            total += fc_recursive(venn, anch, k, q)
             t_mark = time.perf_counter()
             venn_fc_s += t_mark - t0
             if registry is not None:
@@ -389,7 +389,7 @@ class PoolBackend:
         # deferred: repro.parallel imports cycle back through core.engine
         from ..parallel.workerpool import get_default_pool
 
-        inner = self.inner if self.inner is not None else select_backend(plan.config)
+        inner = self.inner if self.inner is not None else FrontierBackend()
         if start_vertices is not None:
             return inner.run(plan, graph, start_vertices=start_vertices)
         if self.num_workers <= 1 or graph.num_vertices <= self.chunk_size:
@@ -400,20 +400,18 @@ class PoolBackend:
         )
 
 
-def select_backend(config, parallel=None, engine: str = "auto") -> Backend:
-    """Map an EngineConfig (+ optional ParallelConfig + engine) to a backend.
+def select_backend(parallel=None, route: str = "frontier") -> Backend:
+    """Map a matcher route (+ optional ParallelConfig) to a backend.
 
-    The matcher is :class:`FrontierBackend` for ``engine="frontier"``, and
-    for ``"auto"`` when ``config.fc_impl == "poly"``; otherwise
-    (``engine="general"``, or a per-match ``fc_impl``) it is the
-    :class:`SerialBackend` oracle. A ``parallel`` with more than one
-    worker wraps that matcher in a :class:`PoolBackend`, which runs it in
-    every worker over its start-vertex slices.
+    ``route`` is ``"frontier"`` (:class:`FrontierBackend`) or
+    ``"serial"`` (the :class:`SerialBackend` oracle). A ``parallel``
+    with more than one worker wraps that matcher in a
+    :class:`PoolBackend`, which runs it in every worker over its
+    start-vertex slices.
     """
-    if engine == "frontier" or (engine == "auto" and config.fc_impl == "poly"):
-        inner: Backend = FrontierBackend()
-    else:
-        inner = SerialBackend()
+    if route not in ("frontier", "serial"):
+        raise ValueError(f"unknown matcher route {route!r}")
+    inner: Backend = SerialBackend() if route == "serial" else FrontierBackend()
     if parallel is not None and parallel.num_workers > 1:
         return PoolBackend(
             num_workers=parallel.num_workers,

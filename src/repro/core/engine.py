@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from ..graph.csr import CSRGraph
 from ..patterns.decompose import Decomposition
 from ..patterns.pattern import Pattern
-from .backends import select_backend
+from .backends import FrontierBackend
 from .plan import compile_pattern
-from .venn import VENN_IMPLS
 
 __all__ = [
+    "ENGINES",
     "EngineConfig",
     "CountResult",
     "ExecutionStats",
@@ -50,41 +50,36 @@ __all__ = [
 ]
 
 
+# the values of every ``engine=`` argument (library, CLI, HTTP)
+ENGINES = ("auto", "general", "specialized", "frontier")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
-    """Knobs for the general engine (defaults match the paper's choices).
+    """Knobs for the matcher routes (defaults match the paper's choices).
 
-    ``fc_impl="poly"`` selects the compiled fringe polynomial evaluated
-    over the frontier matcher's blocks of core matches, with one
-    vectorized Venn per distinct anchor set
-    (:func:`repro.core.venn.venn_sets`) — the data-parallel formulation
-    and the default. ``"recursive"``/``"iterative"`` are the per-match
-    Listing 5 ports on the serial oracle, which ``engine="general"``
-    always runs (``venn_impl`` picks its per-match Venn).
-
-    ``max_frontier_rows`` only affects the frontier backend
-    (``engine="frontier"`` and ``auto``'s matcher route): it caps the
-    candidate volume of one frontier-expansion step; wider frontiers are
-    split into blocks that are traversed depth-first, bounding peak
-    memory on dense graphs.
+    The route itself is picked by ``engine`` alone; these knobs only
+    size the work. ``batch_size`` is the row chunk of one vectorized
+    Venn + polynomial evaluation, and ``max_frontier_rows`` caps the
+    candidate volume of one frontier-expansion step (wider frontiers are
+    split into blocks traversed depth-first, bounding peak memory on
+    dense graphs). Both only affect the frontier backend
+    (``engine="frontier"`` and ``auto``'s matcher route).
     """
 
-    venn_impl: str = "sorted"  # "hash" | "sorted" | "merge" (per-match paths)
-    fc_impl: str = "poly"  # "poly" | "recursive" | "iterative"
     symmetry_breaking: bool = True
-    specialized: bool = True  # use closed-form engines for small cores
-    batch_size: int = 4096  # matches per vectorized batch (poly mode)
+    batch_size: int = 4096  # rows per vectorized Venn + polynomial chunk
     max_frontier_rows: int = 1 << 20  # frontier-backend expansion cap (rows)
 
     def __post_init__(self):
-        if self.venn_impl not in VENN_IMPLS:
-            raise ValueError(f"unknown venn_impl {self.venn_impl!r}")
-        if self.fc_impl not in ("recursive", "iterative", "poly"):
-            raise ValueError(f"unknown fc_impl {self.fc_impl!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.max_frontier_rows < 1:
-            raise ValueError("max_frontier_rows must be positive")
+        if not isinstance(self.symmetry_breaking, bool):
+            raise TypeError("symmetry_breaking must be a bool")
+        for name in ("batch_size", "max_frontier_rows"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int")
+            if value < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -140,7 +135,7 @@ def injective_core_sum(
     Multiplied by ``Π k_t!`` this equals ``inj(P, G)``.
     """
     plan = compile_pattern(decomp.pattern, config, decomposition=decomp)
-    return select_backend(plan.config).run(plan, graph).sigma * plan.group_order
+    return FrontierBackend().run(plan, graph).sigma * plan.group_order
 
 
 def count_subgraphs(

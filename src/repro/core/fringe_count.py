@@ -8,12 +8,9 @@ recursing. Region iteration uses the paper's bitset trick
 ``idx = (idx + 1) | anch`` which enumerates exactly the supersets of the
 anchor bitset in increasing order.
 
-Two implementations with identical semantics:
-
-* :func:`fc_recursive` — a line-for-line port of Listing 5 (clear, used as
-  the reference);
-* :func:`fc_iterative` — an explicit-stack version mirroring what the CUDA
-  code must do because GPU threads have tiny stacks (§3.4).
+:func:`fc_recursive` is a line-for-line port of Listing 5: the serial
+oracle's per-match count and the reference the compiled fringe
+polynomial (:mod:`repro.core.fringe_poly`) is tested against.
 
 All of Listing 5's optimizations are present: early exit when a type is
 exhausted (line 6), zero-return when the last region is too small (line 9),
@@ -26,7 +23,7 @@ from typing import Sequence
 
 from .binomial import nCk
 
-__all__ = ["fc_recursive", "fc_iterative", "count_fringe_choices"]
+__all__ = ["fc_recursive", "count_fringe_choices"]
 
 
 def fc_recursive(venn: list[int], anch: Sequence[int], k: Sequence[int], q: int) -> int:
@@ -68,92 +65,8 @@ def fc_recursive(venn: list[int], anch: Sequence[int], k: Sequence[int], q: int)
     return fc(0, k[0], anch[0])
 
 
-def fc_iterative(venn: list[int], anch: Sequence[int], k: Sequence[int], q: int) -> int:
-    """Explicit-stack fc, the shape a GPU thread runs (no recursion, §3.4).
-
-    Two frame kinds replace the two recursive call sites of Listing 5:
-
-    * a SUM frame ``[pos, rem, idx, i, top, partial, vc]`` holds the
-      summation loop state over draws ``i = 0..top`` from region ``idx``;
-    * a LAST frame ``(idx, rem, coeff)`` records the no-summation shortcut
-      for the final Venn region, multiplying the child's value by
-      ``nCk(vc, rem)`` on the way back up.
-
-    Returns the same value as :func:`fc_recursive`.
-    """
-    s = len(anch)
-    if s == 0:
-        return 1
-    last = (1 << q) - 1
-    stack: list = []
-    pos, rem, idx = 0, k[0], anch[0]
-    descending = True
-    value = 0
-
-    while True:
-        if descending:
-            # resolve the pending call (pos, rem, idx) down to a leaf value
-            while True:
-                if pos == s:
-                    value = 1
-                    break
-                if rem == 0:  # next fringe type
-                    pos += 1
-                    if pos == s:
-                        value = 1
-                        break
-                    rem, idx = k[pos], anch[pos]
-                    continue
-                vc = venn[idx]
-                if idx == last:  # last Venn region: no summation needed
-                    if rem > vc:
-                        value = 0
-                        break
-                    venn[idx] -= rem
-                    stack.append(("LAST", idx, rem, nCk(vc, rem)))
-                    pos += 1
-                    if pos == s:
-                        value = 1
-                        break
-                    rem, idx = k[pos], anch[pos]
-                    continue
-                top = min(rem, vc)
-                # draw i = 0 first: venn unchanged, recurse on the next region
-                stack.append(["SUM", pos, rem, idx, 0, top, 0, vc])
-                idx = (idx + 1) | anch[pos]
-            descending = False
-        else:
-            if not stack:
-                return value
-            frame = stack[-1]
-            if frame[0] == "LAST":
-                _, idx_, rem_, coeff = frame
-                venn[idx_] += rem_
-                value = coeff * value
-                stack.pop()
-                continue
-            _, pos_, rem_, idx_, i, top, partial, vc = frame
-            partial += nCk(vc, i) * value
-            venn[idx_] += i  # undo draw i
-            if i == top:
-                value = partial
-                stack.pop()
-                continue
-            i += 1
-            frame[4] = i
-            frame[6] = partial
-            venn[idx_] -= i  # apply draw i
-            pos, rem, idx = pos_, rem_ - i, (idx_ + 1) | anch[pos_]
-            descending = True
-
-
 def count_fringe_choices(
-    venn: Sequence[int], anch: Sequence[int], k: Sequence[int], q: int, *, impl: str = "recursive"
+    venn: Sequence[int], anch: Sequence[int], k: Sequence[int], q: int
 ) -> int:
     """Public wrapper: copies ``venn`` so callers keep theirs immutable."""
-    work = list(venn)
-    if impl == "recursive":
-        return fc_recursive(work, anch, k, q)
-    if impl == "iterative":
-        return fc_iterative(work, anch, k, q)
-    raise ValueError(f"unknown fc impl {impl!r}")
+    return fc_recursive(list(venn), anch, k, q)

@@ -38,7 +38,7 @@ from .engine import EngineConfig
 from .fringe_count import fc_recursive
 from .matcher import match_cores
 from .plan import compile_pattern
-from .venn import VENN_IMPLS
+from .venn import venn_merge
 
 __all__ = ["CoreMatch", "iter_core_matches", "per_vertex_counts", "top_cores"]
 
@@ -69,20 +69,19 @@ def iter_core_matches(
 
     Memory use is constant — matches are produced by the same
     fixed-memory stack matcher the counting engine uses (§3.5). Each
-    match is scored per match (``config.venn_impl`` + the recursive fc),
-    whatever ``config.fc_impl`` says.
+    match is scored the way the serial oracle scores it (``venn_merge``
+    + the recursive fc).
     """
     if pattern.n <= 2:
         raise ValueError("listing mode needs a pattern with >= 3 vertices")
     plan = compile_pattern(pattern, config, decomposition=decomposition)
-    venn_fn = VENN_IMPLS[plan.config.venn_impl]
     positions = plan.anchored_positions
     scale = Fraction(plan.group_order, plan.denominator)
     for match in match_cores(graph, plan.core_plan):
         if plan.q == 0:
             raw = 1
         else:
-            venn = venn_fn(graph, [match[i] for i in positions], match)
+            venn = venn_merge(graph, [match[i] for i in positions], match)
             raw = fc_recursive(venn, plan.anch, plan.k, plan.q)
         if raw:
             yield CoreMatch(vertices=match, embeddings=raw * scale, raw_choices=raw)

@@ -38,17 +38,14 @@ class MultiPatternCounter:
     def __init__(self, patterns: dict[str, Pattern], *, config: EngineConfig | None = None):
         if not patterns:
             raise ValueError("need at least one pattern")
-        cfg = config or EngineConfig()
-        if cfg.fc_impl != "poly":
-            cfg = replace(cfg, fc_impl="poly")
-        self.config = cfg
+        self.config = config or EngineConfig()
         self._trivial: dict[str, Pattern] = {}
         groups: dict[tuple, dict[str, CountingPlan]] = {}
         for name, pattern in patterns.items():
             if pattern.n <= 2:
                 self._trivial[name] = pattern
                 continue
-            plan = compile_pattern(pattern, cfg)
+            plan = compile_pattern(pattern, self.config)
             key = (
                 plan.decomp.core_pattern,
                 plan.decomp.matching_order,

@@ -192,7 +192,7 @@ def compile_pattern(
     # the polynomial is always compiled: it is the frontier backend's
     # kernel (MultiPatternCounter hands several plans' polynomials to one
     # frontier pass), and it makes the plan self-contained regardless of
-    # which fc_impl the caller later selects
+    # which route the caller later selects
     poly = compile_fringe_polynomial(anch, k, decomp.q)
 
     draft = CountingPlan(

@@ -9,21 +9,23 @@ exactly the anchors in S}`` for every non-empty ``S ⊆ {0..q-1}``.
 The array layout matches the paper: index ``S`` is a q-bit bitset, bit
 ``i`` meaning the i-th anchor vertex; element 0 is unused.
 
-Three interchangeable *per-match* implementations (selected with
-``EngineConfig.venn_impl``, dispatched through :data:`VENN_IMPLS`):
+Three interchangeable *per-match* implementations:
 
+* :func:`venn_merge` — the paper's §3.6 scheme and the one the serial
+  oracle (:class:`~repro.core.backends.SerialBackend`) runs: for each
+  anchor, binary search the adjacency lists of anchors *later in the
+  stack* only, then computationally correct the counts ("about twice as
+  fast as always checking all adjacency lists");
 * :func:`venn_hash` — reference, Python dict of neighbour→bitmask;
 * :func:`venn_sorted` — NumPy sort-reduce over the concatenated adjacency
-  lists (the data-parallel formulation a GPU kernel would use);
-* :func:`venn_merge` — the paper's §3.6 scheme: for each anchor, binary
-  search the adjacency lists of anchors *later in the stack* only, then
-  computationally correct the counts ("about twice as fast as always
-  checking all adjacency lists").
+  lists (the data-parallel formulation a GPU kernel would use).
+
+The last two are the test reference and the §3.6 ablation's comparison
+points (``benchmarks/bench_ablation_venn.py``).
 
 Plus one *batched* formulation, :func:`venn_batch`: a ``(B, q)`` matrix
 of anchor rows in, a ``(B, 2^q)`` matrix of region counts out, computed
-with a single gather + sort-reduce pass across the whole batch. It is
-not part of :data:`VENN_IMPLS` (which holds the per-match paths).
+with a single gather + sort-reduce pass across the whole batch.
 
 The batched backends do not call :func:`venn_batch` on every matched
 core. Core embeddings repeat the same anchor *set* — in another order,
@@ -92,7 +94,6 @@ __all__ = [
     "INDEX_BUDGET_BYTES",
     "unique_anchor_sets",
     "row_venns",
-    "VENN_IMPLS",
 ]
 
 
@@ -551,10 +552,3 @@ def row_venns(
         sel = mask != 0
         venns[rows[sel], mask[sel]] -= 1
     return venns
-
-
-VENN_IMPLS = {
-    "hash": venn_hash,
-    "sorted": venn_sorted,
-    "merge": venn_merge,
-}

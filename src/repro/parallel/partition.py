@@ -137,7 +137,7 @@ def partitioned_count(
     """
     import time
 
-    from ..core.backends import select_backend
+    from ..core.backends import FrontierBackend
     from ..core.plan import compile_pattern
 
     start = time.perf_counter()
@@ -151,7 +151,7 @@ def partitioned_count(
     halo = ghost_width(decomp)
     partitions = partition_graph(graph, num_parts, halo)
 
-    backend = select_backend(cfg)
+    backend = FrontierBackend()
     sigma = 0
     matches = 0
     for part in partitions:

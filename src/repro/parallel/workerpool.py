@@ -16,8 +16,9 @@ split-half stealing protocol over start-vertex chunk spans:
   split-half, all under one cross-process lock — span updates are two
   integer writes, so the critical section is tiny);
 * when every span is drained the worker ships its
-  :class:`~repro.core.backends.PartialSum` (plus steal/busy stats) and
-  parks on its control pipe waiting for the next call.
+  :class:`~repro.core.backends.PartialSum` (its busy time rides in the
+  sum's ``WorkerDelta``) plus steal stats, and parks on its control pipe
+  waiting for the next call.
 
 The pool starts its workers once and reuses them across calls
 (``repro_pool_dispatch_seconds`` measures the per-call overhead that
@@ -175,8 +176,7 @@ def _worker_call(wid, num_workers, spans, call_id, payload):
         elapsed_s=elapsed,
         metrics=local.metrics.snapshot() if local is not None else None,
     )
-    stats = {"worker": wid, "chunks": done, "steals": steals, "stolen_chunks": stolen,
-             "busy_s": elapsed}
+    stats = {"worker": wid, "chunks": done, "steals": steals, "stolen_chunks": stolen}
     return ("done", call_id, wid, replace(out, workers=(delta,)), stats)
 
 
@@ -321,10 +321,10 @@ class WorkerPool:
         chunk spans partition the start-vertex space and each chunk is
         executed exactly once.
         """
-        from ..core.backends import PartialSum, select_backend
+        from ..core.backends import FrontierBackend, PartialSum
 
         if inner is None:
-            inner = select_backend(plan.config)
+            inner = FrontierBackend()
         t_submit = time.perf_counter()
         with self._call_lock:
             self.start()
@@ -440,7 +440,6 @@ class WorkerPool:
             wid = str(s["worker"])
             registry.gauge("repro_pool_worker_steals", worker=wid).set(s["steals"])
             registry.gauge("repro_pool_worker_chunks", worker=wid).set(s["chunks"])
-            registry.gauge("repro_pool_worker_busy_seconds", worker=wid).set(s["busy_s"])
 
     def _arm_idle_timer(self) -> None:
         if self.idle_ttl_s is None:

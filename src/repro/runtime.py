@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import obs
 from .core.backends import select_backend
-from .core.engine import CountResult, EngineConfig, ExecutionStats
+from .core.engine import ENGINES, CountResult, EngineConfig, ExecutionStats
 from .core.plan import CountingPlan, compile_pattern, plan_key
 from .graph.csr import CSRGraph
 from .patterns.decompose import Decomposition
@@ -228,8 +228,7 @@ class Runtime:
         ``parallel_count`` entry points (which now wrap this method).
         The engine is settled first, from plan data: ``auto`` takes the
         closed form for a 1-/2-vertex core and the frontier matcher
-        otherwise (the per-match serial matcher when ``fc_impl !=
-        "poly"``); ``specialized`` requires the closed form and raises
+        otherwise; ``specialized`` requires the closed form and raises
         ``ValueError`` for a core of three or more vertices; ``general``
         is the serial oracle and ``frontier`` the frontier matcher.
         ``parallel`` then decides whether *matcher* work runs on the
@@ -239,7 +238,7 @@ class Runtime:
         call with an explicit ``decomposition`` compiles a fresh plan and
         bypasses the cache — the cache key cannot see the core choice.
         """
-        if engine not in ("auto", "general", "specialized", "frontier"):
+        if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
         if self.observer is not None:
             with self.observer:
@@ -324,7 +323,7 @@ class Runtime:
 
         # engine first: a closed form runs here, on the calling thread, and
         # only matcher work ever reaches the worker pool
-        route = _resolve_route(engine, plan, cfg, start_vertices)
+        route = _resolve_route(engine, plan, start_vertices)
         if route in _CLOSED_FORMS:
             special = plan.specialized_engine()
             with obs.span("execute", backend=special.name):
@@ -341,9 +340,7 @@ class Runtime:
             )
 
         # substrate second
-        backend = select_backend(
-            cfg, parallel, engine="frontier" if route == "frontier" else "general"
-        )
+        backend = select_backend(parallel, route)
         t0 = time.perf_counter()
         with obs.span("execute", backend=backend.name):
             partial = backend.run(plan, graph, start_vertices=start_vertices)
@@ -408,10 +405,7 @@ _CLOSED_FORMS = ("vertex-core", "edge-core")
 
 
 def _resolve_route(
-    engine: str,
-    plan: CountingPlan,
-    cfg: EngineConfig,
-    start_vertices: Sequence[int] | None,
+    engine: str, plan: CountingPlan, start_vertices: Sequence[int] | None
 ) -> str:
     """The concrete route of one count, decided from plan data alone.
 
@@ -425,17 +419,12 @@ def _resolve_route(
         return "frontier"
     if engine == "general":
         return "serial"
+    if start_vertices is not None:
+        return "frontier"
     kind = plan.specialized_kind
-    if start_vertices is None:
-        if engine == "specialized":
-            if kind is None:
-                raise ValueError(
-                    f"no specialized engine for a {plan.decomp.num_core}-vertex core"
-                )
-            return kind
-        if cfg.specialized and kind is not None:
-            return kind
-    return "frontier" if cfg.fc_impl == "poly" else "serial"
+    if engine == "specialized" and kind is None:
+        raise ValueError(f"no specialized engine for a {plan.decomp.num_core}-vertex core")
+    return kind or "frontier"
 
 
 def _engine_label(
@@ -458,7 +447,7 @@ def _engine_label(
     elif route == "frontier":
         label = f"fringe-frontier(max_rows={cfg.max_frontier_rows})"
     else:
-        label = f"fringe-general({cfg.venn_impl},{cfg.fc_impl})"
+        label = "fringe-general"
     return label if parallel is None else f"{label} in-process(x1)"
 
 

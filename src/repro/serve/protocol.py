@@ -18,7 +18,7 @@ all measure remaining budget through it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 __all__ = [
@@ -118,9 +118,6 @@ class Deadline:
 # ----------------------------------------------------------------------
 # requests
 # ----------------------------------------------------------------------
-_ENGINES = ("auto", "general", "specialized", "frontier")
-
-
 @dataclass(frozen=True)
 class CountRequest:
     """One counting query: which graph, which pattern, how to run it.
@@ -141,7 +138,9 @@ class CountRequest:
     config: Mapping[str, Any] | None = None  # EngineConfig overrides
 
     def __post_init__(self):
-        if self.engine not in _ENGINES:
+        from ..core.engine import ENGINES
+
+        if self.engine not in ENGINES:
             raise ServeError(BAD_REQUEST, f"unknown engine {self.engine!r}")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ServeError(BAD_REQUEST, "timeout_s must be positive")
@@ -188,15 +187,7 @@ class CountRequest:
         from ..core.engine import EngineConfig
 
         overrides = dict(self.config or {})
-        allowed = {
-            "venn_impl",
-            "fc_impl",
-            "batch_size",
-            "symmetry_breaking",
-            "specialized",
-            "max_frontier_rows",
-        }
-        unknown = set(overrides) - allowed
+        unknown = set(overrides) - {f.name for f in fields(EngineConfig)}
         if unknown:
             raise ServeError(BAD_REQUEST, f"unknown config keys: {sorted(unknown)}")
         try:

@@ -6,7 +6,7 @@ import pytest
 
 from repro import EngineConfig, compile_pattern, count_subgraphs
 from repro.baselines.vf2 import count_vf2
-from repro.core.backends import select_backend
+from repro.core.backends import FrontierBackend
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.patterns import catalog
@@ -47,23 +47,23 @@ class TestPaperExamples:
 
 class TestEngines:
     @pytest.mark.parametrize(
-        "cfg",
+        "engine,cfg",
         [
-            EngineConfig(fc_impl="recursive", venn_impl="hash"),
-            EngineConfig(fc_impl="recursive", venn_impl="merge"),
-            EngineConfig(fc_impl="iterative", venn_impl="sorted"),
-            EngineConfig(fc_impl="poly"),
-            EngineConfig(fc_impl="poly", batch_size=2),
-            EngineConfig(symmetry_breaking=False, fc_impl="recursive", venn_impl="hash"),
+            # the oracle: per-match venn_merge + recursive fc (Listing 5)
+            ("general", EngineConfig()),
+            # the compiled fringe polynomial over frontier blocks
+            ("frontier", EngineConfig()),
+            ("frontier", EngineConfig(batch_size=2)),
+            ("general", EngineConfig(symmetry_breaking=False)),
         ],
-        ids=["rec-hash", "rec-merge", "iter-sorted", "poly", "poly-b2", "no-sb"],
+        ids=["rec-merge", "poly", "poly-b2", "no-sb"],
     )
-    def test_all_configs_match_vf2(self, small_graphs, cfg):
+    def test_all_configs_match_vf2(self, small_graphs, engine, cfg):
         pats = [catalog.paw(), catalog.diamond(), catalog.four_cycle(), catalog.star(3)]
         for pat in pats:
             for g in small_graphs[:4]:
                 expect = count_vf2(g, pat)
-                assert count_subgraphs(g, pat, engine="general", config=cfg).count == expect
+                assert count_subgraphs(g, pat, engine=engine, config=cfg).count == expect
 
     def test_specialized_vs_general(self, small_graphs):
         pats = [
@@ -94,11 +94,16 @@ class TestEngines:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            EngineConfig(venn_impl="quantum")
-        with pytest.raises(ValueError):
-            EngineConfig(fc_impl="magic")
-        with pytest.raises(ValueError):
             EngineConfig(batch_size=0)
+        with pytest.raises(ValueError):
+            EngineConfig(max_frontier_rows=-1)
+        for bad in ({"batch_size": 2.5}, {"batch_size": True},
+                    {"max_frontier_rows": "8"}, {"symmetry_breaking": "no"},
+                    {"symmetry_breaking": 1}):
+            with pytest.raises(TypeError):
+                EngineConfig(**bad)
+        with pytest.raises(TypeError):
+            EngineConfig(specialized=False)  # the route is picked by `engine`
 
 
 class TestCoreInvariance:
@@ -122,7 +127,7 @@ class TestCoreInvariance:
 class TestCompiledPlan:
     def test_reuse_across_graphs(self, small_graphs):
         plan = compile_pattern(catalog.diamond())
-        backend = select_backend(plan.config)
+        backend = FrontierBackend()
         for g in small_graphs:
             assert plan.normalize(backend.run(plan, g).sigma) == count_vf2(g, catalog.diamond())
 
@@ -142,7 +147,7 @@ class TestCountResult:
         assert res.count == 10
         assert res.core_matches > 0
         assert res.elapsed_s >= 0
-        assert "fringe-general" in res.engine
+        assert res.engine == "fringe-general"
         assert res.decomposition is not None
 
     def test_throughput(self, k5):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import EngineConfig, compile_pattern, count_subgraphs, get_runtime
-from repro.core.backends import FrontierBackend, select_backend
+from repro.core.backends import FrontierBackend
 from repro.core.engine import injective_core_sum
 from repro.graph import generators as gen
 from repro.patterns import catalog
@@ -20,7 +20,7 @@ class TestStartVertices:
         """Splitting the root space through `start_vertices` partitions
         the core-sum exactly (the parallel layer's foundation)."""
         plan = compile_pattern(catalog.paw())
-        backend = select_backend(plan.config)
+        backend = FrontierBackend()
         whole = backend.run(plan, graph).sigma
         n = graph.num_vertices
         parts = [range(0, n // 3), range(n // 3, 2 * n // 3), range(2 * n // 3, n)]
@@ -29,7 +29,7 @@ class TestStartVertices:
 
     def test_empty_start_vertices(self, graph):
         plan = compile_pattern(catalog.paw())
-        partial = select_backend(plan.config).run(plan, graph, start_vertices=[])
+        partial = FrontierBackend().run(plan, graph, start_vertices=[])
         assert partial.sigma == 0 and partial.matches == 0
 
     def test_count_with_start_vertices(self, graph):
@@ -69,9 +69,9 @@ class TestResultMetadata:
         assert res.elapsed_s > 0
 
     def test_specialized_flag_off_uses_general(self, graph):
-        cfg = EngineConfig(specialized=False)
-        res = count_subgraphs(graph, catalog.diamond(), config=cfg)
-        # no closed form: the vectorized general matcher (frontier) runs
+        # the closed form is switched off by the engine argument alone:
+        # the vectorized general matcher (frontier) runs
+        res = count_subgraphs(graph, catalog.diamond(), engine="frontier")
         assert "specialized" not in res.engine
         assert res.stats.backend == "frontier"
         assert res.count == count_subgraphs(graph, catalog.diamond()).count
@@ -81,7 +81,16 @@ class TestConfigHashabilityAndDefaults:
     def test_frozen(self):
         cfg = EngineConfig()
         with pytest.raises(Exception):
-            cfg.venn_impl = "hash"  # frozen dataclass
+            cfg.batch_size = 1  # frozen dataclass
 
-    def test_default_is_poly(self):
-        assert EngineConfig().fc_impl == "poly"
+    def test_default_is_poly(self, graph):
+        # the default route on a 3+-vertex core evaluates the compiled
+        # fringe polynomial over frontier blocks
+        res = count_subgraphs(graph, catalog.four_cycle())
+        assert res.stats.backend == "frontier" and res.stats.batches_flushed >= 1
+
+    def test_config_fields(self):
+        from dataclasses import fields
+
+        names = [f.name for f in fields(EngineConfig)]
+        assert names == ["symmetry_breaking", "batch_size", "max_frontier_rows"]

@@ -1,11 +1,12 @@
-"""Tests for the fc function (Listing 5), recursive and iterative."""
+"""Tests for the fc function (Listing 5) and the compiled polynomial."""
 
 import math
 import random
 
 import pytest
 
-from repro.core.fringe_count import count_fringe_choices, fc_iterative, fc_recursive
+from repro.core.fringe_count import count_fringe_choices, fc_recursive
+from repro.core.fringe_poly import compile_fringe_polynomial
 
 
 def brute_force_fringe_choices(venn, anch, k, q):
@@ -39,7 +40,7 @@ def brute_force_fringe_choices(venn, anch, k, q):
 
 
 class TestAgainstBruteForce:
-    @pytest.mark.parametrize("impl", ["recursive", "iterative"])
+    @pytest.mark.parametrize("impl", ["recursive", "poly"])
     def test_random_small_cases(self, impl):
         rng = random.Random(7)
         for _ in range(40):
@@ -50,7 +51,10 @@ class TestAgainstBruteForce:
             k = [rng.randint(1, 2) for _ in range(s)]
             venn = [0] + [rng.randint(0, 3) for _ in range(full)]
             expect = brute_force_fringe_choices(venn, anch, k, q)
-            got = count_fringe_choices(venn, anch, k, q, impl=impl)
+            if impl == "recursive":
+                got = count_fringe_choices(venn, anch, k, q)
+            else:
+                got = compile_fringe_polynomial(anch, k, q).evaluate(venn)
             assert got == expect, (anch, k, venn)
 
 
@@ -77,15 +81,13 @@ class TestKnownValues:
     def test_insufficient_supply_zero(self):
         venn = [0, 1, 0, 0]
         assert fc_recursive(list(venn), [0b11], [1], 2) == 0
-        assert fc_iterative(list(venn), [0b11], [1], 2) == 0
 
     def test_no_fringe_types(self):
         assert fc_recursive([0, 3], (), (), 1) == 1
-        assert fc_iterative([0, 3], (), (), 1) == 1
 
 
 class TestVennRestoration:
-    @pytest.mark.parametrize("impl", [fc_recursive, fc_iterative])
+    @pytest.mark.parametrize("impl", [fc_recursive, count_fringe_choices])
     def test_venn_unchanged_after_call(self, impl):
         venn = [0, 4, 2, 3, 1, 2, 0, 5]
         snapshot = list(venn)
@@ -96,35 +98,3 @@ class TestVennRestoration:
         venn = (0, 3, 3, 3)
         assert count_fringe_choices(venn, [1], [2], 2) > 0  # tuple accepted
 
-    def test_wrapper_rejects_unknown_impl(self):
-        with pytest.raises(ValueError):
-            count_fringe_choices([0, 1], [1], [1], 1, impl="quantum")
-
-
-class TestEquivalence:
-    def test_recursive_equals_iterative_random(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            # q <= 3 keeps the summation nest small: fc's cost grows with
-            # the number of covering Venn regions (the paper's own
-            # per-match cost), which explodes at q = 4 with many types
-            q = rng.randint(1, 3)
-            full = (1 << q) - 1
-            s = rng.randint(1, min(4, full))
-            anch = sorted(rng.sample(range(1, full + 1), s))
-            k = [rng.randint(1, 4) for _ in range(s)]
-            venn = [0] + [rng.randint(0, 9) for _ in range(full)]
-            a = fc_recursive(list(venn), anch, k, q)
-            b = fc_iterative(list(venn), anch, k, q)
-            assert a == b
-
-    def test_recursive_equals_iterative_q4(self):
-        rng = random.Random(14)
-        for _ in range(20):
-            full = 15
-            anch = sorted(rng.sample(range(1, 16), 2))
-            k = [rng.randint(1, 2) for _ in range(2)]
-            venn = [0] + [rng.randint(0, 5) for _ in range(full)]
-            assert fc_recursive(list(venn), anch, k, 4) == fc_iterative(
-                list(venn), anch, k, 4
-            )

@@ -29,13 +29,12 @@ class TestGrouping:
         with pytest.raises(ValueError):
             MultiPatternCounter({})
 
-    def test_per_match_fc_impl_keeps_the_other_fields(self, graph):
+    def test_config_fields_are_kept(self, graph):
         from repro.core.engine import EngineConfig
 
-        cfg = EngineConfig(fc_impl="iterative", batch_size=333, max_frontier_rows=4321)
+        cfg = EngineConfig(batch_size=333, max_frontier_rows=4321)
         fam = {"4-cycle": catalog.four_cycle(), "fig4": catalog.fig4_pattern()}
         mpc = MultiPatternCounter(fam, config=cfg)
-        assert mpc.config.fc_impl == "poly"
         assert mpc.config.batch_size == 333
         assert mpc.config.max_frontier_rows == 4321
         results = mpc.count_all(graph)

@@ -26,7 +26,6 @@ from repro import Observer, Runtime, compile_pattern, count_subgraphs
 from repro import obs
 from repro import runtime as runtime_mod
 from repro.core.backends import FrontierBackend, PoolBackend, SerialBackend
-from repro.core.engine import EngineConfig
 from repro.graph import generators as gen
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -303,9 +302,8 @@ class TestStatsPropagation:
     @pytest.fixture(scope="class")
     def partials(self, kron_mid):
         plan = compile_pattern(catalog.paw())
-        serial_plan = compile_pattern(catalog.paw(), EngineConfig(fc_impl="iterative"))
         return {
-            "serial": SerialBackend().run(serial_plan, kron_mid),
+            "serial": SerialBackend().run(plan, kron_mid),
             "frontier": FrontierBackend().run(plan, kron_mid),
             "process": PoolBackend(
                 num_workers=2, schedule="dynamic", chunk_size=16
@@ -325,14 +323,13 @@ class TestStatsPropagation:
     def test_runtime_stats_consistent_across_backends(self, kron_mid):
         expect = count_subgraphs(kron_mid, catalog.paw()).count
         rt = Runtime()
-        for cfg, parallel in [
-            (EngineConfig(fc_impl="iterative"), None),
-            (EngineConfig(fc_impl="poly"), None),
-            (EngineConfig(fc_impl="poly"), ParallelConfig(num_workers=2, chunk_size=16)),
+        for engine, parallel in [
+            ("general", None),
+            ("frontier", None),
+            ("general", ParallelConfig(num_workers=2, chunk_size=16)),
+            ("frontier", ParallelConfig(num_workers=2, chunk_size=16)),
         ]:
-            res = rt.count(
-                kron_mid, catalog.paw(), engine="general", config=cfg, parallel=parallel
-            )
+            res = rt.count(kron_mid, catalog.paw(), engine=engine, parallel=parallel)
             assert res.count == expect
             assert res.stats.venn_fc_s > 0.0
             assert res.core_matches > 0
@@ -371,6 +368,22 @@ class TestStatsPropagation:
             if name == "repro_worker_busy_seconds"
         ]
         assert len(workers) >= 2
+
+    def test_pool_busy_time_has_one_series_per_pid(self, kron_mid):
+        ob = Observer(trace=False)
+        res = Runtime(observer=ob).count(
+            kron_mid,
+            catalog.paw(),
+            engine="frontier",
+            parallel=ParallelConfig(num_workers=2, chunk_size=16),
+        )
+        assert res.stats.workers >= 2
+        series = [(name, labels) for name, labels, _ in ob.metrics.collect()]
+        pids = {labels["worker"] for name, labels in series if name == "repro_worker_busy_seconds"}
+        assert len(pids) == res.stats.workers
+        assert all(pid.isdigit() and int(pid) > 0 for pid in pids)
+        # the pool's per-slot copy of the same elapsed time is gone
+        assert not [name for name, _ in series if name == "repro_pool_worker_busy_seconds"]
 
     def test_execution_stats_report_worker_count(self, kron_mid):
         rt = Runtime()

@@ -89,43 +89,37 @@ class TestSelectBackend:
             SerialBackend,
             select_backend,
         )
-        from repro.core.engine import EngineConfig
 
         fork = ParallelConfig(num_workers=2, mp_context="fork")
-        be = select_backend(EngineConfig(), fork)
+        be = select_backend(fork)
         assert isinstance(be, PoolBackend)
         assert be.mp_context == "fork"
         assert isinstance(be.inner, FrontierBackend)
-        # a per-match fc_impl or the general engine selects the serial oracle
-        be = select_backend(EngineConfig(fc_impl="recursive"), fork)
+        # the serial route (engine="general") selects the oracle
+        be = select_backend(fork, "serial")
         assert isinstance(be.inner, SerialBackend)
-        be = select_backend(EngineConfig(), fork, engine="general")
-        assert isinstance(be.inner, SerialBackend)
+        with pytest.raises(ValueError, match="unknown matcher route"):
+            select_backend(fork, "general")
 
     def test_frontier_inner_forwarded(self):
         from repro.core.backends import FrontierBackend, PoolBackend, select_backend
-        from repro.core.engine import EngineConfig
 
-        be = select_backend(
-            EngineConfig(fc_impl="iterative"), ParallelConfig(num_workers=2), engine="frontier"
-        )
+        be = select_backend(ParallelConfig(num_workers=2), "frontier")
         assert isinstance(be, PoolBackend)
         assert isinstance(be.inner, FrontierBackend)
 
     def test_persistent_pool_selected(self):
         from repro.core.backends import FrontierBackend, PoolBackend, select_backend
-        from repro.core.engine import EngineConfig
 
-        be = select_backend(EngineConfig(), ParallelConfig(num_workers=2))
+        be = select_backend(ParallelConfig(num_workers=2))
         assert isinstance(be, PoolBackend)
         assert isinstance(be.inner, FrontierBackend)
         assert be.mp_context == "spawn"
 
     def test_single_worker_returns_inner(self):
         from repro.core.backends import FrontierBackend, select_backend
-        from repro.core.engine import EngineConfig
 
-        be = select_backend(EngineConfig(), ParallelConfig(num_workers=1))
+        be = select_backend(ParallelConfig(num_workers=1))
         assert isinstance(be, FrontierBackend)
 
 

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import count_subgraphs
 from repro.baselines.vf2 import count_vf2
-from repro.core.fringe_count import fc_iterative, fc_recursive
+from repro.core.fringe_count import count_fringe_choices, fc_recursive
 from repro.core.fringe_poly import compile_fringe_polynomial
 from repro.core.venn import venn_hash, venn_merge, venn_sorted
 from repro.graph.csr import CSRGraph
@@ -101,7 +101,7 @@ class TestVennProperties:
 class TestFringeCountProperties:
     @SETTINGS
     @given(st.data())
-    def test_fc_impls_and_polynomial_agree(self, data):
+    def test_fc_and_polynomial_agree(self, data):
         q = data.draw(st.integers(min_value=1, max_value=3))
         full = (1 << q) - 1
         s = data.draw(st.integers(min_value=1, max_value=min(3, full)))
@@ -115,7 +115,7 @@ class TestFringeCountProperties:
             st.lists(st.integers(0, 7), min_size=full, max_size=full)
         )
         a = fc_recursive(list(venn), anch, k, q)
-        b = fc_iterative(list(venn), anch, k, q)
+        b = count_fringe_choices(venn, anch, k, q)
         poly = compile_fringe_polynomial(anch, k, q)
         c = poly.evaluate(venn)
         d = poly.evaluate_batch(np.asarray([venn], dtype=np.int64))

@@ -84,9 +84,9 @@ class TestPlanCache:
         rt = Runtime()
         pat = catalog.diamond()
         p1, _, _ = rt.plan_for(pat, EngineConfig())
-        p2, hit, _ = rt.plan_for(pat, EngineConfig(venn_impl="hash"))
+        p2, hit, _ = rt.plan_for(pat, EngineConfig(batch_size=512))
         assert not hit and p1 is not p2
-        assert plan_key(pat, EngineConfig()) != plan_key(pat, EngineConfig(venn_impl="hash"))
+        assert plan_key(pat, EngineConfig()) != plan_key(pat, EngineConfig(batch_size=512))
 
     def test_lru_eviction(self):
         rt = Runtime(max_plans=2)
@@ -239,11 +239,9 @@ class TestNormalizationAndStats:
         assert s.match_s + s.venn_fc_s <= s.execute_s
 
     @pytest.mark.parametrize("engine", ["frontier", "general"])
-    @pytest.mark.parametrize("fc_impl", ["poly", "iterative"])
-    def test_match_time_is_measured(self, kron, engine, fc_impl):
-        cfg = EngineConfig(fc_impl=fc_impl)
+    def test_match_time_is_measured(self, kron, engine):
         for pattern in (catalog.diamond(), catalog.four_cycle()):
-            s = Runtime().count(kron, pattern, engine=engine, config=cfg).stats
+            s = Runtime().count(kron, pattern, engine=engine).stats
             assert s.match_s > 0.0 and s.venn_fc_s > 0.0
             assert s.match_s + s.venn_fc_s <= s.execute_s
 
@@ -275,7 +273,7 @@ ROUTE_PARALLEL = {
     "fork": ParallelConfig(num_workers=2, chunk_size=16, mp_context="fork"),
     "persistent": ParallelConfig(num_workers=2, chunk_size=16),
 }
-ORACLE = EngineConfig(fc_impl="iterative", specialized=False)
+ORACLE = EngineConfig()
 
 
 def expected_route(engine: str, core: int) -> str | None:
@@ -403,8 +401,6 @@ class TestCLI:
                     "--engine", "general",
                     "--workers", "2",
                     "--schedule", "strided",
-                    "--venn-impl", "hash",
-                    "--fc-impl", "iterative",
                     "--batch-size", "512",
                     "--stats",
                 ]

@@ -94,6 +94,32 @@ class TestBasics:
         assert isinstance(missing, ErrorResponse) and missing.code == "unknown_graph"
         assert isinstance(bad, ErrorResponse) and bad.code == "bad_pattern"
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"batch_size": 2.5},
+            {"symmetry_breaking": "no"},
+            {"max_frontier_rows": True},
+            {"engine": "general"},  # the route is the request's own `engine`
+            {"specialized": False},
+        ],
+    )
+    def test_bad_config_is_bad_request(self, config):
+        async def scenario():
+            registry = GraphRegistry()
+            registry.register("g", make_graph())
+            service = await started_service(registry)
+            try:
+                request = CountRequest.from_json(
+                    {"graph": "g", "pattern": "4-cycle", "config": config}
+                )
+                return await service.submit(request)
+            finally:
+                await service.stop()
+
+        response = run(scenario())
+        assert isinstance(response, ErrorResponse) and response.code == "bad_request"
+
     def test_submit_before_start_raises(self):
         registry = GraphRegistry()
         service = CountingService(registry)

@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import Runtime
 from repro.core import FrontierBackend, compile_pattern
 from repro.core import backends
-from repro.core.engine import EngineConfig
 from repro.core import venn as venn_mod
 from repro.core.venn import build_pair_index, pair_index, venn_batch, venn_sets
 from repro.graph import datasets, generators as gen
@@ -205,10 +204,9 @@ def test_over_budget_falls_back_to_venn_batch(monkeypatch):
     # and a whole count over the fallback still matches the per-match oracle
     pattern = catalog.diamond()
     rt = Runtime()
-    oracle = EngineConfig(fc_impl="iterative")
     assert (
         rt.count(g, pattern, engine="frontier").count
-        == rt.count(g, pattern, engine="general", config=oracle).count
+        == rt.count(g, pattern, engine="general").count
     )
 
 
@@ -274,5 +272,5 @@ def test_one_count_builds_one_index_and_the_next_none():
         second = rt.count(g, pattern, engine="frontier")
     assert ob2.metrics.counter("repro_venn_index_builds_total").value == 0
     assert not [s for s in ob2.tracer.spans if s.name == "venn.index_build"]
-    oracle = rt.count(g, pattern, engine="general", config=EngineConfig(fc_impl="iterative"))
+    oracle = rt.count(g, pattern, engine="general")
     assert first.count == second.count == oracle.count
