@@ -9,8 +9,8 @@ library with bit-identical results:
 2. **Graphs bigger than one device** — the paper's §3.6 multi-GPU plan:
    partition with ghost regions as wide as the pattern core's diameter
    (+1 for fringes), count partitions independently, reduce once;
-3. **Multicore CPUs** — the persistent worker pool over start-vertex
-   chunks with static/strided/dynamic schedules.
+3. **Multicore CPUs** — the persistent worker pool over interleaved
+   start-vertex chunks, served by work stealing.
 
 Run:  python examples/scale_out.py
 """
@@ -62,7 +62,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. multiprocess counting
     # ------------------------------------------------------------------
-    print("\nmultiprocess counting (dynamic schedule):")
+    print("\nmultiprocess counting (worker pool):")
     for workers in (1, 2, 4):
         res = parallel_count(
             graph, pattern, parallel=ParallelConfig(num_workers=workers)

@@ -11,14 +11,14 @@ Commands
         python -m repro count --dataset internet --pattern fig4 --engine general
 
     Engine knobs and the parallel path are reachable without writing
-    Python: ``--workers N --schedule strided`` runs matcher work on the
-    persistent worker pool (closed forms stay in-process),
+    Python: ``--workers N`` runs matcher work on the persistent worker
+    pool (closed forms stay in-process),
     ``--batch-size/--max-frontier-rows`` size the frontier engine's work, and
     ``--stats`` prints the runtime's per-stage breakdown
     (compile vs. match vs. venn/fc time, plan-cache hits/misses)::
 
         python -m repro count --dataset internet --pattern 4-cycle \
-            --workers 8 --schedule dynamic --stats
+            --workers 8 --stats
 
     Observability (``repro.obs``): ``--trace FILE`` writes a JSONL span
     trace of the run (compile → execute → per-batch venn/fc),
@@ -71,7 +71,6 @@ import time
 from .core.engine import ENGINES, EngineConfig
 from .graph import datasets
 from .graph.io import load_graph
-from .parallel.schedule import SCHEDULES
 from .patterns.decompose import decompose
 from .patterns.dsl import parse_pattern, pattern_names
 
@@ -140,7 +139,6 @@ def _cmd_count(args) -> int:
     from contextlib import nullcontext
 
     from . import obs
-    from .parallel.pool import ParallelConfig
     from .runtime import get_runtime
 
     graph, gname = _load_graph(args)
@@ -149,11 +147,11 @@ def _cmd_count(args) -> int:
         batch_size=args.batch_size,
         max_frontier_rows=args.max_frontier_rows,
     )
-    parallel = (
-        ParallelConfig(num_workers=args.workers, schedule=args.schedule)
-        if args.workers > 1
-        else None
-    )
+    parallel = None
+    if args.workers > 1:
+        from .parallel.pool import ParallelConfig
+
+        parallel = ParallelConfig(num_workers=args.workers)
     observer = (
         obs.Observer(trace=bool(args.trace), metrics=bool(args.metrics or args.prom))
         if (args.trace or args.metrics or args.prom)
@@ -370,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (>1 runs matcher work on the "
                         "persistent shared-memory worker pool)")
-    p.add_argument("--schedule", default="dynamic", choices=list(SCHEDULES),
-                   help="work-distribution strategy for --workers > 1")
     p.add_argument("--batch-size", type=int, default=4096,
                    help="rows per vectorized Venn + polynomial chunk")
     p.add_argument("--max-frontier-rows", type=int, default=1 << 20,

@@ -12,7 +12,6 @@ from .backends import (
     PartialSum,
     PoolBackend,
     SerialBackend,
-    record_worker_metrics,
     select_backend,
 )
 from .frontier import (
@@ -47,7 +46,6 @@ __all__ = [
     "PartialSum",
     "PoolBackend",
     "SerialBackend",
-    "record_worker_metrics",
     "select_backend",
     "CountingPlan",
     "compile_pattern",

@@ -21,9 +21,9 @@ Three backends mirror the paper's execution models:
 * :class:`PoolBackend` — the worker substrate: the *persistent* pool
   (:mod:`repro.parallel.workerpool`), workers started once and reused
   across calls, the graph resident in named shared memory
-  (:mod:`repro.parallel.shm`), start-vertex chunks served by split-half
-  work stealing, each worker running an inner backend. Selected by any
-  ``ParallelConfig`` with more than one worker.
+  (:mod:`repro.parallel.shm`), interleaved start-vertex chunks served
+  by split-half work stealing, each worker running an inner backend.
+  Selected by any ``ParallelConfig`` with more than one worker.
 
 This is the seam the GraphBLAS-style multi-backend papers advocate: one
 logical algorithm, several execution substrates, all interchangeable and
@@ -56,7 +56,6 @@ __all__ = [
     "SerialBackend",
     "FrontierBackend",
     "PoolBackend",
-    "record_worker_metrics",
     "select_backend",
     "venn_poly_sums",
 ]
@@ -93,8 +92,8 @@ class PartialSum:
     timed directly by the backend; ``batches`` counts vectorized batch
     flushes. ``workers`` carries per-worker :class:`WorkerDelta` records
     out of the worker pool (empty for in-process execution); their fields
-    sum to this object's totals. Partial sums add, so reductions are one
-    ``sum()``.
+    sum to this object's totals. Partial sums add: a reduction starts
+    from ``PartialSum()`` and adds each part with ``+=``.
     """
 
     sigma: int = 0
@@ -113,8 +112,6 @@ class PartialSum:
             batches=self.batches + other.batches,
             workers=self.workers + other.workers,
         )
-
-    __radd__ = __add__
 
 
 @runtime_checkable
@@ -325,43 +322,15 @@ class FrontierBackend:
         return sums, partial
 
 
-def record_worker_metrics(total: PartialSum) -> None:
-    """Merge worker deltas into the active registry at reduction.
-
-    Per-pid busy time becomes a labeled gauge series (the Prometheus
-    per-worker view) plus a busy-time histogram, and the makespan /
-    mean-busy ratio becomes the load-imbalance gauge the paper's
-    dynamic-schedule discussion is about (1.0 = perfectly balanced).
-    The persistent pool calls it on the :class:`WorkerDelta` records it
-    reduces off ``PartialSum.workers``.
-    """
-    registry = obs.active_metrics()
-    if registry is None or not total.workers:
-        return
-    busy: dict[int, float] = {}
-    for w in total.workers:
-        busy[w.pid] = busy.get(w.pid, 0.0) + w.elapsed_s
-        if w.metrics:
-            registry.merge(w.metrics)
-    for pid, seconds in sorted(busy.items()):
-        registry.gauge("repro_worker_busy_seconds", worker=str(pid)).set(seconds)
-        registry.histogram("repro_worker_elapsed_seconds").observe(seconds)
-    mean = sum(busy.values()) / len(busy)
-    imbalance = max(busy.values()) / mean if mean > 0 else 1.0
-    registry.gauge("repro_worker_load_imbalance").set(imbalance)
-    registry.gauge("repro_workers").set(len(busy))
-
-
 class PoolBackend:
     """Persistent-pool distribution over an inner backend.
 
     Work goes to the process-wide
-    :class:`repro.parallel.workerpool.WorkerPool` — workers started once
-    (``mp_context`` picks the start method, ``"spawn"`` by default), the
-    CSR graph resident in named shared memory (zero-copy via
-    :mod:`repro.parallel.shm`), start-vertex chunks served by split-half
-    work stealing. One worker, a graph no bigger than one chunk, or a
-    pre-sliced call runs the inner backend in-process.
+    :class:`repro.parallel.workerpool.WorkerPool` — spawn workers started
+    once, the CSR graph resident in named shared memory (zero-copy via
+    :mod:`repro.parallel.shm`), interleaved start-vertex chunks served by
+    split-half work stealing. One worker, a graph no bigger than one
+    chunk, or a pre-sliced call runs the inner backend in-process.
     """
 
     name = "pool"
@@ -369,16 +338,12 @@ class PoolBackend:
     def __init__(
         self,
         num_workers: int,
-        schedule: str = "dynamic",
         chunk_size: int = 256,
         inner: Backend | None = None,
-        mp_context: str = "spawn",
     ):
         self.num_workers = num_workers
-        self.schedule = schedule
         self.chunk_size = chunk_size
         self.inner = inner
-        self.mp_context = mp_context
 
     def run(
         self,
@@ -394,10 +359,8 @@ class PoolBackend:
             return inner.run(plan, graph, start_vertices=start_vertices)
         if self.num_workers <= 1 or graph.num_vertices <= self.chunk_size:
             return inner.run(plan, graph, start_vertices=None)
-        pool = get_default_pool(self.num_workers, mp_context=self.mp_context)
-        return pool.count(
-            plan, graph, schedule=self.schedule, chunk_size=self.chunk_size, inner=inner
-        )
+        pool = get_default_pool(self.num_workers)
+        return pool.count(plan, graph, chunk_size=self.chunk_size, inner=inner)
 
 
 def select_backend(parallel=None, route: str = "frontier") -> Backend:
@@ -414,10 +377,6 @@ def select_backend(parallel=None, route: str = "frontier") -> Backend:
     inner: Backend = SerialBackend() if route == "serial" else FrontierBackend()
     if parallel is not None and parallel.num_workers > 1:
         return PoolBackend(
-            num_workers=parallel.num_workers,
-            schedule=parallel.schedule,
-            chunk_size=parallel.chunk_size,
-            inner=inner,
-            mp_context=parallel.mp_context,
+            num_workers=parallel.num_workers, chunk_size=parallel.chunk_size, inner=inner
         )
     return inner

@@ -23,50 +23,35 @@ import os
 from ..core.engine import CountResult, EngineConfig
 from ..graph.csr import CSRGraph
 from ..patterns.pattern import Pattern
-from .schedule import SCHEDULES
 
 __all__ = ["parallel_count", "ParallelConfig"]
 
 
 class ParallelConfig:
-    """Worker count, schedule, and start method for parallel counts.
+    """Worker count and chunk size for parallel counts.
 
     More than one worker sends matcher work to the resident
-    :class:`~repro.parallel.workerpool.WorkerPool` — started once,
-    reused across calls, graph shared through named shared memory, work
-    stealing between workers. ``mp_context`` selects the pool's start
-    method (``"spawn"``, ``"fork"`` or ``"forkserver"``).
+    :class:`~repro.parallel.workerpool.WorkerPool` — spawn workers
+    started once, reused across calls, graph shared through named shared
+    memory, interleaved ``chunk_size``-root chunks served by work
+    stealing.
 
-    Validates eagerly: a bad worker count, schedule name, or chunk size
-    raises here, at construction, instead of failing deep inside
-    ``make_chunks`` mid-run.
+    Validates eagerly: a bad worker count or chunk size raises here, at
+    construction, instead of failing deep inside a pool call.
     """
 
-    def __init__(
-        self,
-        num_workers: int | None = None,
-        schedule: str = "dynamic",
-        chunk_size: int = 256,
-        mp_context: str = "spawn",
-    ):
+    def __init__(self, num_workers: int | None = None, chunk_size: int = 256):
         if num_workers is not None and num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {schedule!r}; use {'|'.join(SCHEDULES)}"
-            )
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.num_workers = num_workers or max(1, (os.cpu_count() or 2) - 1)
-        self.schedule = schedule
         self.chunk_size = chunk_size
-        self.mp_context = mp_context
 
     def __repr__(self) -> str:
         return (
             f"ParallelConfig(num_workers={self.num_workers}, "
-            f"schedule={self.schedule!r}, chunk_size={self.chunk_size}, "
-            f"mp_context={self.mp_context!r})"
+            f"chunk_size={self.chunk_size})"
         )
 
 

@@ -6,10 +6,15 @@ so no launch cost is paid per query and no straggler holds the tail.
 Here the residents are OS processes (spawn context — no fork
 assumptions, true multi-core under the GIL), the graph reaches them
 zero-copy through :mod:`repro.parallel.shm`, and work distribution is a
-split-half stealing protocol over start-vertex chunk spans:
+split-half stealing protocol over interleaved start-vertex chunks:
 
-* each call partitions the chunk index space into one contiguous span
-  per worker, published in a shared ``Array``;
+* a call over ``n`` roots cuts ``k = ceil(n / chunk_size)`` chunks, and
+  chunk ``c`` holds the roots ``c, c+k, c+2k, …`` (:func:`chunk_roots`).
+  Degree-ordered ids put the hubs at low ids, so interleaving spreads
+  them over every chunk instead of piling them into chunk 0; the parent
+  computes only ``k`` and each worker builds just the chunk it takes;
+* the chunk index space starts as one contiguous span per worker,
+  published in a shared ``Array``;
 * a worker takes chunks off the *front* of its own span one at a time;
 * a worker whose span is empty picks the victim with the most remaining
   work and steals the *back half* of its span (classic Cilk-style
@@ -23,9 +28,8 @@ split-half stealing protocol over start-vertex chunk spans:
 The pool starts its workers once and reuses them across calls
 (``repro_pool_dispatch_seconds`` measures the per-call overhead that
 remains), detects dead workers and respawns, and shuts itself down after
-``idle_ttl_s`` without traffic. It is the only worker substrate:
-``mp_context`` picks the start method (``"spawn"`` by default;
-``"fork"`` is accepted).
+``idle_ttl_s`` without traffic. It is the only worker substrate, and its
+start method is always ``spawn``.
 
 ``get_default_pool()`` hands out a process-wide pool (the
 :class:`~repro.core.backends.PoolBackend`'s path);
@@ -35,6 +39,7 @@ remains), detects dead workers and respawns, and shuts itself down after
 from __future__ import annotations
 
 import atexit
+import contextlib
 import multiprocessing as mp
 import os
 import queue as queue_mod
@@ -43,9 +48,10 @@ import threading
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .. import obs
 from ..graph.csr import CSRGraph
-from .schedule import make_chunks
 from .shm import attach_graph, default_manager, shm_available
 
 __all__ = [
@@ -58,7 +64,9 @@ __all__ = [
 # Parent-side wait granularity while reducing results: short enough to
 # notice a dead worker promptly, long enough to stay off the CPU.
 _REAP_POLL_S = 0.05
-_START_TIMEOUT_S = 60.0
+# re-runs of a call whose worker died mid-call (each after a full respawn)
+_MAX_RETRIES = 2
+_CTX = mp.get_context("spawn")
 
 
 @dataclass(frozen=True)
@@ -71,15 +79,6 @@ class PoolStats:
     respawns: int = 0
     retries: int = 0
 
-    def __add__(self, other: "PoolStats") -> "PoolStats":
-        return PoolStats(
-            calls=self.calls + other.calls,
-            steals=self.steals + other.steals,
-            stolen_chunks=self.stolen_chunks + other.stolen_chunks,
-            respawns=self.respawns + other.respawns,
-            retries=self.retries + other.retries,
-        )
-
 
 class WorkerDied(RuntimeError):
     """A worker process vanished mid-call (the pool resets and retries)."""
@@ -88,17 +87,28 @@ class WorkerDied(RuntimeError):
 # ----------------------------------------------------------------------
 # worker process body
 # ----------------------------------------------------------------------
-def _take_chunk(spans, wid: int, num_workers: int) -> tuple[int, bool] | None:
+def chunk_roots(c: int, num_chunks: int, num_vertices: int) -> np.ndarray:
+    """Roots of chunk ``c`` of ``num_chunks``: ``c, c+k, c+2k, …``.
+
+    The chunks partition ``0..num_vertices-1`` and their sizes differ by
+    at most one.
+    """
+    return np.arange(c, num_vertices, num_chunks, dtype=np.int64)
+
+
+def _take_chunk(spans, wid: int, num_workers: int) -> tuple[int, int] | None:
     """Next chunk index for worker ``wid``: own span first, else steal.
 
-    Returns ``(chunk_index, was_stolen)`` or ``None`` when every span is
-    drained (the call is complete — no new work ever appears mid-call).
+    Returns ``(chunk_index, moved)``, where ``moved`` is the number of
+    chunks a split-half steal took from the victim (0 off the own span),
+    or ``None`` when every span is drained (the call is complete — no
+    new work ever appears mid-call).
     """
     with spans.get_lock():
         lo, hi = spans[2 * wid], spans[2 * wid + 1]
         if lo < hi:
             spans[2 * wid] = lo + 1
-            return lo, False
+            return lo, 0
         victim, best_rem = -1, 0
         for v in range(num_workers):
             rem = spans[2 * v + 1] - spans[2 * v]
@@ -112,7 +122,7 @@ def _take_chunk(spans, wid: int, num_workers: int) -> tuple[int, bool] | None:
         spans[2 * victim + 1] = mid
         spans[2 * wid] = mid + 1  # thief immediately takes the first chunk
         spans[2 * wid + 1] = vhi
-        return mid, True
+        return mid, vhi - mid
 
 
 def _resolve_graph(graph_spec) -> CSRGraph:
@@ -147,25 +157,23 @@ def _worker_call(wid, num_workers, spans, call_id, payload):
     plan = payload["plan"]
     inner = payload["inner"]
     graph = _resolve_graph(payload["graph"])
-    chunks = make_chunks(
-        payload["num_vertices"], num_workers, payload["schedule"], payload["chunk_size"]
-    )
+    num_chunks, num_vertices = payload["num_chunks"], payload["num_vertices"]
     local = obs.Observer(trace=False) if payload["collect_metrics"] else None
     out = PartialSum()
     done = steals = stolen = 0
     t0 = time.perf_counter()
-    ctx = local if local is not None else _NULL_CTX
-    with ctx:
+    with local if local is not None else contextlib.nullcontext():
         while True:
             nxt = _take_chunk(spans, wid, num_workers)
             if nxt is None:
                 break
-            ci, was_stolen = nxt
-            out += inner.run(plan, graph, start_vertices=chunks[ci])
+            ci, moved = nxt
+            roots = chunk_roots(ci, num_chunks, num_vertices)
+            out += inner.run(plan, graph, start_vertices=roots)
             done += 1
-            if was_stolen:
+            if moved:
                 steals += 1
-                stolen += 1
+                stolen += moved
     elapsed = time.perf_counter() - t0
     delta = WorkerDelta(
         pid=os.getpid(),
@@ -178,17 +186,6 @@ def _worker_call(wid, num_workers, spans, call_id, payload):
     )
     stats = {"worker": wid, "chunks": done, "steals": steals, "stolen_chunks": stolen}
     return ("done", call_id, wid, replace(out, workers=(delta,)), stats)
-
-
-class _NullCtx:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CTX = _NullCtx()
 
 
 # ----------------------------------------------------------------------
@@ -204,22 +201,12 @@ class WorkerPool:
     measures — but each call uses every worker.
     """
 
-    def __init__(
-        self,
-        num_workers: int,
-        *,
-        mp_context: str = "spawn",
-        idle_ttl_s: float | None = None,
-        max_retries: int = 2,
-    ):
+    def __init__(self, num_workers: int, *, idle_ttl_s: float | None = None):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
-        self.mp_context = mp_context
         self.idle_ttl_s = idle_ttl_s
-        self.max_retries = max_retries
         self.stats = PoolStats()
-        self._ctx = mp.get_context(mp_context)
         self._call_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._procs: list = []
@@ -250,12 +237,12 @@ class WorkerPool:
                 return
             self._teardown_locked()
             t0 = time.perf_counter()
-            self._result_q = self._ctx.Queue()
-            self._spans = self._ctx.Array("q", 2 * self.num_workers, lock=True)
+            self._result_q = _CTX.Queue()
+            self._spans = _CTX.Array("q", 2 * self.num_workers, lock=True)
             self._procs, self._conns = [], []
             for wid in range(self.num_workers):
-                parent_conn, child_conn = self._ctx.Pipe()
-                proc = self._ctx.Process(
+                parent_conn, child_conn = _CTX.Pipe()
+                proc = _CTX.Process(
                     target=_worker_main,
                     args=(wid, self.num_workers, child_conn, self._result_q, self._spans),
                     name=f"repro-pool-{wid}",
@@ -312,14 +299,13 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # the call path
     # ------------------------------------------------------------------
-    def count(self, plan, graph: CSRGraph, *, schedule: str = "dynamic",
-              chunk_size: int = 256, inner=None):
+    def count(self, plan, graph: CSRGraph, *, chunk_size: int = 256, inner=None):
         """Run ``plan`` over ``graph`` across the resident workers.
 
         Returns the reduced :class:`~repro.core.backends.PartialSum`
         (un-normalized, like every backend). Exact under work stealing:
-        chunk spans partition the start-vertex space and each chunk is
-        executed exactly once.
+        the ``ceil(n / chunk_size)`` interleaved chunks partition the
+        start-vertex space and each chunk is executed exactly once.
         """
         from ..core.backends import FrontierBackend, PartialSum
 
@@ -329,20 +315,18 @@ class WorkerPool:
         with self._call_lock:
             self.start()
             last_exc: Exception | None = None
-            for attempt in range(self.max_retries + 1):
+            for attempt in range(_MAX_RETRIES + 1):
                 if attempt:
                     self.stats = replace(self.stats, retries=self.stats.retries + 1)
                 try:
-                    result = self._run_call(
-                        plan, graph, schedule, chunk_size, inner, t_submit
-                    )
+                    result = self._run_call(plan, graph, chunk_size, inner, t_submit)
                     break
                 except WorkerDied as exc:
                     last_exc = exc
                     self._reset()
             else:
                 raise RuntimeError(
-                    f"pool call failed after {self.max_retries} retries: {last_exc}"
+                    f"pool call failed after {_MAX_RETRIES} retries: {last_exc}"
                 ) from last_exc
             self.stats = replace(self.stats, calls=self.stats.calls + 1)
             self._last_used = time.monotonic()
@@ -350,10 +334,9 @@ class WorkerPool:
         assert isinstance(result, PartialSum)
         return result
 
-    def _run_call(self, plan, graph, schedule, chunk_size, inner, t_submit):
+    def _run_call(self, plan, graph, chunk_size, inner, t_submit):
         call_id = self._call_seq = self._call_seq + 1
-        num_chunks = len(make_chunks(graph.num_vertices, self.num_workers,
-                                     schedule, chunk_size))
+        num_chunks = -(-graph.num_vertices // chunk_size)
         # initial even split of the chunk index space, one span per worker
         base, extra = divmod(num_chunks, self.num_workers)
         with self._spans.get_lock():
@@ -372,8 +355,7 @@ class WorkerPool:
             "inner": inner,
             "graph": graph_spec,
             "num_vertices": graph.num_vertices,
-            "schedule": schedule,
-            "chunk_size": chunk_size,
+            "num_chunks": num_chunks,
             "collect_metrics": obs.active_metrics() is not None,
         }
         for conn in self._conns:
@@ -418,6 +400,15 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def _record_metrics(self, total, stats, dispatch_s: float) -> None:
+        """Fold one call's worker stats into ``self.stats`` and, when
+        observability is on, into the active registry.
+
+        The workers' metric deltas are merged, per-pid busy time becomes
+        a labeled gauge series plus a busy-time histogram, and the
+        makespan / mean-busy ratio becomes the load-imbalance gauge the
+        paper's §3.6 dynamic-schedule discussion is about (1.0 =
+        perfectly balanced).
+        """
         steals = sum(s["steals"] for s in stats)
         stolen = sum(s["stolen_chunks"] for s in stats)
         self.stats = replace(
@@ -428,9 +419,20 @@ class WorkerPool:
         registry = obs.active_metrics()
         if registry is None:
             return
-        from ..core.backends import record_worker_metrics
-
-        record_worker_metrics(total)
+        busy: dict[int, float] = {}
+        for w in total.workers:
+            busy[w.pid] = busy.get(w.pid, 0.0) + w.elapsed_s
+            if w.metrics:
+                registry.merge(w.metrics)
+        for pid, seconds in sorted(busy.items()):
+            registry.gauge("repro_worker_busy_seconds", worker=str(pid)).set(seconds)
+            registry.histogram("repro_worker_elapsed_seconds").observe(seconds)
+        # every worker ships a delta, so ``busy`` is never empty
+        mean = sum(busy.values()) / len(busy)
+        registry.gauge("repro_worker_load_imbalance").set(
+            max(busy.values()) / mean if mean > 0 else 1.0
+        )
+        registry.gauge("repro_workers").set(len(busy))
         registry.gauge("repro_pool_workers").set(self.num_workers)
         registry.counter("repro_pool_steals_total").inc(steals)
         registry.counter("repro_pool_stolen_chunks_total").inc(stolen)
@@ -462,7 +464,7 @@ class WorkerPool:
     def __repr__(self) -> str:
         state = "running" if self.running else ("closed" if self._closed else "idle")
         return (
-            f"WorkerPool(num_workers={self.num_workers}, ctx={self.mp_context!r}, "
+            f"WorkerPool(num_workers={self.num_workers}, "
             f"{state}, calls={self.stats.calls}, steals={self.stats.steals})"
         )
 
@@ -474,32 +476,20 @@ _default_pool: WorkerPool | None = None
 _default_pool_lock = threading.Lock()
 
 
-def get_default_pool(
-    num_workers: int,
-    *,
-    mp_context: str = "spawn",
-    idle_ttl_s: float | None = 300.0,
-) -> WorkerPool:
+def get_default_pool(num_workers: int, *, idle_ttl_s: float | None = 300.0) -> WorkerPool:
     """The process-wide persistent pool (created/resized on demand).
 
-    A request for a different worker count or context replaces the pool
+    A request for a different worker count replaces the pool
     (the old workers are stopped first) — callers that need several
     concurrent shapes should hold their own :class:`WorkerPool`.
     """
     global _default_pool
     with _default_pool_lock:
         pool = _default_pool
-        if (
-            pool is None
-            or pool._closed
-            or pool.num_workers != num_workers
-            or pool.mp_context != mp_context
-        ):
+        if pool is None or pool._closed or pool.num_workers != num_workers:
             if pool is not None:
                 pool.close()
-            pool = _default_pool = WorkerPool(
-                num_workers, mp_context=mp_context, idle_ttl_s=idle_ttl_s
-            )
+            pool = _default_pool = WorkerPool(num_workers, idle_ttl_s=idle_ttl_s)
         return pool
 
 

@@ -436,12 +436,12 @@ def _engine_label(
 ) -> str:
     """The ``CountResult.engine`` string of the route that actually ran.
 
-    A pool label (``fringe-pool(x2,dynamic)+frontier``) appears only when
+    A pool label (``fringe-pool(x2)+frontier``) appears only when
     worker processes did the work; a ``parallel`` request that ran on the
     calling thread says so with ``in-process(x1)``.
     """
     if pooled:
-        return f"fringe-pool(x{parallel.num_workers},{parallel.schedule})+{route}"
+        return f"fringe-pool(x{parallel.num_workers})+{route}"
     if route in _CLOSED_FORMS:
         label = f"fringe-specialized({route})"
     elif route == "frontier":

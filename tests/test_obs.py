@@ -305,9 +305,7 @@ class TestStatsPropagation:
         return {
             "serial": SerialBackend().run(plan, kron_mid),
             "frontier": FrontierBackend().run(plan, kron_mid),
-            "process": PoolBackend(
-                num_workers=2, schedule="dynamic", chunk_size=16
-            ).run(plan, kron_mid),
+            "process": PoolBackend(num_workers=2, chunk_size=16).run(plan, kron_mid),
         }
 
     def test_all_backends_nonzero_and_consistent(self, partials):
@@ -353,9 +351,9 @@ class TestStatsPropagation:
         assert ref_matches > 0
         # pool run: worker-local registries merge at reduction
         with Observer(trace=False) as ob:
-            partial = PoolBackend(
-                num_workers=2, schedule="dynamic", chunk_size=16
-            ).run(compile_pattern(catalog.paw()), kron_mid)
+            partial = PoolBackend(num_workers=2, chunk_size=16).run(
+                compile_pattern(catalog.paw()), kron_mid
+            )
         m = ob.metrics
         assert len({w.pid for w in partial.workers}) > 1
         assert m.counter("repro_core_matches_total").value == ref_matches

@@ -1,44 +1,49 @@
 """Tests for the multicore parallel layer."""
 
+import math
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 
 from repro import count_subgraphs
+from repro.core.backends import FrontierBackend
+from repro.core.plan import compile_pattern
 from repro.graph import generators as gen
-from repro.parallel import (
-    ParallelConfig,
-    dynamic_chunks,
-    make_chunks,
-    parallel_count,
-    static_contiguous,
-    static_strided,
-)
+from repro.parallel import ParallelConfig, parallel_count
+from repro.parallel.workerpool import _take_chunk, chunk_roots
 from repro.patterns import catalog
 
 
-class TestSchedules:
-    def test_static_contiguous_partitions(self):
-        chunks = static_contiguous(10, 3)
-        assert len(chunks) == 3
-        assert np.concatenate(chunks).tolist() == list(range(10))
+class TestWorkSplit:
+    """The pool's one work split: interleaved chunks, split-half steals."""
 
-    def test_static_strided_partitions(self):
-        chunks = static_strided(10, 3)
-        merged = sorted(np.concatenate(chunks).tolist())
-        assert merged == list(range(10))
-        assert chunks[0].tolist() == [0, 3, 6, 9]
+    def test_interleaved_chunks_partition_and_spread_hubs(self):
+        graph = gen.barabasi_albert(300, 4, seed=5)  # hubs at low ids
+        n, chunk_size = graph.num_vertices, 64
+        k = math.ceil(n / chunk_size)
+        chunks = [chunk_roots(c, k, n) for c in range(k)]
+        assert len(chunks) == k == 5
+        assert sorted(np.concatenate(chunks).tolist()) == list(range(n))
+        sizes = [len(c) for c in chunks]
+        assert max(sizes) - min(sizes) <= 1
+        assert chunks[1].tolist()[:3] == [1, 1 + k, 1 + 2 * k]
+        # in-process: each chunk's share of the 4-clique core matches
+        plan = compile_pattern(catalog.four_clique())
+        per_chunk = [FrontierBackend().run(plan, graph, start_vertices=c).matches
+                     for c in chunks]
+        total = FrontierBackend().run(plan, graph).matches
+        assert sum(per_chunk) == total > 0
+        # a contiguous chunk 0 (the 64 lowest ids, the hubs) would hold ~99%
+        assert max(per_chunk) <= total / 2, per_chunk
 
-    def test_dynamic_chunks(self):
-        chunks = dynamic_chunks(10, 4)
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert np.concatenate(chunks).tolist() == list(range(10))
-
-    def test_make_chunks_dispatch(self):
-        assert len(make_chunks(100, 4, "static")) == 4
-        assert len(make_chunks(100, 4, "strided")) == 4
-        assert len(make_chunks(100, 4, "dynamic", chunk_size=10)) == 10
-        with pytest.raises(ValueError):
-            make_chunks(10, 2, "magic")
+    def test_take_chunk_reports_chunks_moved(self):
+        spans = mp.Array("q", [0, 0, 0, 8], lock=True)
+        # worker 0's span is empty: it steals the back half of worker 1's
+        assert _take_chunk(spans, 0, 2) == (4, 4)
+        assert list(spans) == [5, 8, 0, 4]
+        # its own span now serves it, with nothing moved
+        assert _take_chunk(spans, 0, 2) == (5, 0)
 
 
 class TestParallelCount:
@@ -48,12 +53,9 @@ class TestParallelCount:
 
     @pytest.mark.parametrize("pattern", [catalog.paw(), catalog.diamond(), catalog.star(3)],
                              ids=["paw", "diamond", "3-star"])
-    @pytest.mark.parametrize("schedule", ["static", "strided", "dynamic"])
-    def test_exact_across_schedules(self, graph, pattern, schedule):
+    def test_exact_on_pool(self, graph, pattern):
         expect = count_subgraphs(graph, pattern).count
-        res = parallel_count(
-            graph, pattern, parallel=ParallelConfig(num_workers=2, schedule=schedule)
-        )
+        res = parallel_count(graph, pattern, parallel=ParallelConfig(num_workers=2))
         assert res.count == expect
 
     def test_single_worker_no_fork(self, graph):
@@ -71,18 +73,18 @@ class TestParallelCount:
         assert cfg.num_workers >= 1
 
     def test_pool_validation(self):
-        # one substrate: the start method is the only pool knob left
-        assert ParallelConfig().mp_context == "spawn"
-        assert ParallelConfig(mp_context="fork").mp_context == "fork"
-        assert "fork" in repr(ParallelConfig(mp_context="fork"))
-        with pytest.raises(TypeError):
-            ParallelConfig(pool="persistent")
+        # one substrate, one split: worker count and chunk size are the knobs
+        cfg = ParallelConfig(num_workers=2, chunk_size=64)
+        assert repr(cfg) == "ParallelConfig(num_workers=2, chunk_size=64)"
+        for removed in ("pool", "schedule", "mp_context"):
+            with pytest.raises(TypeError):
+                ParallelConfig(**{removed: "persistent"})
 
 
 class TestSelectBackend:
     """The inner backend must always be forwarded to the pool backend."""
 
-    def test_inner_forwarded_to_fork_pool(self):
+    def test_inner_forwarded_to_pool(self):
         from repro.core.backends import (
             FrontierBackend,
             PoolBackend,
@@ -90,16 +92,16 @@ class TestSelectBackend:
             select_backend,
         )
 
-        fork = ParallelConfig(num_workers=2, mp_context="fork")
-        be = select_backend(fork)
+        par = ParallelConfig(num_workers=2, chunk_size=32)
+        be = select_backend(par)
         assert isinstance(be, PoolBackend)
-        assert be.mp_context == "fork"
+        assert be.chunk_size == 32
         assert isinstance(be.inner, FrontierBackend)
         # the serial route (engine="general") selects the oracle
-        be = select_backend(fork, "serial")
+        be = select_backend(par, "serial")
         assert isinstance(be.inner, SerialBackend)
         with pytest.raises(ValueError, match="unknown matcher route"):
-            select_backend(fork, "general")
+            select_backend(par, "general")
 
     def test_frontier_inner_forwarded(self):
         from repro.core.backends import FrontierBackend, PoolBackend, select_backend
@@ -114,7 +116,6 @@ class TestSelectBackend:
         be = select_backend(ParallelConfig(num_workers=2))
         assert isinstance(be, PoolBackend)
         assert isinstance(be.inner, FrontierBackend)
-        assert be.mp_context == "spawn"
 
     def test_single_worker_returns_inner(self):
         from repro.core.backends import FrontierBackend, select_backend

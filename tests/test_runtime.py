@@ -171,23 +171,20 @@ class TestBackendAgreement:
             partial = backend.run(plan, kron)
             assert plan.normalize(partial.sigma) == expect, (name, backend.name)
 
-    @pytest.mark.parametrize("schedule", ["static", "strided", "dynamic"])
     @pytest.mark.parametrize("name", ["paw", "diamond", "3-star"])
-    def test_multiprocess_schedules_agree(self, kron, name, schedule):
+    def test_pool_agrees(self, kron, name):
         pat = CATALOG[name]
         expect = count_subgraphs(kron, pat).count
         # chunk_size below the 64-vertex graph: a graph of one chunk would
         # run in-process, off the pool
-        res = parallel_count(
-            kron, pat, parallel=ParallelConfig(num_workers=2, schedule=schedule, chunk_size=16)
-        )
+        res = parallel_count(kron, pat, parallel=ParallelConfig(num_workers=2, chunk_size=16))
         assert res.count == expect
-        assert f"x2,{schedule}" in res.engine
+        assert res.engine == "fringe-pool(x2)+frontier"
 
     def test_multiprocess_backend_direct(self, kron):
         plan = compile_pattern(catalog.four_clique())
         expect = count_subgraphs(kron, catalog.four_clique()).count
-        partial = PoolBackend(num_workers=2, schedule="dynamic", chunk_size=16).run(plan, kron)
+        partial = PoolBackend(num_workers=2, chunk_size=16).run(plan, kron)
         assert len(partial.workers) > 0
         assert plan.normalize(partial.sigma) == expect
 
@@ -213,7 +210,7 @@ class TestNormalizationAndStats:
     def test_parallel_config_validates_eagerly(self):
         with pytest.raises(ValueError, match="num_workers"):
             ParallelConfig(num_workers=0)
-        with pytest.raises(ValueError, match="schedule"):
+        with pytest.raises(TypeError):  # the work split is not a knob
             ParallelConfig(schedule="magic")
         with pytest.raises(ValueError, match="chunk_size"):
             ParallelConfig(chunk_size=0)
@@ -266,11 +263,9 @@ ROUTE_PATTERNS = {
     "5-cycle": (catalog.cycle(5), 4),
 }
 CLOSED_FORMS = {1: "vertex-core", 2: "edge-core"}
-# chunks well below the 64-vertex kron graph, so the pool really engages;
-# "fork" and "persistent" are the one persistent pool under two start methods
+# chunks well below the 64-vertex kron graph, so the pool really engages
 ROUTE_PARALLEL = {
     "none": None,
-    "fork": ParallelConfig(num_workers=2, chunk_size=16, mp_context="fork"),
     "persistent": ParallelConfig(num_workers=2, chunk_size=16),
 }
 ORACLE = EngineConfig()
@@ -330,11 +325,11 @@ class TestRouting:
             assert res.engine.startswith("fringe-frontier" if route == "frontier"
                                          else "fringe-general")
         else:
-            assert res.engine == f"fringe-pool(x2,dynamic)+{route}"
+            assert res.engine == f"fringe-pool(x2)+{route}"
             assert res.stats.backend == "pool"
             assert res.stats.workers >= 1
 
-    @pytest.mark.parametrize("substrate", ["fork", "persistent"])
+    @pytest.mark.parametrize("substrate", ["persistent"])
     def test_explicit_specialized_wins_over_parallel(self, kron, oracle, substrate):
         res = Runtime().count(kron, catalog.paw(), engine="specialized",
                               parallel=ROUTE_PARALLEL[substrate])
@@ -360,13 +355,11 @@ class TestRouting:
         pooled = Runtime().count(graph, pat, parallel=chunked)
         assert pooled.count == expect
         assert pooled.stats.workers >= 1
-        assert pooled.engine == "fringe-pool(x2,dynamic)+frontier"
+        assert pooled.engine == "fringe-pool(x2)+frontier"
 
-    def test_fork_label_only_when_workers_ran(self, kron):
-        one_chunk = ParallelConfig(
-            num_workers=2, schedule="dynamic", chunk_size=256, mp_context="fork"
-        )
-        res = parallel_count(kron, catalog.diamond(), parallel=one_chunk)
+    def test_default_chunk_graph_runs_in_process(self, kron):
+        # 64 vertices fit in one default 256-root chunk
+        res = parallel_count(kron, catalog.diamond(), parallel=ParallelConfig(num_workers=2))
         assert res.count == count_subgraphs(kron, catalog.diamond()).count
         assert res.stats.workers == 0
         assert res.stats.backend == "frontier"
@@ -400,7 +393,6 @@ class TestCLI:
                     "--pattern", "diamond",
                     "--engine", "general",
                     "--workers", "2",
-                    "--schedule", "strided",
                     "--batch-size", "512",
                     "--stats",
                 ]
@@ -411,7 +403,7 @@ class TestCLI:
         out = capsys.readouterr().out
         expect = count_subgraphs(big, catalog.diamond()).count
         assert f"count    : {expect:,}" in out
-        assert "fringe-pool(x2,strided)+serial" in out
+        assert "fringe-pool(x2)+serial" in out
         assert "backend  : pool" in out
         assert "venn/fc" in out
 
@@ -457,3 +449,4 @@ class TestCLI:
         assert "fringe-specialized(edge-core)" in proc.stdout
         assert "repro.core.specialized" in proc.stderr  # the log is complete
         assert "scipy.sparse" not in proc.stderr
+        assert "repro.parallel" not in proc.stderr  # single-process count
