@@ -38,7 +38,9 @@ __all__ = [
 
 ALL_SYSTEMS = ("fringe-sgc", "graphset-like", "tdfs-like", "stmatch-like")
 FRINGE_ONLY = ("fringe-sgc",)
-FRONTIER_VS_SERIAL = ("fringe-frontier", "fringe-serial")
+# the frontier matcher against the default engine="auto" route
+# ("fringe-sgc", closed forms for 1-/2-vertex cores) and the serial oracle
+FRONTIER_VS_SERIAL = ("fringe-frontier", "fringe-sgc", "fringe-serial")
 # serial reference first so every cell is cross-checked against it
 POOL_SYSTEMS = ("fringe-serial", "fringe-pool-cold", "fringe-pool")
 

@@ -16,7 +16,9 @@ from .backends import (
 )
 from .frontier import (
     FrontierStats,
+    adjacency_bitmap,
     frontier_match_matrix,
+    has_edges,
     has_edges_bulk,
     iter_frontier_blocks,
 )
@@ -41,6 +43,8 @@ __all__ = [
     "FrontierBackend",
     "FrontierStats",
     "frontier_match_matrix",
+    "adjacency_bitmap",
+    "has_edges",
     "has_edges_bulk",
     "iter_frontier_blocks",
     "PartialSum",

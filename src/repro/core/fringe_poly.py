@@ -39,19 +39,17 @@ __all__ = ["FringePolynomial", "compile_fringe_polynomial"]
 
 _EXACT_LIMIT = float(1 << 52)
 
-def _first_primes_below(limit: int, count: int) -> tuple[int, ...]:
-    out: list[int] = []
-    p = limit - 1 if limit % 2 == 0 else limit - 2
-    while len(out) < count and p > 2:
-        if all(p % d for d in range(3, int(p**0.5) + 1, 2)):
-            out.append(p)
-        p -= 2
-    return tuple(out)
-
-
 # 30-bit primes for the residue-number-system path: residue products stay
-# below 2^60 in int64, and 24 primes give ~2^720 of exact range.
-_RNS_PRIMES: tuple[int, ...] = _first_primes_below(1 << 30, 24)
+# below 2^60 in int64, and 24 primes give ~2^720 of exact range. They are
+# the 24 largest primes below 2^30, in descending order, written out
+# because finding them by trial division cost ~40 ms of every import;
+# tests/test_fringe_poly.py regenerates the list and compares.
+_RNS_PRIMES: tuple[int, ...] = (
+    1073741789, 1073741783, 1073741741, 1073741723, 1073741719, 1073741717,
+    1073741689, 1073741671, 1073741663, 1073741651, 1073741621, 1073741567,
+    1073741561, 1073741527, 1073741503, 1073741477, 1073741467, 1073741441,
+    1073741419, 1073741399, 1073741387, 1073741381, 1073741371, 1073741329,
+)
 
 
 def _crt(residues: list[int], primes: list[int]) -> int:

@@ -17,10 +17,14 @@ array kernels:
   full-pattern degree lower bounds, the ``match[j] < v`` order
   constraints from symmetry breaking, and row-wise ``!=`` compares
   against every earlier column;
-* **back-edge checking** — a vectorized binary search
-  (:func:`has_edges_bulk`) that resolves all (matched vertex, candidate)
-  adjacency membership queries of a level in ``O(log max_degree)``
-  synchronized bisection rounds over ``colidx``.
+* **back-edge checking** — :func:`has_edges`, one bit test per (matched
+  vertex, candidate) pair in the graph's cached adjacency bitmap
+  (:func:`adjacency_bitmap`, bit ``u·n + v``), so a level's membership
+  queries cost one gather whatever the degrees. A graph whose bitmap
+  would exceed :data:`BITMAP_BUDGET_BYTES` is probed by
+  :func:`has_edges_bulk` instead: ``O(log max_degree)`` synchronized
+  bisection rounds over ``colidx``, the CPU shape of the paper's
+  Listing 7 warp probes, kept also as the differential oracle.
 
 Memory is bounded: before expanding, a frontier whose candidate volume
 would exceed ``max_rows`` is *split* into contiguous row blocks that are
@@ -35,13 +39,18 @@ Observability: each expansion emits a ``frontier.level`` span and a
 ``repro_frontier_width`` histogram sample; splits count into
 ``repro_frontier_spills_total``; the backend reports aggregate
 ``repro_frontier_rows_total`` and a ``repro_frontier_rows_per_second``
-throughput gauge.
+throughput gauge. A bitmap build records a ``frontier.bitmap_build``
+span and the ``repro_frontier_bitmap_builds_total`` /
+``repro_frontier_bitmap_bytes`` metrics; edge tests on a graph over the
+budget count into ``repro_frontier_bitmap_fallbacks_total``.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Generic, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,8 +59,13 @@ from ..graph.csr import CSRGraph
 from .matcher import CorePlan
 
 __all__ = [
+    "BITMAP_BUDGET_BYTES",
     "DEFAULT_MAX_FRONTIER_ROWS",
     "FrontierStats",
+    "GraphCache",
+    "adjacency_bitmap",
+    "build_adjacency_bitmap",
+    "has_edges",
     "has_edges_bulk",
     "row_lower_bound",
     "iter_frontier_blocks",
@@ -62,6 +76,36 @@ __all__ = [
 # int64 this bounds the transient candidate arrays to ~8 MB per column;
 # EngineConfig.max_frontier_rows overrides it per call.
 DEFAULT_MAX_FRONTIER_ROWS = 1 << 20
+# Largest adjacency bitmap one graph may get: ceil(n² / 8) bytes must fit,
+# else has_edges bisects. 64 MiB covers n up to about 23,000.
+BITMAP_BUDGET_BYTES = 64 << 20
+
+_T = TypeVar("_T")
+_MISSING = object()
+
+
+class GraphCache(Generic[_T]):
+    """Values derived from a graph, built once per graph object.
+
+    Keyed weakly by the graph object, so a value never enters a pickled
+    graph or a shared-memory export and dies with the graph; pool workers
+    build their own on the graph they attach. The lock makes concurrent
+    first users build a value once. ``None`` is a value like any other
+    (a graph over some budget), so it is cached too.
+    """
+
+    def __init__(self) -> None:
+        self._values: "weakref.WeakKeyDictionary[CSRGraph, _T]" = weakref.WeakKeyDictionary()
+        self._lock = threading.Lock()
+
+    def get(self, graph: CSRGraph, build: Callable[[CSRGraph], _T]) -> _T:
+        value = self._values.get(graph, _MISSING)
+        if value is _MISSING:
+            with self._lock:
+                value = self._values.get(graph, _MISSING)
+                if value is _MISSING:
+                    value = self._values[graph] = build(graph)
+        return value
 
 
 @dataclass
@@ -111,7 +155,8 @@ def has_edges_bulk(
     """Element-wise edge membership: does ``adj(u[i])`` contain ``v[i]``?
 
     One :func:`row_lower_bound` search, then an equality test at the
-    position it lands on.
+    position it lands on. :func:`has_edges` falls back to it for graphs
+    without an adjacency bitmap, and the tests keep it as the oracle.
     """
     m = len(u)
     if m == 0 or len(colidx) == 0:
@@ -119,6 +164,67 @@ def has_edges_bulk(
     lo = row_lower_bound(rowptr, colidx, u, v)
     found = lo < rowptr[u + 1]
     return found & (colidx[np.where(found, lo, 0)] == v)
+
+
+def build_adjacency_bitmap(graph: CSRGraph) -> np.ndarray:
+    """The graph's adjacency matrix as ``ceil(n² / 8)`` ``uint8`` bytes:
+    bit ``k & 7`` of byte ``k >> 3`` is set iff ``(u, v)`` with
+    ``k = u·n + v`` is an edge.
+
+    The CSR keys ``u·n + v`` already ascend, so the entries of one byte
+    are contiguous and one ``bitwise_or.reduceat`` packs them: ``O(m)``
+    work and no ``n²``-sized temporary.
+    """
+    n = graph.num_vertices
+    bitmap = np.zeros(-(-n * n // 8), dtype=np.uint8)
+    if len(graph.colidx) == 0:
+        return bitmap
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, graph.degrees) + graph.colidx
+    byte = keys >> 3
+    starts = np.flatnonzero(np.concatenate(([True], byte[1:] != byte[:-1])))
+    bits = np.left_shift(1, keys & 7).astype(np.uint8)
+    bitmap[byte[starts]] = np.bitwise_or.reduceat(bits, starts)
+    return bitmap
+
+
+_BITMAPS: GraphCache[np.ndarray | None] = GraphCache()
+
+
+def _bitmap_within_budget(graph: CSRGraph) -> np.ndarray | None:
+    n = graph.num_vertices
+    nbytes = -(-n * n // 8)
+    if len(graph.colidx) == 0 or nbytes > BITMAP_BUDGET_BYTES:
+        return None
+    with obs.span("frontier.bitmap_build", n=n, bytes=nbytes):
+        bitmap = build_adjacency_bitmap(graph)
+    registry = obs.active_metrics()
+    if registry is not None:
+        registry.counter("repro_frontier_bitmap_builds_total").inc()
+        registry.gauge("repro_frontier_bitmap_bytes").set(nbytes)
+    return bitmap
+
+
+def adjacency_bitmap(graph: CSRGraph) -> np.ndarray | None:
+    """The graph's cached :func:`build_adjacency_bitmap`, built on first
+    use; ``None`` for an edgeless graph or when the bitmap would exceed
+    :data:`BITMAP_BUDGET_BYTES`."""
+    return _BITMAPS.get(graph, _bitmap_within_budget)
+
+
+def has_edges(graph: CSRGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Element-wise edge membership: is ``(u[i], v[i])`` an edge?
+
+    The one graph-level edge test of the matcher and the Venn pass: a
+    gather and a shift per query in the :func:`adjacency_bitmap`, or
+    :func:`has_edges_bulk` when the graph has none.
+    """
+    bitmap = adjacency_bitmap(graph)
+    if bitmap is None:
+        if len(graph.colidx):
+            obs.counter_add("repro_frontier_bitmap_fallbacks_total")
+        return has_edges_bulk(graph.rowptr, graph.colidx, u, v)
+    k = u.astype(np.int64, copy=False) * graph.num_vertices + v
+    return ((bitmap[k >> 3] >> (k & 7).astype(np.uint8)) & 1).view(bool)
 
 
 def _expand_level(
@@ -155,7 +261,7 @@ def _expand_level(
     for b in plan.back_edges[level]:
         if b == piv or len(cand) == 0:
             continue
-        ok = has_edges_bulk(rowptr, colidx, block[parent, b], cand)
+        ok = has_edges(graph, block[parent, b], cand)
         parent, cand = parent[ok], cand[ok]
 
     out = np.empty((len(cand), level + 1), dtype=np.int64)

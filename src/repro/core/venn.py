@@ -48,9 +48,10 @@ whole neighbourhoods. Region sizes follow from intersection sizes
 (the paper's §3.6 "search later anchors, then correct", done
 algebraically): ``|T| = 1`` is a degree, ``|T| = 2`` one entry of
 ``A·A``, and ``|T| >= 3`` scans only the smallest member's adjacency
-list with :func:`~repro.core.frontier.has_edges_bulk` probes into the
-others. An in-place ``O(q·2^q)`` transform inverts the sizes; each
-anchor then leaves the region its adjacency to the other anchors names.
+list with :func:`~repro.core.frontier.has_edges` bit tests against the
+others (the graph's cached adjacency bitmap; bisection over budget).
+An in-place ``O(q·2^q)`` transform inverts the sizes; each anchor then
+leaves the region its adjacency to the other anchors names.
 
 ``A·A`` lives in a :class:`PairIndex`: its strict upper triangle in CSR
 form — ``int64`` row pointers, ``int32`` columns and ``int32`` common-
@@ -58,11 +59,12 @@ neighbour counts, 8 B per nonzero. :func:`build_pair_index` counts the
 2-paths ``u–w–v`` (``v > u``) in row blocks of about
 :data:`INDEX_BLOCK_PATHS` 2-paths with NumPy alone, and
 :func:`pair_index` caches the result per graph object in a
-``WeakKeyDictionary`` (never on the graph, so it never enters a pickled
-graph; pool workers build their own on their attached graph). A graph
-gets an index only when the bound ``Σ_w C(deg w, 2) · 8`` bytes fits
-:data:`INDEX_BUDGET_BYTES` (64 MiB) and its ids fit ``int32``; otherwise
-:func:`venn_sets` falls back to :func:`venn_batch`, which also stays the
+:class:`~repro.core.frontier.GraphCache` (never on the graph, so it
+never enters a pickled graph; pool workers build their own on their
+attached graph). A graph gets an index only when the bound
+``Σ_w C(deg w, 2) · 8`` bytes fits :data:`INDEX_BUDGET_BYTES` (64 MiB)
+and its ids fit ``int32``; otherwise :func:`venn_sets` falls back to
+:func:`venn_batch`, which also stays the
 differential oracle in the tests. Builds record a ``venn.index_build``
 span and the ``repro_venn_index_builds_total`` /
 ``repro_venn_index_bytes`` metrics; fallbacks count into
@@ -71,8 +73,6 @@ span and the ``repro_venn_index_builds_total`` /
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,7 +80,7 @@ import numpy as np
 
 from .. import obs
 from ..graph.csr import CSRGraph
-from .frontier import has_edges_bulk, row_lower_bound
+from .frontier import GraphCache, has_edges, row_lower_bound
 
 __all__ = [
     "venn_hash",
@@ -288,12 +288,6 @@ INDEX_BUDGET_BYTES = 64 << 20
 # 2-paths gathered per build block; bounds the build's transient memory
 INDEX_BLOCK_PATHS = 1 << 16
 
-_INDEXES: "weakref.WeakKeyDictionary[CSRGraph, PairIndex | None]" = (
-    weakref.WeakKeyDictionary()
-)
-_INDEX_LOCK = threading.Lock()
-_MISSING = object()
-
 
 @dataclass(frozen=True)
 class PairIndex:
@@ -367,41 +361,41 @@ def build_pair_index(graph: CSRGraph, block_paths: int = INDEX_BLOCK_PATHS) -> P
     )
 
 
+_INDEXES: GraphCache[PairIndex | None] = GraphCache()
+
+
+def _index_within_budget(graph: CSRGraph) -> PairIndex | None:
+    deg = graph.degrees.astype(np.float64)
+    bound = float((deg * (deg - 1)).sum()) / 2 * 8
+    if bound > INDEX_BUDGET_BYTES or graph.num_vertices >= 1 << 31:
+        return None
+    with obs.span("venn.index_build", n=graph.num_vertices) as attrs:
+        index = build_pair_index(graph)
+        if attrs is not None:
+            attrs.update(nnz=len(index.cols), bytes=index.nbytes)
+    registry = obs.active_metrics()
+    if registry is not None:
+        registry.counter("repro_venn_index_builds_total").inc()
+        registry.gauge("repro_venn_index_bytes").set(index.nbytes)
+    return index
+
+
 def pair_index(graph: CSRGraph) -> PairIndex | None:
     """The graph's cached :class:`PairIndex`, built on first use.
 
     ``None`` when the index would exceed :data:`INDEX_BUDGET_BYTES` or
-    the vertex ids do not fit int32. The cache is keyed by the graph
-    object (weakly), so it never enters a pickled graph and dies with
-    it; the lock makes concurrent first users build it once.
+    the vertex ids do not fit int32. A
+    :class:`~repro.core.frontier.GraphCache` keeps it per graph object,
+    out of pickles, and built once under concurrent first use.
     """
-    index = _INDEXES.get(graph, _MISSING)
-    if index is not _MISSING:
-        return index
-    with _INDEX_LOCK:
-        index = _INDEXES.get(graph, _MISSING)
-        if index is _MISSING:
-            deg = graph.degrees.astype(np.float64)
-            bound = float((deg * (deg - 1)).sum()) / 2 * 8
-            index = None
-            if bound <= INDEX_BUDGET_BYTES and graph.num_vertices < 1 << 31:
-                with obs.span("venn.index_build", n=graph.num_vertices) as attrs:
-                    index = build_pair_index(graph)
-                    if attrs is not None:
-                        attrs.update(nnz=len(index.cols), bytes=index.nbytes)
-                registry = obs.active_metrics()
-                if registry is not None:
-                    registry.counter("repro_venn_index_builds_total").inc()
-                    registry.gauge("repro_venn_index_bytes").set(index.nbytes)
-            _INDEXES[graph] = index
-    return index
+    return _INDEXES.get(graph, _index_within_budget)
 
 
 def _intersection_sizes(
     graph: CSRGraph, sets: np.ndarray, degs: np.ndarray, members: list[int]
 ) -> np.ndarray:
     """``|∩_{j in members} N(sets[:, j])|`` per row: the smallest member's
-    adjacency list, filtered by membership in each other member's."""
+    adjacency list, filtered by adjacency to each other member."""
     rowptr, colidx = graph.rowptr, graph.colidx
     rows = np.arange(len(sets))
     pick = np.asarray(members)[np.argmin(degs[:, members], axis=1)]
@@ -414,7 +408,7 @@ def _intersection_sizes(
     for j in members:
         test = pick[reps] != j
         keep = ~test
-        keep[test] = has_edges_bulk(rowptr, colidx, sets[reps[test], j], x[test])
+        keep[test] = has_edges(graph, sets[reps[test], j], x[test])
         reps, x = reps[keep], x[keep]
     return np.bincount(reps, minlength=len(sets))
 
@@ -438,7 +432,6 @@ def venn_sets(graph: CSRGraph, sets: np.ndarray) -> np.ndarray:
     if q >= 2 and index is None:
         obs.counter_add("repro_venn_index_fallbacks_total")
         return venn_batch(graph, sets, sets)
-    rowptr, colidx = graph.rowptr, graph.colidx
     degs = graph.degrees[sets]
     venn = np.zeros((u, 1 << q), dtype=np.int64)
     adj = np.zeros((u, q), dtype=np.int64)  # anchors adjacent to anchor j
@@ -447,7 +440,7 @@ def venn_sets(graph: CSRGraph, sets: np.ndarray) -> np.ndarray:
         for i in range(j):
             a, b = sets[:, i], sets[:, j]
             venn[:, (1 << i) | (1 << j)] = index.lookup(np.minimum(a, b), np.maximum(a, b))
-            hit = has_edges_bulk(rowptr, colidx, a, b).astype(np.int64)
+            hit = has_edges(graph, a, b).astype(np.int64)
             adj[:, i] |= hit << j
             adj[:, j] |= hit << i
     for t in range(7, 1 << q):
@@ -540,14 +533,13 @@ def row_venns(
     # a non-anchor core vertex c is a neighbour of exactly the anchors
     # named by its adjacency mask; venn_batch excludes it from that region
     anchor_cols = set(positions)
-    rowptr, colidx = graph.rowptr, graph.colidx
     rows = np.arange(len(core_matrix))
     for c in range(core_matrix.shape[1]):
         if c in anchor_cols:
             continue
         mask = np.zeros(len(core_matrix), dtype=np.int64)
         for j, a in enumerate(positions):
-            hit = has_edges_bulk(rowptr, colidx, core_matrix[:, a], core_matrix[:, c])
+            hit = has_edges(graph, core_matrix[:, a], core_matrix[:, c])
             mask |= hit.astype(np.int64) << j
         sel = mask != 0
         venns[rows[sel], mask[sel]] -= 1

@@ -294,6 +294,7 @@ class WorkerPool:
         with self._state_lock:
             self._teardown_locked()
         self.stats = replace(self.stats, respawns=self.stats.respawns + 1)
+        obs.counter_add("repro_pool_respawns_total")
         self.start()
 
     # ------------------------------------------------------------------
@@ -318,6 +319,7 @@ class WorkerPool:
             for attempt in range(_MAX_RETRIES + 1):
                 if attempt:
                     self.stats = replace(self.stats, retries=self.stats.retries + 1)
+                    obs.counter_add("repro_pool_retries_total")
                 try:
                     result = self._run_call(plan, graph, chunk_size, inner, t_submit)
                     break

@@ -155,6 +155,15 @@ class TestRNSInternals:
             assert all(p % d for d in range(2, int(p**0.5) + 1))
             assert p < 1 << 30
 
+    def test_primes_are_the_24_largest_below_2_30(self):
+        # the literal tuple must equal what a trial-division search finds
+        expect, p = [], (1 << 30) - 1
+        while len(expect) < 24:
+            if all(p % d for d in range(3, int(p**0.5) + 1, 2)):
+                expect.append(p)
+            p -= 2
+        assert _RNS_PRIMES == tuple(expect)
+
     def test_crt_round_trip(self):
         rng = random.Random(5)
         primes = list(_RNS_PRIMES[:6])

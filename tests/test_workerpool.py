@@ -13,6 +13,7 @@ from repro.core.engine import EngineConfig
 from repro.core.plan import compile_pattern
 from repro.graph import datasets
 from repro.graph import generators as gen
+from repro.obs import Observer
 from repro.parallel import ParallelConfig, parallel_count
 from repro.parallel.shm import shm_available
 from repro.parallel.workerpool import WorkerPool, get_default_pool, shutdown_default_pool
@@ -98,9 +99,11 @@ class TestFaultTolerance:
             box = {}
 
             def work():
-                box["res"] = pool.count(
-                    plan, graph, inner=SlowSerial(0.05), chunk_size=32
-                )
+                with Observer(trace=False) as ob:
+                    box["res"] = pool.count(
+                        plan, graph, inner=SlowSerial(0.05), chunk_size=32
+                    )
+                box["metrics"] = ob.metrics
 
             t = threading.Thread(target=work)
             t.start()
@@ -111,6 +114,10 @@ class TestFaultTolerance:
             assert box["res"].sigma == expect.sigma
             assert pool.stats.respawns >= 1
             assert pool.stats.retries >= 1
+            # recovery is visible in the active registry, not only PoolStats
+            metrics = box["metrics"]
+            assert metrics.counter("repro_pool_respawns_total").value == pool.stats.respawns
+            assert metrics.counter("repro_pool_retries_total").value == pool.stats.retries
             # the pool is healthy again: a plain follow-up call works
             after = pool.count(plan, graph, chunk_size=64)
             assert after.sigma == expect.sigma
