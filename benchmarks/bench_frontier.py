@@ -22,15 +22,13 @@ from repro.bench import render_figure, render_speedups, run_figure, save_figure,
 
 @pytest.fixture(scope="module")
 def figure(results_dir):
-    inputs = W.frontier_inputs("tiny")
-    # Fill the plan cache and the per-graph caches (pair index, adjacency
-    # bitmap) before timing: a user pays them once per pattern or graph,
-    # and unwarmed they land in whichever system's cell runs first.
-    run_figure("frontier-warmup", W.frontier_patterns(), inputs, ("fringe-frontier",))
+    # run_figure compiles each plan and builds each graph's pair index and
+    # adjacency bitmap before its timers start: a user pays them once per
+    # pattern or graph, not in whichever system's cell runs first.
     res = run_figure(
         "frontier",
         W.frontier_patterns(),
-        inputs,
+        W.frontier_inputs("tiny"),
         W.FRONTIER_VS_SERIAL,
         timeout_s=30.0,
         record_dir=results_dir,

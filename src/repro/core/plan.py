@@ -65,19 +65,13 @@ def exact_divide(total: int, denominator: int, context: str = "count") -> int:
 
 
 def plan_key(pattern: Pattern, config: "EngineConfig") -> tuple:
-    """Deterministic cache key: canonical pattern form + config.
+    """Deterministic cache key: canonical pattern certificate + config.
 
-    Small patterns (n <= 9) use the exact canonical certificate, so
-    isomorphic patterns share one plan regardless of vertex labeling.
-    Larger patterns fall back to their labeled edge set — still
-    deterministic, merely label-sensitive (the brute-force canonical form
-    is exponential in n).
+    The certificate is exact at every size, so isomorphic patterns share
+    one plan regardless of vertex labeling; it is cached on the pattern
+    object, so keying one pattern twice costs one search.
     """
-    if pattern.n <= 9:
-        pat_key = pattern.canonical_key()
-    else:
-        pat_key = ("labeled", pattern.n, tuple(sorted(pattern.edges())))
-    return (pat_key, config)
+    return (pattern.canonical_key(), config)
 
 
 @dataclass(frozen=True, eq=False)  # identity semantics: poly holds arrays

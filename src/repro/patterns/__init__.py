@@ -1,8 +1,9 @@
-"""Pattern toolkit: pattern type, catalog, decomposition, automorphisms."""
+"""Pattern toolkit: pattern type, catalog, decomposition, symmetry search,
+automorphisms."""
 
 from .pattern import Pattern, all_connected_patterns
 from .decompose import Decomposition, FringeType, decompose, decomposition_from_core
-from . import automorphisms, catalog, dsl, isomorphism, orbits
+from . import automorphisms, catalog, dsl, isomorphism, orbits, symmetry
 
 __all__ = [
     "Pattern",
@@ -16,4 +17,5 @@ __all__ = [
     "isomorphism",
     "dsl",
     "orbits",
+    "symmetry",
 ]

@@ -15,17 +15,23 @@ Two distinct groups matter for Fringe-SGC:
   with the same fringe count. Ordered core embeddings related by such an
   automorphism contribute identical fringe counts, so the matcher can
   enumerate one representative per orbit (via the classic min-ID
-  restriction scheme) and multiply by ``|Aut_dec|``.
+  restriction scheme) and multiply by ``|Aut_dec|``. This group is
+  not enumerated either: :mod:`repro.patterns.symmetry` finds generators
+  by partition refinement, and Schreier–Sims turns them into the
+  stabilizer chain along the matching order.
 """
 
 from __future__ import annotations
 
 from .decompose import Decomposition
-from .isomorphism import automorphisms_of, isomorphisms
+from .isomorphism import automorphisms_of
 from .pattern import Pattern
+from .symmetry import Perm, stabilizer_chain
+from .symmetry import search as symmetry_search
 
 __all__ = [
     "aut_size_bruteforce",
+    "decorated_core_generators",
     "decorated_core_automorphisms",
     "symmetry_restrictions",
 ]
@@ -36,37 +42,46 @@ def aut_size_bruteforce(pattern: Pattern) -> int:
     return len(automorphisms_of(pattern))
 
 
-def decorated_core_automorphisms(decomp: Decomposition) -> list[tuple[int, ...]]:
-    """Automorphisms of the core pattern that preserve the fringe decoration.
+def decorated_core_generators(decomp: Decomposition) -> tuple[Perm, ...]:
+    """Generators of ``Aut_dec(core)``, acting on core-local ids.
 
-    Returned permutations act on core-local ids. Pre-filter candidate
-    vertex pairs by full-pattern degree and by the multiset of fringe types
-    anchored at each vertex, then verify anchor-set preservation exactly.
+    The decoration becomes a coloured graph: the core pattern plus one
+    vertex per fringe type, adjacent to the type's anchors and coloured by
+    its fringe count (core vertices share one colour). Its automorphisms
+    map anchor sets onto anchor sets with equal counts, so restricted to
+    the core they are exactly the decoration-preserving ones.
     """
     decoration = decomp.decoration()  # core-local anchor set -> count
-    pattern, core = decomp.pattern, decomp.core_vertices
+    p = decomp.num_core
+    neighbors = [set(decomp.core_pattern.adj[c]) for c in range(p)]
+    colors: list[tuple[int, ...]] = [(0,)] * p
+    for t, (anchors, count) in enumerate(decoration.items()):
+        neighbors.append(set(anchors))
+        colors.append((1, count))
+        for c in anchors:
+            neighbors[c].add(p + t)
+    generators = symmetry_search(neighbors, colors).generators
+    return tuple(g[:p] for g in generators)
 
-    # per-core-vertex profile: full degree + sorted (arity, count) incidences
-    def profile(c: int) -> tuple:
-        incidences = sorted(
-            (len(a), decoration[a]) for a in decoration if c in a
-        )
-        return (pattern.degree(core[c]), tuple(incidences))
 
-    profiles = [profile(c) for c in range(decomp.num_core)]
+def _decorated_chain(decomp: Decomposition) -> list[dict[int, Perm]]:
+    """Stabilizer chain of ``Aut_dec`` along the matching order."""
+    return stabilizer_chain(
+        decorated_core_generators(decomp), decomp.matching_order, decomp.num_core
+    )
 
-    def compatible(u: int, v: int) -> bool:
-        return profiles[u] == profiles[v]
 
-    out = []
-    for perm in isomorphisms(decomp.core_pattern, decomp.core_pattern, compatible=compatible):
-        mapped = {
-            frozenset(perm[c] for c in anchors): count
-            for anchors, count in decoration.items()
-        }
-        if mapped == decoration:
-            out.append(perm)
-    return out
+def decorated_core_automorphisms(decomp: Decomposition) -> list[tuple[int, ...]]:
+    """Every element of ``Aut_dec(core)``, expanded from its stabilizer
+    chain (each element is one product of transversal elements).
+
+    ``|Aut_dec|`` elements — for inspection and tests; the compile path
+    (:func:`symmetry_restrictions`) needs only the chain's orbits.
+    """
+    elements = [tuple(range(decomp.num_core))]
+    for level in reversed(_decorated_chain(decomp)):
+        elements = [tuple(u[x] for x in g) for g in elements for u in level.values()]
+    return elements
 
 
 def symmetry_restrictions(
@@ -81,22 +96,18 @@ def symmetry_restrictions(
     matcher multiplies its total by ``group_order``.
 
     This is the standard stabilizer-chain construction used by GraphPi,
-    Dryadic, and STMatch: walk the matching order; at the first position
-    whose orbit under the remaining group is non-trivial, pin it to be the
-    minimum of its orbit and descend into the stabilizer.
+    Dryadic, and STMatch (Grochow & Kellis, RECOMB 2007): walk the
+    matching order; pin each base point to be the minimum of its orbit
+    under the pointwise stabilizer of the earlier ones. The chain comes
+    from Schreier–Sims over the search's generators, and ``group_order``
+    is the product of its orbit lengths — no group element is listed.
     """
-    autos = decorated_core_automorphisms(decomp)
-    group_order = len(autos)
-    restrictions: list[tuple[int, int]] = []
     order = decomp.matching_order
     pos_of = {c: i for i, c in enumerate(order)}
-    group = [a for a in autos if a != tuple(range(decomp.num_core))]
-    for c in order:
-        if not group:
-            break
-        orbit = {a[c] for a in group} | {c}
-        if len(orbit) > 1:
-            for other in orbit - {c}:
-                restrictions.append((pos_of[c], pos_of[other]))
-        group = [a for a in group if a[c] == c]
+    restrictions: list[tuple[int, int]] = []
+    group_order = 1
+    for c, level in zip(order, _decorated_chain(decomp)):
+        group_order *= len(level)
+        for other in sorted(level.keys() - {c}):
+            restrictions.append((pos_of[c], pos_of[other]))
     return restrictions, group_order

@@ -1,7 +1,9 @@
 """Backtracking (sub)graph isomorphism for small patterns.
 
-Used for pattern catalogs, automorphism enumeration, and as the ground
-truth in tests. VF2-style: extend a partial mapping one vertex at a time,
+Exponential enumeration, kept as the brute-force oracle: tests check the
+partition-refinement search of :mod:`repro.patterns.symmetry` against
+it, and the VF2 baseline counts with it. No production path calls it.
+VF2-style: extend a partial mapping one vertex at a time,
 pruning on degree and adjacency consistency. Patterns are tiny, so no
 fancy candidate ordering is needed here — the *graph*-side matcher in
 ``repro.core.matcher`` is the performance-critical one.

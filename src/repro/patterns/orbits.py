@@ -6,12 +6,12 @@ copy's mass) and drives orbit-aware graphlet degrees: two pattern
 vertices in the same orbit are indistinguishable roles ("leaf of a star"),
 different orbits are distinct roles ("apex vs tail of a paw").
 
-Brute-force over the automorphism group — pattern-sized inputs only.
+Orbits come from the generators of the pattern's cached symmetry search
+(:attr:`Pattern.symmetry`); the group itself is never listed.
 """
 
 from __future__ import annotations
 
-from .isomorphism import automorphisms_of
 from .pattern import Pattern
 
 __all__ = ["vertex_orbits", "orbit_of", "num_orbits", "edge_orbits"]
@@ -20,16 +20,7 @@ __all__ = ["vertex_orbits", "orbit_of", "num_orbits", "edge_orbits"]
 def vertex_orbits(pattern: Pattern) -> list[frozenset[int]]:
     """Partition of the vertices into automorphism orbits (sorted by
     smallest member)."""
-    autos = automorphisms_of(pattern)
-    seen: set[int] = set()
-    orbits: list[frozenset[int]] = []
-    for v in range(pattern.n):
-        if v in seen:
-            continue
-        orbit = frozenset(a[v] for a in autos)
-        seen.update(orbit)
-        orbits.append(orbit)
-    return orbits
+    return list(pattern.symmetry.orbits)
 
 
 def orbit_of(pattern: Pattern, v: int) -> frozenset[int]:
@@ -47,16 +38,23 @@ def num_orbits(pattern: Pattern) -> int:
 
 
 def edge_orbits(pattern: Pattern) -> list[frozenset[tuple[int, int]]]:
-    """Partition of the edges into automorphism orbits."""
-    autos = automorphisms_of(pattern)
+    """Partition of the edges into automorphism orbits (the closure of
+    each edge under the generators), in edge order of first member."""
+    generators = pattern.symmetry.generators
     seen: set[tuple[int, int]] = set()
     orbits: list[frozenset[tuple[int, int]]] = []
-    for u, v in pattern.edges():
-        if (u, v) in seen:
+    for edge in pattern.edges():
+        if edge in seen:
             continue
-        orbit = frozenset(
-            (min(a[u], a[v]), max(a[u], a[v])) for a in autos
-        )
+        orbit = {edge}
+        frontier = [edge]
+        while frontier:
+            u, v = frontier.pop()
+            for g in generators:
+                image = (min(g[u], g[v]), max(g[u], g[v]))
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
         seen.update(orbit)
-        orbits.append(orbit)
+        orbits.append(frozenset(orbit))
     return orbits

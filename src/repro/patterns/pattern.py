@@ -2,16 +2,20 @@
 
 Patterns are tiny (a dozen-ish vertices), so the representation favours
 clarity and hashability over raw speed: a tuple of frozen neighbour sets.
-All pattern-level precomputation (decomposition, automorphisms, matching
-order) happens once per pattern and is amortized over the whole graph
-search, exactly as in the paper (§3.4: "not performance critical").
+Pattern-level precomputation (decomposition, automorphisms, matching
+order) is amortized over the whole graph search (paper §3.4). The
+canonical key is not: the plan cache and the serve result cache compute
+it on every request, so it comes from a polynomial-in-practice
+partition-refinement search, cached on the (immutable) pattern object.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
+
+from .symmetry import Symmetry, search
 
 __all__ = ["Pattern"]
 
@@ -140,33 +144,21 @@ class Pattern:
         return Pattern.from_edges(edges, n=n)
 
     # ------------------------------------------------------------------
-    # canonical form (small patterns only; used for catalogs and tests)
+    # symmetry (one partition-refinement search, cached per pattern)
     # ------------------------------------------------------------------
+    @cached_property
+    def symmetry(self) -> Symmetry:
+        """Canonical certificate, automorphism generators and vertex orbits
+        (:func:`repro.patterns.symmetry.search`), computed once per object."""
+        return search(self.adj)
+
     def canonical_key(self) -> tuple:
-        """A canonical certificate: the lexicographically smallest edge set
-        over all vertex relabelings. Exponential — guarded to n <= 9."""
-        if self.n > 9:
-            raise ValueError("canonical_key is brute force; pattern too large (n > 9)")
-        best = None
-        for perm in permutations(range(self.n)):
-            relabeled = tuple(
-                sorted(
-                    (min(perm[u], perm[v]), max(perm[u], perm[v]))
-                    for u, v in self.edges()
-                )
-            )
-            if best is None or relabeled < best:
-                best = relabeled
-        return (self.n, best or ())
+        """The exact canonical certificate ``(n, edges)``: isomorphic
+        patterns share it, non-isomorphic patterns never do, at any ``n``."""
+        return self.symmetry.certificate
 
     def is_isomorphic(self, other: "Pattern") -> bool:
-        if self.n != other.n or self.num_edges != other.num_edges:
-            return False
-        if sorted(self.degrees()) != sorted(other.degrees()):
-            return False
-        from .isomorphism import are_isomorphic
-
-        return are_isomorphic(self, other)
+        return self.canonical_key() == other.canonical_key()
 
     # ------------------------------------------------------------------
     # dunder
@@ -178,6 +170,10 @@ class Pattern:
 
     def __hash__(self) -> int:
         return hash((self.n, self.adj))
+
+    def __reduce__(self):
+        # the value is (n, adj); cached properties are rebuilt on demand
+        return (type(self), (self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Pattern(n={self.n}, m={self.num_edges})"

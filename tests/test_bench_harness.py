@@ -163,3 +163,72 @@ class TestRecordAppender:
             assert len(rec["pad"]) == 400
             seen.add((rec["writer"], rec["i"]))
         assert len(seen) == writers * per_writer  # no record lost or torn
+
+
+class TestProvenance:
+    @staticmethod
+    def _repo(tmp_path):
+        import subprocess
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        (tmp_path / "benchmarks" / "results").mkdir(parents=True)
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "code.py").write_text("x = 1\n")
+        (tmp_path / "benchmarks" / "results" / "BENCH_x.json").write_text("{}\n")
+        git("init", "-q")
+        git("add", "-A")
+        git("commit", "-q", "-m", "seed")
+        return git
+
+    def test_regenerated_records_keep_the_clean_sha(self, tmp_path):
+        from repro.bench.harness import git_revision
+
+        git = self._repo(tmp_path)
+        clean = git_revision(tmp_path / "src")
+        assert clean is not None and len(clean) == 40
+        # a rewritten record and an untracked one leave the revision clean,
+        # whichever directory of the checkout the harness runs from
+        (tmp_path / "benchmarks" / "results" / "BENCH_x.json").write_text('{"a": 1}\n')
+        (tmp_path / "benchmarks" / "results" / "BENCH_y.json").write_text("{}\n")
+        assert git_revision(tmp_path / "src") == clean
+        assert git_revision(tmp_path / "benchmarks" / "results") == clean
+        # a source edit does not
+        (tmp_path / "src" / "code.py").write_text("x = 2\n")
+        assert git_revision(tmp_path / "src") == f"{clean}-dirty"
+        git("commit", "-q", "-am", "edit")
+        assert git_revision(tmp_path / "src") not in (None, clean)
+
+    def test_outside_a_checkout(self, tmp_path):
+        from repro.bench.harness import git_revision
+
+        assert git_revision(tmp_path) is None
+
+
+class TestCellsExcludeSetUp:
+    def test_runner_build_compiles_the_plan(self):
+        from repro.bench.harness import _BENCH_RUNTIME, SYSTEMS
+
+        pattern = catalog.tailed_four_clique(3)
+        before = _BENCH_RUNTIME.stats.plan_cache_misses
+        run = SYSTEMS["fringe-sgc"](pattern)
+        assert _BENCH_RUNTIME.stats.plan_cache_misses == before + 1
+        run(gen.erdos_renyi(30, 0.3, seed=4), 10.0)
+        assert _BENCH_RUNTIME.stats.plan_cache_misses == before + 1
+
+    def test_run_figure_builds_graph_caches_first(self, monkeypatch):
+        from repro.bench import harness
+
+        built = []
+        monkeypatch.setattr(harness, "pair_index", lambda g: built.append(("pairs", g)))
+        monkeypatch.setattr(harness, "adjacency_bitmap", lambda g: built.append(("bits", g)))
+        graph = gen.erdos_renyi(20, 0.3, seed=5)
+        run_figure("t", {"triangle": catalog.triangle()}, {"er": graph}, ["fringe-sgc"])
+        assert built == [("pairs", graph), ("bits", graph)]
+        built.clear()
+        run_figure("t", {"triangle": catalog.triangle()}, {"er": graph}, ["stmatch-like"])
+        assert built == []

@@ -84,13 +84,15 @@ class TestCanonical:
     def test_different_patterns_different_key(self):
         assert catalog.four_cycle().canonical_key() != catalog.diamond().canonical_key()
 
-    def test_too_large_guarded(self):
-        with pytest.raises(ValueError):
-            catalog.star(10).canonical_key()
+    def test_star10_keys_equal_under_relabeling(self):
+        # n = 11: beyond the old brute-force limit, the certificate is exact
+        p = catalog.star(10)
+        q = p.relabel([10, *range(10)])  # the centre becomes vertex 10
+        assert q != p and q.canonical_key() == p.canonical_key()
 
 
 class TestAllConnectedPatterns:
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21)])
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)])
     def test_known_counts(self, n, count):
         # OEIS A001349: connected graphs on n nodes
         assert len(all_connected_patterns(n)) == count
