@@ -21,8 +21,11 @@ astronomically large automorphism groups (``Π k_t!`` alone).
 
 The implementation is layered (DESIGN.md §7): :mod:`repro.core.plan`
 compiles patterns into frozen :class:`~repro.core.plan.CountingPlan`
-artifacts, :mod:`repro.core.backends` executes plans over graphs, and
-:class:`repro.runtime.Runtime` fronts both with an LRU plan cache.
+artifacts, :mod:`repro.core.backends` executes plans over graphs (and
+:mod:`repro.core.specialized` holds the closed forms of 1-/2-vertex
+cores), and :class:`repro.runtime.Runtime` fronts both with an LRU plan
+cache. Every route returns a raw, symmetry-reduced ``core_sum`` and
+only :meth:`~repro.core.plan.CountingPlan.normalize` divides it.
 
 Use :func:`count_subgraphs` to count (it routes through the process-wide
 runtime, so repeated patterns hit the plan cache), or
@@ -154,8 +157,9 @@ def count_subgraphs(
     ``engine``:
 
     * ``"auto"`` — specialized closed-form engines for 1-/2-vertex cores
-      (paper §3.4 "specialized code for patterns with small cores"), the
-      frontier matcher otherwise;
+      (paper §3.4 "specialized code for patterns with small cores"; a
+      single vertex or edge is a 1-vertex core), the frontier matcher
+      otherwise;
     * ``"general"`` — the per-match serial oracle (matcher + Venn + fc
       per core match, the paper's Listing 5);
     * ``"specialized"`` — require a closed form (raises ``ValueError``

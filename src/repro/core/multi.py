@@ -26,7 +26,7 @@ from dataclasses import replace
 from ..graph.csr import CSRGraph
 from ..patterns.pattern import Pattern
 from .backends import FrontierBackend
-from .engine import CountResult, EngineConfig, ExecutionStats, count_subgraphs
+from .engine import CountResult, EngineConfig, ExecutionStats
 from .plan import CountingPlan, compile_pattern
 
 __all__ = ["MultiPatternCounter", "count_many"]
@@ -39,12 +39,8 @@ class MultiPatternCounter:
         if not patterns:
             raise ValueError("need at least one pattern")
         self.config = config or EngineConfig()
-        self._trivial: dict[str, Pattern] = {}
         groups: dict[tuple, dict[str, CountingPlan]] = {}
         for name, pattern in patterns.items():
-            if pattern.n <= 2:
-                self._trivial[name] = pattern
-                continue
             plan = compile_pattern(pattern, self.config)
             key = (
                 plan.decomp.core_pattern,
@@ -79,10 +75,7 @@ class MultiPatternCounter:
 
         Each member's ``stats`` describe its group's shared pass.
         """
-        out = {
-            name: count_subgraphs(graph, pattern, config=self.config)
-            for name, pattern in self._trivial.items()
-        }
+        out: dict[str, CountResult] = {}
         backend = FrontierBackend()
         for group in self.groups.values():
             plans = list(group.values())

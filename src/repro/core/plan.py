@@ -11,9 +11,12 @@ execution backends need into one immutable :class:`CountingPlan`:
   degree filters, symmetry restrictions, group order);
 * the ``(anch, k)`` anchor bitsets and the compiled
   :class:`~repro.core.fringe_poly.FringePolynomial`;
-* the specialized-engine dispatch decision (paper §3.4's dedicated code;
-  closed forms for 1-/2-vertex cores);
+* the closed-form kind of a 1-/2-vertex core (paper §3.4's dedicated
+  code), named in :mod:`repro.core.specialized`;
 * the structural normalizer ``inj(P, P) / Π k_t!``.
+
+Every connected pattern compiles the same way, a single vertex or edge
+included (a 1-vertex core with zero or one fringe).
 
 Plans are value objects: they hold no graph state and pickle cleanly (so
 they cross process boundaries and can be persisted). The
@@ -23,12 +26,13 @@ cache, not by compilation.
 
 Normalization — ``sigma * group_order / denominator`` with the
 non-integrality assertion — lives *only* here (:func:`exact_divide` /
-:meth:`CountingPlan.normalize`); every backend and engine shares it.
+:meth:`CountingPlan.normalize`): matcher backends and closed-form
+kernels alike return a raw ``sigma`` and the plan divides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from ..graph.csr import CSRGraph
@@ -42,15 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> plan)
 
 __all__ = ["CountingPlan", "compile_pattern", "plan_key", "exact_divide"]
 
-# Specialized-engine kinds by core size (paper §3.4). The *decision* is a
-# pure function of the decomposition; the engine object itself is built
-# lazily (and cached on the plan) because its constructor performs the
-# pattern-side precomputation.
-_SPECIALIZED_KINDS = {1: "vertex-core", 2: "edge-core"}
-
-
 def exact_divide(total: int, denominator: int, context: str = "count") -> int:
-    """The one normalization code path shared by every engine and backend.
+    """The one normalization code path shared by every route.
 
     Divides the raw ordered-embedding sum by the structural normalizer and
     asserts integrality — a non-zero remainder always indicates an engine
@@ -76,47 +73,31 @@ def plan_key(pattern: Pattern, config: "EngineConfig") -> tuple:
 
 @dataclass(frozen=True, eq=False)  # identity semantics: poly holds arrays
 class CountingPlan:
-    """Everything pattern-side, compiled once and reused across inputs.
-
-    For trivial patterns (n <= 2) only ``pattern``/``config`` are
-    meaningful: ``decomp`` and ``core_plan`` are ``None`` and the
-    denominator is 1 (the runtime counts vertices/edges directly).
-    """
+    """Everything pattern-side, compiled once and reused across inputs."""
 
     pattern: Pattern
     config: "EngineConfig"
-    decomp: Decomposition | None
-    core_plan: CorePlan | None
+    decomp: Decomposition
+    core_plan: CorePlan
     anch: tuple[int, ...]
     k: tuple[int, ...]
     anchored_positions: tuple[int, ...]
-    poly: FringePolynomial | None
+    poly: FringePolynomial
     specialized_kind: str | None
     denominator: int
-    # one-slot lazy cache for the constructed specialized engine; not part
-    # of the plan's value (compare=False) and rebuilt after unpickling
-    _specialized_cache: list = field(
-        default=None, compare=False, repr=False, hash=False
-    )
 
     # ------------------------------------------------------------------
     @property
-    def is_trivial(self) -> bool:
-        return self.pattern.n <= 2
-
-    @property
     def q(self) -> int:
-        return self.decomp.q if self.decomp is not None else 0
+        return self.decomp.q
 
     @property
     def group_order(self) -> int:
-        return self.core_plan.group_order if self.core_plan is not None else 1
+        return self.core_plan.group_order
 
     @property
     def aut_size(self) -> int:
         """|Aut(P)| computed structurally (never by enumeration)."""
-        if self.decomp is None:
-            return self.pattern.n  # K1: 1, K2: 2
         return self.denominator * self.decomp.fringe_permutation_factor()
 
     def normalize(self, sigma: int, *, context: str = "count") -> int:
@@ -125,18 +106,17 @@ class CountingPlan:
         return exact_divide(sigma * self.group_order, self.denominator, context)
 
     def specialized_engine(self):
-        """The dispatched closed-form engine, or None (built lazily)."""
+        """A closed-form kernel for this plan's core, or None.
+
+        Calling it on a graph returns the
+        :class:`~repro.core.backends.PartialSum` that
+        :meth:`normalize` divides, like a matcher backend's ``run``.
+        """
         if self.specialized_kind is None:
             return None
-        cache = self._specialized_cache
-        if cache is None:
-            cache = []
-            object.__setattr__(self, "_specialized_cache", cache)
-        if not cache:
-            from . import specialized
+        from .specialized import CLOSED_FORMS
 
-            cache.append(specialized.dispatch(self.decomp))
-        return cache[0]
+        return CLOSED_FORMS[self.decomp.num_core](self.decomp, self.group_order)
 
     def __repr__(self) -> str:  # keep the (potentially huge) poly out
         return (
@@ -165,20 +145,6 @@ def compile_pattern(
     if not pattern.is_connected:
         raise ValueError("Fringe-SGC counts connected patterns")
 
-    if pattern.n <= 2:
-        return CountingPlan(
-            pattern=pattern,
-            config=cfg,
-            decomp=None,
-            core_plan=None,
-            anch=(),
-            k=(),
-            anchored_positions=(),
-            poly=None,
-            specialized_kind=None,
-            denominator=1,
-        )
-
     decomp = decomposition if decomposition is not None else decompose(pattern)
     core_plan = build_plan(decomp, symmetry_breaking=cfg.symmetry_breaking)
     anch, k = decomp.anchor_bitsets()
@@ -188,7 +154,11 @@ def compile_pattern(
     # frontier pass), and it makes the plan self-contained regardless of
     # which route the caller later selects
     poly = compile_fringe_polynomial(anch, k, decomp.q)
+    # imported here: both modules import this one
+    from .backends import SerialBackend
+    from .specialized import CLOSED_FORMS
 
+    closed_form = CLOSED_FORMS.get(decomp.num_core)
     draft = CountingPlan(
         pattern=pattern,
         config=cfg,
@@ -198,14 +168,12 @@ def compile_pattern(
         k=k,
         anchored_positions=anchored_positions,
         poly=poly,
-        specialized_kind=_SPECIALIZED_KINDS.get(decomp.num_core),
+        specialized_kind=closed_form.kind if closed_form else None,
         denominator=1,
     )
     # |Aut(P)| / Π k_t! — the fringe method run on the pattern itself
     # (DESIGN.md §1), on the per-match oracle: a pattern graph has few
     # core matches, so the vectorized backends only add set-up cost.
-    from .backends import SerialBackend
-
     pattern_graph = CSRGraph.from_edges(pattern.edges(), num_vertices=pattern.n)
     partial = SerialBackend().run(draft, pattern_graph)
     denominator = partial.sigma * core_plan.group_order

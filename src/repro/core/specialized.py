@@ -1,4 +1,4 @@
-"""Specialized counting engines for small cores (paper §3.4).
+"""Closed-form kernels for small cores (paper §3.4).
 
 The paper invokes dedicated code for patterns whose core has one, two, or
 three vertices. Here the first two keep closed forms:
@@ -14,78 +14,57 @@ A 3-vertex core has no closed form here: the frontier matcher
 (:class:`~repro.core.backends.FrontierBackend`) counts wedge and
 triangle cores faster than dedicated instance enumeration did.
 
-Each engine divides by the same structural normalizer as the general
-engine: the identical sum evaluated on the pattern itself.
+A kernel is the fringe identity with closed-form Venn sizes, so it
+returns what a matcher backend returns: the symmetry-reduced sum σ as a
+:class:`~repro.core.backends.PartialSum`, which
+:meth:`~repro.core.plan.CountingPlan.normalize` turns into a count.
+Kernels hold no pattern-side precomputation and are cheap to build.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from typing import Callable
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..patterns.decompose import Decomposition
+from .backends import PartialSum
 from .binomial import nCk, nck_array
-from .engine import CountResult
-from .plan import exact_divide
 from .venn import venn_sets
 
-__all__ = ["dispatch", "VertexCoreEngine", "EdgeCoreEngine", "common_neighbor_counts"]
+__all__ = ["CLOSED_FORMS", "VertexCoreEngine", "EdgeCoreEngine", "common_neighbor_counts"]
 
 _EXACT_LIMIT = float(1 << 52)  # above this, float64 loses integer exactness
 _PAIR_CHUNK = 1 << 16  # edges per venn_sets call in common_neighbor_counts
-
-
-def dispatch(decomp: Decomposition) -> Callable[[CSRGraph], CountResult] | None:
-    """Return a specialized engine for ``decomp``, or None if only the
-    general engine applies."""
-    p = decomp.num_core
-    if p == 1:
-        return VertexCoreEngine(decomp)
-    if p == 2:
-        return EdgeCoreEngine(decomp)
-    return None
 
 
 # ----------------------------------------------------------------------
 # 1-vertex core: k-stars
 # ----------------------------------------------------------------------
 class VertexCoreEngine:
-    """``count = Σ_v C(d_v, k) / denom`` via the degree histogram."""
+    """``σ = Σ_v C(d_v, k)`` via the degree histogram.
 
-    name = "fringe-specialized(vertex-core)"
+    ``group_order`` is accepted for a uniform kernel signature; a
+    one-vertex core has only the trivial symmetry.
+    """
 
-    def __init__(self, decomp: Decomposition):
+    kind = "vertex-core"
+    name = f"fringe-specialized({kind})"
+
+    def __init__(self, decomp: Decomposition, group_order: int = 1):
         if decomp.num_core != 1:
             raise ValueError("VertexCoreEngine needs a 1-vertex core")
         if decomp.num_fringe_types > 1:
             raise AssertionError("1-vertex core can only carry one fringe type")
-        self.decomp = decomp
         self.k = decomp.fringe_types[0].count if decomp.fringe_types else 0
-        self.denominator = self._sum_over(decomp.pattern.degrees())
 
-    def _sum_over(self, degrees) -> int:
-        hist = np.bincount(np.asarray(degrees, dtype=np.int64))
-        return sum(
+    def __call__(self, graph: CSRGraph) -> PartialSum:
+        hist = np.bincount(np.asarray(graph.degrees, dtype=np.int64))
+        sigma = sum(
             int(cnt) * math.comb(d, self.k) for d, cnt in enumerate(hist.tolist()) if cnt
         )
-
-    def __call__(self, graph: CSRGraph) -> CountResult:
-        start = time.perf_counter()
-        total = self._sum_over(graph.degrees)
-        value = exact_divide(total, self.denominator, "k-star count")
-        matches = int(np.count_nonzero(graph.degrees >= self.k))
-        return CountResult(
-            count=value,
-            pattern=self.decomp.pattern,
-            core_matches=matches,
-            elapsed_s=time.perf_counter() - start,
-            engine=self.name,
-            decomposition=self.decomp,
-        )
+        return PartialSum(sigma=sigma, matches=int(np.count_nonzero(graph.degrees >= self.k)))
 
 
 # ----------------------------------------------------------------------
@@ -101,22 +80,27 @@ class EdgeCoreEngine:
             C(n_uv−i−j, m)``
 
     where ``n_u = d_u − 1 − c``, ``n_v = d_v − 1 − c``, ``n_uv = c`` and
-    ``c`` is the number of common neighbours of u and v.
+    ``c`` is the number of common neighbours of u and v. ``σ`` sums F
+    over one orientation of every edge, plus the reverse orientation
+    unless the plan's symmetry restriction keeps one (``group_order`` 2,
+    which needs ``a == b`` and so a symmetric F).
     """
 
-    name = "fringe-specialized(edge-core)"
+    kind = "edge-core"
+    name = f"fringe-specialized({kind})"
 
-    def __init__(self, decomp: Decomposition):
+    def __init__(self, decomp: Decomposition, group_order: int = 1):
         if decomp.num_core != 2:
             raise ValueError("EdgeCoreEngine needs a 2-vertex core")
         if not decomp.core_pattern.has_edge(0, 1):
             raise ValueError("2-vertex core must be connected (an edge)")
-        self.decomp = decomp
         deco = decomp.decoration()
         self.a = deco.get(frozenset({0}), 0)
         self.b = deco.get(frozenset({1}), 0)
         self.m = deco.get(frozenset({0, 1}), 0)
-        self.denominator = self._pattern_denominator()
+        if group_order == 2 and self.a != self.b:
+            raise ValueError("swapping the core vertices needs equal tails")
+        self.both = group_order == 1
 
     # -- scalar exact evaluation --------------------------------------
     def _f_exact(self, nu: int, nv: int, c: int) -> int:
@@ -132,21 +116,6 @@ class EdgeCoreEngine:
             total += left * inner
         return total
 
-    def _pattern_denominator(self) -> int:
-        """inj(P, P) / Π k_t! — evaluate the same sum on the pattern."""
-        pat_graph = CSRGraph.from_edges(self.decomp.pattern.edges(), num_vertices=self.decomp.pattern.n)
-        edges = pat_graph.edge_array()
-        c = common_neighbor_counts(pat_graph, edges)
-        deg = pat_graph.degrees
-        total = 0
-        for (u, v), cc in zip(edges.tolist(), c.tolist()):
-            nu = int(deg[u]) - 1 - cc
-            nv = int(deg[v]) - 1 - cc
-            total += self._f_exact(nu, nv, cc) + self._f_exact(nv, nu, cc)
-        if total <= 0:
-            raise AssertionError("pattern must embed in itself")
-        return total
-
     # -- vectorized evaluation ----------------------------------------
     def _f_vector(self, nu: np.ndarray, nv: np.ndarray, c: np.ndarray) -> np.ndarray:
         a, b, m = self.a, self.b, self.m
@@ -159,34 +128,31 @@ class EdgeCoreEngine:
             total += left * inner
         return total
 
-    def __call__(self, graph: CSRGraph) -> CountResult:
-        start = time.perf_counter()
+    def __call__(self, graph: CSRGraph) -> PartialSum:
         edges = graph.edge_array()
         deg = graph.degrees
         c = common_neighbor_counts(graph, edges)
         nu = deg[edges[:, 0]] - 1 - c
         nv = deg[edges[:, 1]] - 1 - c
         with np.errstate(over="ignore", invalid="ignore"):
-            fwd = self._f_vector(nu, nv, c)
-            rev = self._f_vector(nv, nu, c)
-            per_edge = fwd + rev
+            per_edge = self._f_vector(nu, nv, c)
+            if self.both:
+                per_edge += self._f_vector(nv, nu, c)
         # negated comparison so NaN rows (inf * 0 on extreme hubs) fall
         # into the exact path instead of silently passing as "safe"
         risky = ~(per_edge < _EXACT_LIMIT)
-        total = int(np.rint(per_edge[~risky]).astype(np.int64).sum(dtype=np.object_))
-        if np.any(risky):
-            for idx in np.nonzero(risky)[0].tolist():
-                cu, cv, cc = int(nu[idx]), int(nv[idx]), int(c[idx])
-                total += self._f_exact(cu, cv, cc) + self._f_exact(cv, cu, cc)
-        value = exact_divide(total, self.denominator, "edge-core count")
-        return CountResult(
-            count=value,
-            pattern=self.decomp.pattern,
-            core_matches=2 * len(edges),
-            elapsed_s=time.perf_counter() - start,
-            engine=self.name,
-            decomposition=self.decomp,
-        )
+        sigma = int(np.rint(per_edge[~risky]).astype(np.int64).sum(dtype=np.object_))
+        for idx in np.nonzero(risky)[0].tolist():
+            cu, cv, cc = int(nu[idx]), int(nv[idx]), int(c[idx])
+            sigma += self._f_exact(cu, cv, cc)
+            if self.both:
+                sigma += self._f_exact(cv, cu, cc)
+        return PartialSum(sigma=sigma, matches=len(edges) * (2 if self.both else 1))
+
+
+# the closed-form kernel of each core size; a plan's ``specialized_kind``
+# is the kernel's ``kind``
+CLOSED_FORMS = {1: VertexCoreEngine, 2: EdgeCoreEngine}
 
 
 def common_neighbor_counts(graph: CSRGraph, edges: np.ndarray) -> np.ndarray:

@@ -26,6 +26,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..core.plan import compile_pattern
+from ..core.specialized import EdgeCoreEngine
 from ..graph.csr import CSRGraph
 from ..patterns.decompose import decompose
 from ..patterns.pattern import Pattern
@@ -58,11 +60,10 @@ class EdgeCoreKernel:
         self.m = deco.get(frozenset({0, 1}), 0)
         self.decomp = decomp
         self.pattern = pattern
-        # normalizer: same structural constant as the CPU engine
-        from ..core.specialized import EdgeCoreEngine
-
+        # the closed form of the CPU kernel, summed over both orientations
+        # of every edge, and the plan's structural normalizer for that sum
         self._engine = EdgeCoreEngine(decomp)
-        self.denominator = self._engine.denominator
+        self.denominator = compile_pattern(pattern, decomposition=decomp).denominator
 
     # ------------------------------------------------------------------
     def launch(

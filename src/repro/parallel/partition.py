@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.engine import CountResult, EngineConfig, count_subgraphs
+from ..core.engine import CountResult, EngineConfig
 from ..graph.csr import CSRGraph
 from ..patterns.decompose import Decomposition
 from ..patterns.pattern import Pattern
@@ -142,8 +142,6 @@ def partitioned_count(
 
     start = time.perf_counter()
     cfg = config or EngineConfig()
-    if pattern.n <= 2:
-        return count_subgraphs(graph, pattern, config=cfg)
     # one compiled plan shared by every partition pass — the pattern side
     # is partition-independent
     plan = compile_pattern(pattern, cfg, decomposition=decomposition)

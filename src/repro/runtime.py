@@ -307,43 +307,19 @@ class Runtime:
         else:
             plan, hit, compile_s = self.plan_for(pattern, cfg)
 
-        # trivial patterns: count vertices / edges directly
-        if pattern.n <= 2:
-            t0 = time.perf_counter()
-            value = graph.num_vertices if pattern.n == 1 else graph.num_edges
-            return CountResult(
-                count=value,
-                pattern=pattern,
-                core_matches=value,
-                elapsed_s=time.perf_counter() - t0,
-                engine=_engine_label("trivial", cfg),
-                decomposition=None,
-                stats=self._stats(plan_hit=hit, compile_s=compile_s, backend="trivial"),
-            )
-
         # engine first: a closed form runs here, on the calling thread, and
         # only matcher work ever reaches the worker pool
         route = _resolve_route(engine, plan, start_vertices)
-        if route in _CLOSED_FORMS:
-            special = plan.specialized_engine()
-            with obs.span("execute", backend=special.name):
-                res = special(graph)
-            return replace(
-                res,
-                engine=_engine_label(route, cfg, parallel),
-                stats=self._stats(
-                    plan_hit=hit,
-                    compile_s=compile_s,
-                    backend=special.name,
-                    execute_s=res.elapsed_s,
-                ),
-            )
-
-        # substrate second
-        backend = select_backend(parallel, route)
+        closed = route == plan.specialized_kind
         t0 = time.perf_counter()
-        with obs.span("execute", backend=backend.name):
-            partial = backend.run(plan, graph, start_vertices=start_vertices)
+        if closed:
+            runner = plan.specialized_engine()
+            with obs.span("execute", backend=runner.name):
+                partial = runner(graph)
+        else:  # substrate second
+            runner = select_backend(parallel, route)
+            with obs.span("execute", backend=runner.name):
+                partial = runner.run(plan, graph, start_vertices=start_vertices)
         execute_s = time.perf_counter() - t0
         value = plan.normalize(partial.sigma, context="parallel count" if parallel else "count")
         # the pool backend falls back to its inner matcher in-process for
@@ -359,7 +335,7 @@ class Runtime:
             stats=self._stats(
                 plan_hit=hit,
                 compile_s=compile_s,
-                backend=backend.name if pooled else route,
+                backend=runner.name if closed or pooled else route,
                 execute_s=execute_s,
                 match_s=partial.match_s,
                 venn_fc_s=partial.venn_fc_s,
@@ -401,15 +377,12 @@ class Runtime:
 # ----------------------------------------------------------------------
 # routing: engine first, substrate second
 # ----------------------------------------------------------------------
-_CLOSED_FORMS = ("vertex-core", "edge-core")
-
-
 def _resolve_route(
     engine: str, plan: CountingPlan, start_vertices: Sequence[int] | None
 ) -> str:
     """The concrete route of one count, decided from plan data alone.
 
-    Returns a closed-form kind (``"vertex-core"``, ``"edge-core"``) or a
+    Returns the plan's closed-form kind (``plan.specialized_kind``) or a
     matcher backend name (``"frontier"``, ``"serial"``). Closed forms
     are whole-graph formulas that run on the calling thread whatever
     ``parallel`` says; ``parallel`` only decides where matcher work
@@ -442,12 +415,12 @@ def _engine_label(
     """
     if pooled:
         return f"fringe-pool(x{parallel.num_workers})+{route}"
-    if route in _CLOSED_FORMS:
-        label = f"fringe-specialized({route})"
-    elif route == "frontier":
+    if route == "frontier":
         label = f"fringe-frontier(max_rows={cfg.max_frontier_rows})"
-    else:
+    elif route == "serial":
         label = "fringe-general"
+    else:  # a closed-form kind
+        label = f"fringe-specialized({route})"
     return label if parallel is None else f"{label} in-process(x1)"
 
 

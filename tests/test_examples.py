@@ -1,0 +1,29 @@
+"""Every script under ``examples/`` runs to completion.
+
+The examples drive the public API end to end (and one reaches into the
+closed-form kernel), so an API change that breaks them fails here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+
+
+def test_examples_found():
+    assert len(EXAMPLES) >= 6
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
+def test_example_exits_zero(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -5,6 +5,7 @@ import pytest
 from repro import count_subgraphs
 from repro.core.multi import MultiPatternCounter, count_many
 from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
 from repro.patterns import catalog
 
 
@@ -71,11 +72,15 @@ class TestCorrectness:
             assert got[name].count == count_subgraphs(graph, pattern).count
 
     def test_trivial_patterns_included(self, graph):
-        got = count_many(
-            graph, {"v": catalog.single_vertex(), "e": catalog.edge(), "t": catalog.triangle()}
-        )
-        assert got["v"] == graph.num_vertices
-        assert got["e"] == graph.num_edges
+        isolated = CSRGraph.from_edges([(0, 1), (1, 2), (0, 2)], num_vertices=5)
+        edgeless = CSRGraph.from_edges([], num_vertices=4)
+        for g in (graph, isolated, edgeless):
+            got = count_many(
+                g, {"v": catalog.single_vertex(), "e": catalog.edge(), "t": catalog.triangle()}
+            )
+            assert got["v"] == g.num_vertices
+            assert got["e"] == g.num_edges
+            assert got["t"] == count_subgraphs(g, catalog.triangle()).count
 
     def test_fig14_series_shares_core(self, graph):
         # adding tri-fringes preserves the core's decoration symmetry, so

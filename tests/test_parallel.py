@@ -6,10 +6,12 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from repro import count_subgraphs
+from repro import count_subgraphs, get_runtime
 from repro.core.backends import FrontierBackend
+from repro.core.engine import ENGINES
 from repro.core.plan import compile_pattern
 from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
 from repro.parallel import ParallelConfig, parallel_count
 from repro.parallel.workerpool import _take_chunk, chunk_roots
 from repro.patterns import catalog
@@ -65,8 +67,18 @@ class TestParallelCount:
         assert "x1" in res.engine
 
     def test_trivial_patterns(self, graph):
-        assert parallel_count(graph, catalog.single_vertex()).count == graph.num_vertices
-        assert parallel_count(graph, catalog.edge()).count == graph.num_edges
+        two = ParallelConfig(num_workers=2, chunk_size=16)
+        isolated = CSRGraph.from_edges([(0, 1), (1, 2), (0, 2)], num_vertices=40)
+        edgeless = CSRGraph.from_edges([], num_vertices=40)
+        rt = get_runtime()
+        for g in (graph, isolated, edgeless):
+            for pattern, expect in ((catalog.single_vertex(), g.num_vertices),
+                                    (catalog.edge(), g.num_edges)):
+                res = parallel_count(g, pattern, parallel=two)
+                assert res.count == expect
+                assert res.stats.workers >= 1  # the pool ran the frontier matcher
+                for engine in ENGINES:
+                    assert rt.count(g, pattern, engine=engine, parallel=two).count == expect
 
     def test_default_config_uses_cpu_count(self):
         cfg = ParallelConfig()

@@ -5,10 +5,11 @@ import pytest
 
 from repro import count_subgraphs
 from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
 from repro.parallel import ghost_width, partition_graph, partitioned_count
 from repro.parallel.partition import core_diameter
 from repro.patterns import catalog
-from repro.patterns.decompose import decompose
+from repro.patterns.decompose import decompose, decomposition_from_core
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +108,16 @@ class TestPartitionedCount:
         assert partitioned_count(g, pat, num_parts=1).count == count_subgraphs(g, pat).count
 
     def test_trivial_patterns(self, graphs):
-        g = graphs[0]
-        assert partitioned_count(g, catalog.edge(), num_parts=4).count == g.num_edges
+        isolated = CSRGraph.from_edges([(0, 1), (1, 2), (0, 2)], num_vertices=9)
+        edgeless = CSRGraph.from_edges([], num_vertices=6)
+        vertex, edge = catalog.single_vertex(), catalog.edge()
+        for g in (graphs[0], isolated, edgeless):
+            assert partitioned_count(g, vertex, num_parts=4).count == g.num_vertices
+            assert partitioned_count(g, edge, num_parts=4).count == g.num_edges
+            # an explicit core: the edge itself, with no fringes
+            both = decomposition_from_core(edge, [0, 1])
+            res = partitioned_count(g, edge, num_parts=3, decomposition=both)
+            assert res.count == g.num_edges and res.decomposition is both
 
     def test_engine_label(self, graphs):
         res = partitioned_count(graphs[0], catalog.paw(), num_parts=2)

@@ -20,11 +20,13 @@ import pytest
 
 from repro import Runtime, compile_pattern, count_subgraphs, get_runtime
 from repro.core.backends import FrontierBackend, PoolBackend, SerialBackend
-from repro.core.engine import EngineConfig
+from repro.core.engine import ENGINES, EngineConfig
 from repro.core.plan import exact_divide, plan_key
 from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
 from repro.parallel import ParallelConfig, parallel_count
 from repro.patterns import catalog
+from repro.patterns.decompose import decomposition_from_core
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +102,6 @@ class TestPlanCache:
         assert not hit
 
     def test_explicit_decomposition_bypasses_cache(self, kron):
-        from repro.patterns.decompose import decomposition_from_core
-
         rt = Runtime()
         pat = catalog.four_clique()
         alt = decomposition_from_core(pat, [0, 1, 2, 3])
@@ -155,7 +155,8 @@ class TestPlanPickle:
         clone = pickle.loads(pickle.dumps(plan))
         eng = clone.specialized_engine()
         assert eng is not None
-        assert eng(kron).count == count_subgraphs(kron, catalog.diamond()).count
+        expect = count_subgraphs(kron, catalog.diamond()).count
+        assert clone.normalize(eng(kron).sigma) == expect
 
 
 # ----------------------------------------------------------------------
@@ -243,9 +244,22 @@ class TestNormalizationAndStats:
             assert s.match_s + s.venn_fc_s <= s.execute_s
 
     def test_trivial_patterns_through_runtime(self, kron):
+        # a vertex or an edge compiles like any pattern (a 1-vertex core
+        # with no fringe or one), on every engine and on an explicit core
         rt = Runtime()
-        assert rt.count(kron, catalog.single_vertex()).count == kron.num_vertices
-        assert rt.count(kron, catalog.edge()).count == kron.num_edges
+        isolated = CSRGraph.from_edges([(0, 1), (1, 2), (0, 2)], num_vertices=5)
+        edgeless = CSRGraph.from_edges([], num_vertices=4)
+        vertex, edge = catalog.single_vertex(), catalog.edge()
+        for g in (kron, isolated, edgeless):
+            for engine in ENGINES:
+                assert rt.count(g, vertex, engine=engine).count == g.num_vertices
+                assert rt.count(g, edge, engine=engine).count == g.num_edges
+            for core in ([0], [0, 1]):
+                alt = decomposition_from_core(edge, core)
+                for engine in ("auto", "general"):
+                    res = rt.count(g, edge, engine=engine, decomposition=alt)
+                    assert res.count == g.num_edges
+                    assert res.decomposition is alt
 
     def test_unknown_engine_rejected(self, kron):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from repro.baselines.vf2 import count_vf2
-from repro.core.engine import count_subgraphs
+from repro.core.engine import EngineConfig, count_subgraphs
 from repro.core import specialized
 from repro.core import venn as venn_mod
 from repro.core.plan import compile_pattern
 from repro.core.specialized import (
+    CLOSED_FORMS,
     EdgeCoreEngine,
     VertexCoreEngine,
     common_neighbor_counts,
-    dispatch,
 )
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
@@ -22,31 +22,42 @@ from repro.patterns import catalog
 from repro.patterns.decompose import decompose
 
 
+def closed_form(graph, pattern, config=None):
+    """The closed-form count, through the runtime's ``specialized`` route."""
+    return count_subgraphs(graph, pattern, engine="specialized", config=config)
+
+
 class TestDispatch:
     def test_by_core_size(self):
-        assert isinstance(dispatch(decompose(catalog.star(3))), VertexCoreEngine)
-        assert isinstance(dispatch(decompose(catalog.diamond())), EdgeCoreEngine)
+        assert {p: kernel.kind for p, kernel in CLOSED_FORMS.items()} == {
+            1: "vertex-core",
+            2: "edge-core",
+        }
+        assert isinstance(compile_pattern(catalog.star(3)).specialized_engine(), VertexCoreEngine)
+        assert isinstance(compile_pattern(catalog.diamond()).specialized_engine(), EdgeCoreEngine)
         # 3-vertex cores have no closed form: the frontier matcher counts them
-        assert dispatch(decompose(catalog.four_clique())) is None
-        assert dispatch(decompose(catalog.clique(5))) is None
+        assert compile_pattern(catalog.four_clique()).specialized_engine() is None
+        assert compile_pattern(catalog.clique(5)).specialized_engine() is None
 
     def test_engine_type_validation(self):
         with pytest.raises(ValueError):
             VertexCoreEngine(decompose(catalog.diamond()))
         with pytest.raises(ValueError):
             EdgeCoreEngine(decompose(catalog.star(3)))
+        # one orientation per edge needs a core swap that fixes the tails
+        with pytest.raises(ValueError, match="equal tails"):
+            EdgeCoreEngine(decompose(catalog.tailed_triangle()), group_order=2)
 
 
 class TestVertexCore:
     def test_kstars_match_formula(self, small_graphs):
         for g in small_graphs:
             for k in (2, 3, 5):
-                eng = VertexCoreEngine(decompose(catalog.star(k)))
                 expected = sum(math.comb(int(d), k) for d in g.degrees)
-                assert eng(g).count == expected
+                assert closed_form(g, catalog.star(k)).count == expected
 
     def test_result_metadata(self, k5):
-        res = VertexCoreEngine(decompose(catalog.star(2)))(k5)
+        res = closed_form(k5, catalog.star(2))
         assert res.engine == "fringe-specialized(vertex-core)"
         assert res.core_matches == 5  # all K5 vertices have degree >= 2
 
@@ -60,17 +71,32 @@ class TestEdgeCore:
         catalog.path(4),  # 2-core with a tail on each side
         catalog.core_with_fringes("edge", [((0, 1), 2), ((0,), 1), ((1,), 1)]),
     ]
+    # a == b: the core swap is a symmetry (group order 2, one orientation
+    # per edge); a != b: it is not (both orientations)
+    SYMMETRY = {
+        "a=b": catalog.core_with_fringes("edge", [((0, 1), 1), ((0,), 2), ((1,), 2)]),
+        "a!=b": catalog.core_with_fringes("edge", [((0, 1), 1), ((0,), 2), ((1,), 1)]),
+    }
 
     @pytest.mark.parametrize("pat", PATTERNS, ids=lambda p: f"n{p.n}m{p.num_edges}")
     def test_matches_vf2(self, small_graphs, pat):
-        eng = EdgeCoreEngine(decompose(pat))
         for g in small_graphs:
-            assert eng(g).count == count_vf2(g, pat)
+            assert closed_form(g, pat).count == count_vf2(g, pat)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRY))
+    def test_symmetric_and_asymmetric_cores(self, small_graphs, name):
+        pat = self.SYMMETRY[name]
+        symmetric = EngineConfig()
+        assert compile_pattern(pat, symmetric).group_order == (2 if name == "a=b" else 1)
+        for config in (symmetric, EngineConfig(symmetry_breaking=False)):
+            for g in small_graphs:
+                expect = count_subgraphs(g, pat, engine="general", config=config).count
+                assert closed_form(g, pat, config).count == expect
 
     def test_large_graph_consistency(self):
         g = gen.kronecker(9, 8, seed=2)
         pat = catalog.k_tailed_triangle(3)
-        a = EdgeCoreEngine(decompose(pat))(g).count
+        a = closed_form(g, pat).count
         b = count_subgraphs(g, pat, engine="general").count
         assert a == b
 
@@ -78,8 +104,19 @@ class TestEdgeCore:
         # big star: C(hub degree, k) terms blow past float precision
         g = gen.star_graph(300)
         pat = catalog.path(4)  # edge core, tails both sides
-        a = EdgeCoreEngine(decompose(pat))(g).count
+        a = closed_form(g, pat).count
         assert a == count_vf2(g, pat)
+        # two adjacent hubs with 100 leaves each: C(100, 20) per edge takes
+        # the exact path, for one orientation (a == b) and for both
+        hubs = CSRGraph.from_edges(
+            [(0, 1)] + [(h, 2 + 100 * h + i) for h in (0, 1) for i in range(100)]
+        )
+        for b, expect in ((20, math.comb(100, 20) ** 2), (1, 2 * math.comb(100, 20) * 100)):
+            heavy = catalog.core_with_fringes("edge", [((0,), 20), ((1,), b)])
+            edge = compile_pattern(heavy).specialized_engine()
+            assert edge._f_vector(np.array([100]), np.array([100]), np.array([0]))[0] > 2**52
+            assert closed_form(hubs, heavy).count == expect
+            assert count_subgraphs(hubs, heavy, engine="general").count == expect
 
 
 class TestCommonNeighborCounts:
