@@ -11,20 +11,19 @@ enumeration-based tooling cannot screen for it at scale.
 
 This example synthesizes a payment-like graph (preferential attachment +
 planted collusion structures), counts fraud-signature patterns of growing
-size with Fringe-SGC, and ranks hub pairs by their signature density
-using the per-edge closed form.
+size with Fringe-SGC, and ranks hub pairs by their signature density:
+the compiled fringe polynomial evaluated on each edge's Venn row.
 
 Run:  python examples/fraud_rings.py
 """
 
 import numpy as np
 
-from repro import count_subgraphs
-from repro.core.specialized import EdgeCoreEngine, common_neighbor_counts
+from repro import compile_pattern, count_subgraphs
+from repro.core.specialized import anchored_rows, common_neighbor_counts
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.patterns import catalog
-from repro.patterns.decompose import decompose
 
 
 def build_payment_graph(seed: int = 7) -> CSRGraph:
@@ -74,14 +73,13 @@ def main() -> None:
     # ------------------------------------------------------------------
     # for ranking, drop the tails: hub degree should not drown out the
     # collusion signal, so score purely by shared-mule combinations C(c, 5)
-    pattern = catalog.core_with_fringes("edge", [((0, 1), 5)])
-    engine = EdgeCoreEngine(decompose(pattern))
+    plan = compile_pattern(catalog.core_with_fringes("edge", [((0, 1), 5)]))
     edges = graph.edge_array()
     c = common_neighbor_counts(graph, edges)
     deg = graph.degrees
-    nu = deg[edges[:, 0]] - 1 - c
-    nv = deg[edges[:, 1]] - 1 - c
-    scores = engine._f_vector(nu.astype(float), nv.astype(float), c.astype(float))
+    # Venn row of each edge (u, v): [·, only u, only v, both]
+    venn = np.stack([np.zeros_like(c), deg[edges[:, 0]] - 1 - c, deg[edges[:, 1]] - 1 - c, c], 1)
+    scores = np.array([plan.poly.evaluate(row) for row in anchored_rows(plan, venn).tolist()])
     top = np.argsort(scores)[::-1][:5]
     print("\ntop suspicious account pairs (per-edge signature density):")
     for i in top:

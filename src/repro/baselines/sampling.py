@@ -62,10 +62,6 @@ def estimate_count(
     matches rooted there, each with its exact fringe count) — a textbook
     Horvitz–Thompson estimator over roots.
     """
-    if pattern.n <= 2:
-        exact = graph.num_vertices if pattern.n == 1 else graph.num_edges
-        return SampledCount(float(exact), 0.0, 0, graph.num_vertices)
-
     plan = compile_pattern(pattern)
     backend = SerialBackend()
     n = graph.num_vertices
@@ -79,7 +75,7 @@ def estimate_count(
         partial = backend.run(plan, graph, start_vertices=[int(root)])
         masses[i] = float(partial.sigma) * scale
 
-    mean = float(masses.mean())
+    mean = float(masses.mean()) if take else 0.0  # an empty graph has no roots
     estimate = mean * n
     if take > 1 and take < n:
         # finite-population correction for sampling without replacement

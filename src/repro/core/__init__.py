@@ -22,7 +22,7 @@ from .frontier import (
     has_edges_bulk,
     iter_frontier_blocks,
 )
-from .binomial import PascalTable, nCk, nck_array
+from .binomial import PascalTable, nCk
 from .engine import (
     ENGINES,
     CountResult,
@@ -64,7 +64,6 @@ __all__ = [
     "MultiPatternCounter",
     "count_many",
     "nCk",
-    "nck_array",
     "CountResult",
     "ENGINES",
     "EngineConfig",

@@ -72,8 +72,6 @@ def iter_core_matches(
     match is scored the way the serial oracle scores it (``venn_merge``
     + the recursive fc).
     """
-    if pattern.n <= 2:
-        raise ValueError("listing mode needs a pattern with >= 3 vertices")
     plan = compile_pattern(pattern, config, decomposition=decomposition)
     positions = plan.anchored_positions
     scale = Fraction(plan.group_order, plan.denominator)

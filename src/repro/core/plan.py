@@ -12,7 +12,8 @@ execution backends need into one immutable :class:`CountingPlan`:
 * the ``(anch, k)`` anchor bitsets and the compiled
   :class:`~repro.core.fringe_poly.FringePolynomial`;
 * the closed-form kind of a 1-/2-vertex core (paper §3.4's dedicated
-  code), named in :mod:`repro.core.specialized`;
+  code), named in :mod:`repro.core.specialized`, whose kernels count
+  closed-form Venn rows with the same polynomial;
 * the structural normalizer ``inj(P, P) / Π k_t!``.
 
 Every connected pattern compiles the same way, a single vertex or edge
@@ -108,15 +109,16 @@ class CountingPlan:
     def specialized_engine(self):
         """A closed-form kernel for this plan's core, or None.
 
-        Calling it on a graph returns the
-        :class:`~repro.core.backends.PartialSum` that
-        :meth:`normalize` divides, like a matcher backend's ``run``.
+        The kernel is built from this plan: it feeds closed-form Venn
+        rows to :attr:`poly`. Calling it on a graph returns the
+        :class:`~repro.core.backends.PartialSum` that :meth:`normalize`
+        divides, like a matcher backend's ``run``.
         """
         if self.specialized_kind is None:
             return None
         from .specialized import CLOSED_FORMS
 
-        return CLOSED_FORMS[self.decomp.num_core](self.decomp, self.group_order)
+        return CLOSED_FORMS[self.decomp.num_core](self)
 
     def __repr__(self) -> str:  # keep the (potentially huge) poly out
         return (
@@ -149,10 +151,11 @@ def compile_pattern(
     core_plan = build_plan(decomp, symmetry_breaking=cfg.symmetry_breaking)
     anch, k = decomp.anchor_bitsets()
     anchored_positions = tuple(decomp.matching_order.index(c) for c in decomp.anchored)
-    # the polynomial is always compiled: it is the frontier backend's
-    # kernel (MultiPatternCounter hands several plans' polynomials to one
-    # frontier pass), and it makes the plan self-contained regardless of
-    # which route the caller later selects
+    # the polynomial is always compiled: it is the one fringe evaluator
+    # of every route but the serial oracle — the frontier and pool
+    # backends score matched cores with it (MultiPatternCounter hands
+    # several plans' polynomials to one frontier pass), and the closed
+    # forms score their closed-form Venn rows with it
     poly = compile_fringe_polynomial(anch, k, decomp.q)
     # imported here: both modules import this one
     from .backends import SerialBackend

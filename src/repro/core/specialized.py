@@ -1,153 +1,123 @@
 """Closed-form kernels for small cores (paper §3.4).
 
 The paper invokes dedicated code for patterns whose core has one, two, or
-three vertices. Here the first two keep closed forms:
+three vertices. Here the first two keep closed forms: the fringe
+identity with every core embedding's Venn sizes read off the graph
+instead of computed per match.
 
-* 1 vertex  — the k-star formula ``Σ_v C(d_v, k)`` evaluated on the degree
-  *histogram* (exact big-int arithmetic over unique degrees only);
-* 2 vertices — the closed-form §3.1 double summation, vectorized with
-  NumPy over every edge at once (the data-parallel formulation the CUDA
-  kernel uses); per-edge values that could exceed float64's exact-integer
-  range are recomputed with Python big ints.
+* 1 vertex — a vertex v has one region, its degree: the row ``[·, d_v]``;
+* 2 vertices — an ordered edge (u, v) has the row
+  ``[·, d_u − 1 − c, d_v − 1 − c, c]``, where ``c`` is the number of
+  common neighbours (:func:`common_neighbor_counts`, from the graph's
+  cached ``A·A`` pair index). Every edge gives one row per orientation,
+  or a single orientation when the plan's symmetry restriction keeps one
+  (``group_order`` 2).
+
+:func:`anchored_rows` lays such rows out in the plan's anchored-vertex
+columns, and the plan's compiled
+:class:`~repro.core.fringe_poly.FringePolynomial` counts them — the
+same exact evaluator (float64 with a residue-number-system fallback) the
+matcher backends use, so the paper's §3.1 double sum is never written
+out by hand.
 
 A 3-vertex core has no closed form here: the frontier matcher
 (:class:`~repro.core.backends.FrontierBackend`) counts wedge and
 triangle cores faster than dedicated instance enumeration did.
 
-A kernel is the fringe identity with closed-form Venn sizes, so it
+A kernel is built from a :class:`~repro.core.plan.CountingPlan` and
 returns what a matcher backend returns: the symmetry-reduced sum σ as a
 :class:`~repro.core.backends.PartialSum`, which
 :meth:`~repro.core.plan.CountingPlan.normalize` turns into a count.
-Kernels hold no pattern-side precomputation and are cheap to build.
+Kernels hold no precomputation of their own and are cheap to build.
 """
 
 from __future__ import annotations
 
-import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..patterns.decompose import Decomposition
 from .backends import PartialSum
-from .binomial import nCk, nck_array
 from .venn import venn_sets
 
-__all__ = ["CLOSED_FORMS", "VertexCoreEngine", "EdgeCoreEngine", "common_neighbor_counts"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan -> specialized)
+    from .plan import CountingPlan
 
-_EXACT_LIMIT = float(1 << 52)  # above this, float64 loses integer exactness
+__all__ = [
+    "CLOSED_FORMS",
+    "VertexCoreEngine",
+    "EdgeCoreEngine",
+    "anchored_rows",
+    "common_neighbor_counts",
+]
+
 _PAIR_CHUNK = 1 << 16  # edges per venn_sets call in common_neighbor_counts
 
 
-# ----------------------------------------------------------------------
-# 1-vertex core: k-stars
-# ----------------------------------------------------------------------
-class VertexCoreEngine:
-    """``σ = Σ_v C(d_v, k)`` via the degree histogram.
+def anchored_rows(plan: "CountingPlan", venn: np.ndarray) -> np.ndarray:
+    """Venn rows over every core vertex, laid out in ``plan``'s columns.
 
-    ``group_order`` is accepted for a uniform kernel signature; a
-    one-vertex core has only the trivial symmetry.
+    ``venn[..., S]`` is the size of the region adjacent to exactly the
+    core vertices in ``S`` (bit ``i``: matching-order position ``i``).
+    The plan's polynomial reads regions over its ``q`` anchored vertices
+    only (:attr:`~repro.core.plan.CountingPlan.anchored_positions`), so
+    region ``S`` joins the region of its anchored members and is dropped
+    when it has none: with ``q = 0`` a row has no regions, and with one
+    anchored end of an edge that end's region includes the common
+    neighbours.
     """
+    positions = plan.anchored_positions
+    out = np.zeros(venn.shape[:-1] + (1 << len(positions),), dtype=np.int64)
+    for s in range(1, venn.shape[-1]):
+        t = sum(1 << i for i, p in enumerate(positions) if s >> p & 1)
+        if t:
+            out[..., t] += venn[..., s]
+    return out
+
+
+class VertexCoreEngine:
+    """1-vertex core: one row ``[·, d_v]`` per vertex of large enough degree."""
 
     kind = "vertex-core"
     name = f"fringe-specialized({kind})"
 
-    def __init__(self, decomp: Decomposition, group_order: int = 1):
-        if decomp.num_core != 1:
+    def __init__(self, plan: "CountingPlan"):
+        if plan.decomp.num_core != 1:
             raise ValueError("VertexCoreEngine needs a 1-vertex core")
-        if decomp.num_fringe_types > 1:
-            raise AssertionError("1-vertex core can only carry one fringe type")
-        self.k = decomp.fringe_types[0].count if decomp.fringe_types else 0
+        self.plan = plan
 
     def __call__(self, graph: CSRGraph) -> PartialSum:
-        hist = np.bincount(np.asarray(graph.degrees, dtype=np.int64))
-        sigma = sum(
-            int(cnt) * math.comb(d, self.k) for d, cnt in enumerate(hist.tolist()) if cnt
-        )
-        return PartialSum(sigma=sigma, matches=int(np.count_nonzero(graph.degrees >= self.k)))
+        deg = np.asarray(graph.degrees, dtype=np.int64)
+        deg = deg[deg >= self.plan.core_plan.min_degree[0]]  # the matcher's filter
+        venn = np.stack([np.zeros_like(deg), deg], axis=1)
+        sigma = self.plan.poly.evaluate_batch(anchored_rows(self.plan, venn))
+        return PartialSum(sigma=sigma, matches=len(deg))
 
 
-# ----------------------------------------------------------------------
-# 2-vertex core: §3.1 closed form over all edges
-# ----------------------------------------------------------------------
 class EdgeCoreEngine:
-    """Vectorized §3.1 formula.
-
-    With ``a`` tails on core vertex 0, ``b`` tails on core vertex 1, and
-    ``m`` wedge fringes, a matched ordered edge (u, v) contributes
-
-    ``F = Σ_i C(n_u, a−i) C(n_uv, i) Σ_j C(n_v, b−j) C(n_uv−i, j)
-            C(n_uv−i−j, m)``
-
-    where ``n_u = d_u − 1 − c``, ``n_v = d_v − 1 − c``, ``n_uv = c`` and
-    ``c`` is the number of common neighbours of u and v. ``σ`` sums F
-    over one orientation of every edge, plus the reverse orientation
-    unless the plan's symmetry restriction keeps one (``group_order`` 2,
-    which needs ``a == b`` and so a symmetric F).
-    """
+    """2-vertex core: one row ``[·, d_u − 1 − c, d_v − 1 − c, c]`` per
+    ordered edge, both orientations unless ``group_order`` is 2."""
 
     kind = "edge-core"
     name = f"fringe-specialized({kind})"
 
-    def __init__(self, decomp: Decomposition, group_order: int = 1):
-        if decomp.num_core != 2:
+    def __init__(self, plan: "CountingPlan"):
+        if plan.decomp.num_core != 2:
             raise ValueError("EdgeCoreEngine needs a 2-vertex core")
-        if not decomp.core_pattern.has_edge(0, 1):
-            raise ValueError("2-vertex core must be connected (an edge)")
-        deco = decomp.decoration()
-        self.a = deco.get(frozenset({0}), 0)
-        self.b = deco.get(frozenset({1}), 0)
-        self.m = deco.get(frozenset({0, 1}), 0)
-        if group_order == 2 and self.a != self.b:
-            raise ValueError("swapping the core vertices needs equal tails")
-        self.both = group_order == 1
-
-    # -- scalar exact evaluation --------------------------------------
-    def _f_exact(self, nu: int, nv: int, c: int) -> int:
-        a, b, m = self.a, self.b, self.m
-        total = 0
-        for i in range(a + 1):
-            left = nCk(nu, a - i) * nCk(c, i)
-            if left == 0:
-                continue
-            inner = 0
-            for j in range(b + 1):
-                inner += nCk(nv, b - j) * nCk(c - i, j) * nCk(c - i - j, m)
-            total += left * inner
-        return total
-
-    # -- vectorized evaluation ----------------------------------------
-    def _f_vector(self, nu: np.ndarray, nv: np.ndarray, c: np.ndarray) -> np.ndarray:
-        a, b, m = self.a, self.b, self.m
-        total = np.zeros(len(nu), dtype=np.float64)
-        for i in range(a + 1):
-            left = nck_array(nu, a - i) * nck_array(c, i)
-            inner = np.zeros_like(total)
-            for j in range(b + 1):
-                inner += nck_array(nv, b - j) * nck_array(c - i, j) * nck_array(c - i - j, m)
-            total += left * inner
-        return total
+        self.plan = plan
 
     def __call__(self, graph: CSRGraph) -> PartialSum:
         edges = graph.edge_array()
         deg = graph.degrees
         c = common_neighbor_counts(graph, edges)
-        nu = deg[edges[:, 0]] - 1 - c
-        nv = deg[edges[:, 1]] - 1 - c
-        with np.errstate(over="ignore", invalid="ignore"):
-            per_edge = self._f_vector(nu, nv, c)
-            if self.both:
-                per_edge += self._f_vector(nv, nu, c)
-        # negated comparison so NaN rows (inf * 0 on extreme hubs) fall
-        # into the exact path instead of silently passing as "safe"
-        risky = ~(per_edge < _EXACT_LIMIT)
-        sigma = int(np.rint(per_edge[~risky]).astype(np.int64).sum(dtype=np.object_))
-        for idx in np.nonzero(risky)[0].tolist():
-            cu, cv, cc = int(nu[idx]), int(nv[idx]), int(c[idx])
-            sigma += self._f_exact(cu, cv, cc)
-            if self.both:
-                sigma += self._f_exact(cv, cu, cc)
-        return PartialSum(sigma=sigma, matches=len(edges) * (2 if self.both else 1))
+        venn = np.stack(
+            [np.zeros_like(c), deg[edges[:, 0]] - 1 - c, deg[edges[:, 1]] - 1 - c, c], axis=1
+        )
+        if self.plan.group_order == 1:
+            venn = np.concatenate([venn, venn[:, [0, 2, 1, 3]]])
+        sigma = self.plan.poly.evaluate_batch(anchored_rows(self.plan, venn))
+        return PartialSum(sigma=sigma, matches=len(venn))
 
 
 # the closed-form kernel of each core size; a plan's ``specialized_kind``

@@ -11,8 +11,9 @@ suite. It executes, per warp-owned root vertex:
    symmetry restriction), warp-cooperative Venn population for the pair
    (root, v1): every lane classifies a stripe of adj(root) by binary
    search in adj(v1) (§3.6);
-3. each lane evaluates the §3.1 closed form for its matched pair — the
-   per-thread fc stage.
+3. each lane lays out its pair's closed-form Venn rows (one per
+   orientation) and scores them with the compiled fringe polynomial of
+   the pattern's plan — the per-thread fc stage.
 
 The returned :class:`KernelResult` carries both the exact count and the
 warp statistics, so a single launch answers "is it right?" and "does the
@@ -27,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..core.plan import compile_pattern
-from ..core.specialized import EdgeCoreEngine
+from ..core.specialized import anchored_rows
 from ..graph.csr import CSRGraph
 from ..patterns.decompose import decompose
 from ..patterns.pattern import Pattern
@@ -46,24 +47,21 @@ class KernelResult:
 class EdgeCoreKernel:
     """Warp-level Fringe-SGC for 2-vertex-core patterns.
 
-    ``a``/``b`` tails on the two core vertices and ``m`` wedge fringes,
-    read from the pattern's decomposition exactly like the CPU engine.
+    Lanes score Venn rows laid out like the CPU closed form's
+    (:func:`~repro.core.specialized.anchored_rows`) with the compiled
+    polynomial of the pattern's plan.
     """
 
     def __init__(self, pattern: Pattern):
         decomp = decompose(pattern)
         if decomp.num_core != 2:
             raise ValueError("EdgeCoreKernel handles 2-vertex cores")
-        deco = decomp.decoration()
-        self.a = deco.get(frozenset({0}), 0)
-        self.b = deco.get(frozenset({1}), 0)
-        self.m = deco.get(frozenset({0, 1}), 0)
         self.decomp = decomp
         self.pattern = pattern
-        # the closed form of the CPU kernel, summed over both orientations
-        # of every edge, and the plan's structural normalizer for that sum
-        self._engine = EdgeCoreEngine(decomp)
-        self.denominator = compile_pattern(pattern, decomposition=decomp).denominator
+        # the fringe polynomial scores both orientations of every edge,
+        # and the plan's structural normalizer divides that sum
+        self.plan = compile_pattern(pattern, decomposition=decomp)
+        self.denominator = self.plan.denominator
 
     # ------------------------------------------------------------------
     def launch(
@@ -109,7 +107,7 @@ class EdgeCoreKernel:
 
         The warp handles each root in turn (Listing 7: all lanes work on
         the same root). The returned raw value is Σ over matched ordered
-        pairs of F(n_u, n_v, c) for both orientations.
+        pairs of F(venn row) for both orientations.
         """
         rowptr, colidx = graph.rowptr, graph.colidx
         total = 0
@@ -142,7 +140,8 @@ class EdgeCoreKernel:
                     n_u = deg_root - 1 - c
                     n_v = (e1 - s1) - 1 - c
                     schedule.append((30, idx))  # per-lane fc evaluation
-                    total += self._f(n_u, n_v, c) + self._f(n_v, n_u, c)
+                    rows = anchored_rows(self.plan, np.array([[0, n_u, n_v, c], [0, n_v, n_u, c]]))
+                    total += sum(self.plan.poly.evaluate(row) for row in rows.tolist())
 
         # replay the shared schedule as 32 identical lane traces to get
         # the SIMT cost account (full convergence by construction)
@@ -151,11 +150,6 @@ class EdgeCoreKernel:
                 yield LaneOp(pc=pc, addresses=(base + lane_id,))
 
         stats = run_warp([lane(i) for i in range(WARP_SIZE)])
-        # 2x for the symmetry restriction (u < v enumerates each edge once,
-        # but the ordered-embedding sum needs both orientations — the _f
-        # calls above already add both)
+        # u < v enumerates each edge once, but the ordered-embedding sum
+        # needs both orientations: each lane above scores both rows
         return total, stats
-
-    def _f(self, n_u: int, n_v: int, c: int) -> int:
-        """§3.1 closed form (same maths as EdgeCoreEngine._f_exact)."""
-        return self._engine._f_exact(n_u, n_v, c)

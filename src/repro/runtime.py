@@ -21,6 +21,7 @@ benchmarks, library users) shares one plan cache.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from collections import OrderedDict
@@ -240,26 +241,16 @@ class Runtime:
         """
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
-        if self.observer is not None:
-            with self.observer:
-                return self._count(
-                    graph,
-                    pattern,
-                    engine=engine,
-                    config=config,
-                    parallel=parallel,
-                    decomposition=decomposition,
-                    start_vertices=start_vertices,
-                )
-        return self._count(
-            graph,
-            pattern,
-            engine=engine,
-            config=config,
-            parallel=parallel,
-            decomposition=decomposition,
-            start_vertices=start_vertices,
-        )
+        with self.observer if self.observer is not None else contextlib.nullcontext():
+            return self._count(
+                graph,
+                pattern,
+                engine=engine,
+                config=config,
+                parallel=parallel,
+                decomposition=decomposition,
+                start_vertices=start_vertices,
+            )
 
     def _count(
         self,

@@ -2,9 +2,7 @@
 
 import math
 
-import numpy as np
-
-from repro.core.binomial import DEFAULT_TABLE_SIZE, PascalTable, nCk, nck_array
+from repro.core.binomial import DEFAULT_TABLE_SIZE, PascalTable, nCk
 
 
 class TestNck:
@@ -26,21 +24,3 @@ class TestNck:
         assert t.nck(3, 2) == 3
         assert t.nck(10, 4) == 210  # falls back to math.comb
 
-
-class TestNckArray:
-    def test_matches_scalar(self):
-        n = np.arange(0, 40)
-        for k in range(0, 8):
-            expect = [math.comb(int(x), k) for x in n]
-            assert nck_array(n, k).tolist() == expect
-
-    def test_below_k_is_zero(self):
-        assert nck_array(np.array([0, 1, 2]), 3).tolist() == [0, 0, 0]
-
-    def test_negative_k(self):
-        assert nck_array(np.array([4, 5]), -1).tolist() == [0, 0]
-
-    def test_exactness_within_float_range(self):
-        # C(10^5, 3) ~ 1.7e14 < 2^53: must be exactly representable
-        n = np.array([100_000])
-        assert int(nck_array(n, 3)[0]) == math.comb(100_000, 3)

@@ -1,7 +1,7 @@
 """Every script under ``examples/`` runs to completion.
 
-The examples drive the public API end to end (and one reaches into the
-closed-form kernel), so an API change that breaks them fails here.
+The examples drive the public API end to end (one scores edges with a
+compiled plan's polynomial), so an API change that breaks them fails here.
 """
 
 import os

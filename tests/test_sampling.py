@@ -5,6 +5,7 @@ import pytest
 from repro import count_subgraphs
 from repro.baselines import estimate_count
 from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
 from repro.patterns import catalog
 
 
@@ -50,8 +51,20 @@ class TestEstimator:
         assert large.std_error < small.std_error
 
     def test_trivial_patterns_exact(self, graph):
-        assert estimate_count(graph, catalog.single_vertex()).estimate == graph.num_vertices
-        assert estimate_count(graph, catalog.edge()).estimate == graph.num_edges
+        """A vertex or an edge runs the compiled plan like any pattern:
+        a full census gives N and E with no error."""
+        graphs = [
+            graph,
+            CSRGraph.from_edges([(0, 1), (1, 2), (0, 2)], num_vertices=6),  # 3 isolated
+            CSRGraph.from_edges([], num_vertices=4),
+            CSRGraph.from_edges([], num_vertices=0),  # no roots to sample
+        ]
+        for g in graphs:
+            vertex = estimate_count(g, catalog.single_vertex())
+            edge = estimate_count(g, catalog.edge())
+            assert (vertex.estimate, edge.estimate) == (g.num_vertices, g.num_edges)
+            assert vertex.std_error == edge.std_error == 0.0
+            assert vertex.samples == edge.samples == g.num_vertices
 
     def test_relative_error_helper(self, graph):
         pat = catalog.triangle()

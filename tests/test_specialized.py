@@ -9,6 +9,7 @@ from repro.baselines.vf2 import count_vf2
 from repro.core.engine import EngineConfig, count_subgraphs
 from repro.core import specialized
 from repro.core import venn as venn_mod
+from repro.core.fringe_poly import FringePolynomial
 from repro.core.plan import compile_pattern
 from repro.core.specialized import (
     CLOSED_FORMS,
@@ -19,12 +20,36 @@ from repro.core.specialized import (
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.patterns import catalog
-from repro.patterns.decompose import decompose
+from repro.patterns.decompose import decompose, decomposition_from_core
+from repro.patterns.pattern import all_connected_patterns
 
 
-def closed_form(graph, pattern, config=None):
+def closed_form(graph, pattern, config=None, decomposition=None):
     """The closed-form count, through the runtime's ``specialized`` route."""
-    return count_subgraphs(graph, pattern, engine="specialized", config=config)
+    return count_subgraphs(
+        graph, pattern, engine="specialized", config=config, decomposition=decomposition
+    )
+
+
+def two_hubs(leaves=100):
+    """Two adjacent hubs with ``leaves`` private leaves each."""
+    return CSRGraph.from_edges(
+        [(0, 1)] + [(h, 2 + leaves * h + i) for h in (0, 1) for i in range(leaves)]
+    )
+
+
+def small_core_cases():
+    """Every connected pattern with n <= 6 and a 1- or 2-vertex core, plus
+    explicit edge cores with no anchored end (q = 0) and one (q = 1)."""
+    cases = [
+        (p, None)
+        for n in range(1, 7)
+        for p in all_connected_patterns(n)
+        if decompose(p).num_core <= 2
+    ]
+    for pat in (catalog.edge(), catalog.path(3)):
+        cases.append((pat, decomposition_from_core(pat, [0, 1])))
+    return cases
 
 
 class TestDispatch:
@@ -41,12 +66,9 @@ class TestDispatch:
 
     def test_engine_type_validation(self):
         with pytest.raises(ValueError):
-            VertexCoreEngine(decompose(catalog.diamond()))
+            VertexCoreEngine(compile_pattern(catalog.diamond()))
         with pytest.raises(ValueError):
-            EdgeCoreEngine(decompose(catalog.star(3)))
-        # one orientation per edge needs a core swap that fixes the tails
-        with pytest.raises(ValueError, match="equal tails"):
-            EdgeCoreEngine(decompose(catalog.tailed_triangle()), group_order=2)
+            EdgeCoreEngine(compile_pattern(catalog.star(3)))
 
 
 class TestVertexCore:
@@ -83,15 +105,22 @@ class TestEdgeCore:
         for g in small_graphs:
             assert closed_form(g, pat).count == count_vf2(g, pat)
 
-    @pytest.mark.parametrize("name", sorted(SYMMETRY))
+    @pytest.mark.parametrize("name", [*sorted(SYMMETRY), "small-cores"])
     def test_symmetric_and_asymmetric_cores(self, small_graphs, name):
-        pat = self.SYMMETRY[name]
         symmetric = EngineConfig()
-        assert compile_pattern(pat, symmetric).group_order == (2 if name == "a=b" else 1)
-        for config in (symmetric, EngineConfig(symmetry_breaking=False)):
-            for g in small_graphs:
-                expect = count_subgraphs(g, pat, engine="general", config=config).count
-                assert closed_form(g, pat, config).count == expect
+        if name == "small-cores":
+            cases = small_core_cases()
+        else:
+            cases = [(self.SYMMETRY[name], None)]
+            assert compile_pattern(cases[0][0]).group_order == (2 if name == "a=b" else 1)
+        graphs = [*small_graphs, two_hubs(), CSRGraph.from_edges([], num_vertices=4)]
+        for pat, decomp in cases:
+            for config in (symmetric, EngineConfig(symmetry_breaking=False)):
+                for g in graphs:
+                    expect = count_subgraphs(
+                        g, pat, engine="general", config=config, decomposition=decomp
+                    ).count
+                    assert closed_form(g, pat, config, decomp).count == expect, pat.edges()
 
     def test_large_graph_consistency(self):
         g = gen.kronecker(9, 8, seed=2)
@@ -100,22 +129,28 @@ class TestEdgeCore:
         b = count_subgraphs(g, pat, engine="general").count
         assert a == b
 
-    def test_exact_on_hub_graphs(self):
+    def test_exact_on_hub_graphs(self, monkeypatch):
         # big star: C(hub degree, k) terms blow past float precision
         g = gen.star_graph(300)
         pat = catalog.path(4)  # edge core, tails both sides
         a = closed_form(g, pat).count
         assert a == count_vf2(g, pat)
         # two adjacent hubs with 100 leaves each: C(100, 20) per edge takes
-        # the exact path, for one orientation (a == b) and for both
-        hubs = CSRGraph.from_edges(
-            [(0, 1)] + [(h, 2 + 100 * h + i) for h in (0, 1) for i in range(100)]
-        )
+        # the exact (RNS) path, for one orientation (a == b) and for both
+        rns_calls = []
+        rns = FringePolynomial._evaluate_batch_rns
+
+        def counted_rns(poly, *args, **kwargs):
+            rns_calls.append(len(args[0]))
+            return rns(poly, *args, **kwargs)
+
+        monkeypatch.setattr(FringePolynomial, "_evaluate_batch_rns", counted_rns)
+        hubs = two_hubs()
         for b, expect in ((20, math.comb(100, 20) ** 2), (1, 2 * math.comb(100, 20) * 100)):
             heavy = catalog.core_with_fringes("edge", [((0,), 20), ((1,), b)])
-            edge = compile_pattern(heavy).specialized_engine()
-            assert edge._f_vector(np.array([100]), np.array([100]), np.array([0]))[0] > 2**52
+            rns_calls.clear()
             assert closed_form(hubs, heavy).count == expect
+            assert rns_calls, "the closed form skipped the exact path"
             assert count_subgraphs(hubs, heavy, engine="general").count == expect
 
 
