@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .binomial import nCk
+from .venn import group_keys
 
 __all__ = ["FringePolynomial", "compile_fringe_polynomial"]
 
@@ -171,11 +172,12 @@ class FringePolynomial:
         each profile's multiplicity.
 
         F reads only the ``regions`` columns, so rows that differ
-        elsewhere share one value. Non-negative profiles whose columns
-        fit side by side in 62 bits are packed into one int64 key for a
-        1-D ``np.unique``; anything else (wide values, many regions, or a
-        negative entry) takes the row-wise ``np.unique`` on the projected
-        columns.
+        elsewhere share one value, and any row of a group represents it.
+        Non-negative profiles whose columns fit side by side in 62 bits
+        are packed into one int64 key and grouped by
+        :func:`~repro.core.venn.group_keys`; anything else (wide values,
+        many regions, or a negative entry) takes the row-wise
+        ``np.unique`` on the projected columns.
         """
         cols = venn_matrix[:, list(self.regions)]
         if cols.shape[1] == 0:
@@ -186,7 +188,7 @@ class FringePolynomial:
             key = np.zeros(len(cols), dtype=np.int64)
             for j in range(cols.shape[1]):
                 key = (key << width) | cols[:, j]
-            _, first, counts = np.unique(key, return_index=True, return_counts=True)
+            first, _, counts = group_keys(key)
         else:
             _, first, counts = np.unique(cols, axis=0, return_index=True, return_counts=True)
         return venn_matrix[first], counts

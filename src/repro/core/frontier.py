@@ -12,7 +12,12 @@ array kernels:
 
 * **candidate generation** — one CSR adjacency gather over the pivot
   column (``np.repeat`` + offset arithmetic, the same indexing scheme
-  :func:`repro.core.venn.venn_batch` uses);
+  :func:`repro.core.venn.venn_batch` uses). When the pivot is also a
+  symmetry bound (``match[pivot] < v``) the gather starts at the
+  pivot's first larger neighbour, read from the graph's cached
+  :func:`upper_starts`, so candidates the bound would reject are never
+  gathered: Listing 7's ``match[j] < match[i]`` pruning, applied before
+  the gather instead of after it;
 * **degree / symmetry / injectivity filtering** — boolean masks:
   full-pattern degree lower bounds, the ``match[j] < v`` order
   constraints from symmetry breaking, and row-wise ``!=`` compares
@@ -27,10 +32,10 @@ array kernels:
   Listing 7 warp probes, kept also as the differential oracle.
 
 Memory is bounded: before expanding, a frontier whose candidate volume
-would exceed ``max_rows`` is *split* into contiguous row blocks that are
-carried independently through the remaining levels (depth-first over
-blocks), so dense graphs degrade into more block iterations instead of
-one giant allocation. Completed embeddings stream out as blocks, which
+(the sum of its scan ranges) would exceed ``max_rows`` is *split* into
+contiguous row blocks that are carried independently through the
+remaining levels (depth-first over blocks), so dense graphs degrade into
+more block iterations instead of one giant allocation. Completed embeddings stream out as blocks, which
 the :class:`repro.core.backends.FrontierBackend` feeds straight into
 the Venn pass + the compiled fringe polynomial — the per-embedding
 Python loop disappears from the whole pipeline.
@@ -68,6 +73,7 @@ __all__ = [
     "has_edges",
     "has_edges_bulk",
     "row_lower_bound",
+    "upper_starts",
     "iter_frontier_blocks",
     "frontier_match_matrix",
 ]
@@ -227,34 +233,78 @@ def has_edges(graph: CSRGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ((bitmap[k >> 3] >> (k & 7).astype(np.uint8)) & 1).view(bool)
 
 
-def _expand_level(
+def _build_upper_starts(graph: CSRGraph) -> np.ndarray:
+    n = graph.num_vertices
+    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    below = np.bincount(src[graph.colidx < src], minlength=n)
+    return graph.rowptr[:-1] + below
+
+
+_UPPER_STARTS: GraphCache[np.ndarray] = GraphCache()
+
+
+def upper_starts(graph: CSRGraph) -> np.ndarray:
+    """``starts[v]``: the position in ``colidx`` of ``v``'s first
+    neighbour with a larger id (``rowptr[v + 1]`` when there is none).
+
+    ``rowptr[v]`` plus the number of ``v``'s neighbours below ``v``
+    (adjacency lists ascend and hold no self loop); built in ``O(m)`` on
+    first use and cached per graph, 8 bytes per vertex.
+    """
+    return _UPPER_STARTS.get(graph, _build_upper_starts)
+
+
+def _scan_ranges(
     graph: CSRGraph, block: np.ndarray, level: int, plan: CorePlan
-) -> np.ndarray:
-    """Extend every partial embedding in ``block`` by matching position
-    ``level``; returns the filtered ``(rows, level + 1)`` frontier."""
-    rowptr, colidx, degrees = graph.rowptr, graph.colidx, graph.degrees
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's candidate slice ``colidx[start : start + length]`` at
+    ``level``: the pivot's whole adjacency list, or only its neighbours
+    above it when the pivot bounds the level (``match[pivot] < v``)."""
     piv = plan.pivot[level]
     pivots = block[:, piv]
-    starts = rowptr[pivots]
-    degs = rowptr[pivots + 1] - starts
-    total = int(degs.sum())
+    if piv in plan.less_than[level]:
+        starts = upper_starts(graph)[pivots]
+    else:
+        starts = graph.rowptr[pivots]
+    return starts, graph.rowptr[pivots + 1] - starts
+
+
+def _expand_level(
+    graph: CSRGraph,
+    block: np.ndarray,
+    level: int,
+    plan: CorePlan,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+) -> np.ndarray:
+    """Extend every partial embedding in ``block`` by matching position
+    ``level``, gathering row ``r``'s candidates from its scan range
+    (``starts[r]``, ``lengths[r]``: :func:`_scan_ranges`); returns the
+    filtered ``(rows, level + 1)`` frontier."""
+    colidx, degrees = graph.colidx, graph.degrees
+    piv = plan.pivot[level]
+    total = int(lengths.sum())
     if total == 0:
         return np.empty((0, level + 1), dtype=np.int64)
     # bulk adjacency gather: candidate c of row r is colidx[starts[r] + o]
-    parent = np.repeat(np.arange(len(block), dtype=np.int64), degs)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(degs) - degs, degs)
+    parent = np.repeat(np.arange(len(block), dtype=np.int64), lengths)
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
     cand = colidx[starts[parent] + offsets]
 
     keep = degrees[cand] >= plan.min_degree[level]
-    # symmetry-breaking order constraints: match[j] < candidate
+    # symmetry-breaking order constraints: match[j] < candidate (the scan
+    # range already enforces the pivot's)
     lts = plan.less_than[level]
     for j in lts:
-        keep &= block[parent, j] < cand
+        if j != piv:
+            keep &= block[parent, j] < cand
     # injectivity against every earlier position (strict < above already
-    # implies != for the symmetry-constrained columns)
-    lt_set = set(lts)
+    # implies != for the symmetry-constrained columns, and a neighbour of
+    # the pivot is never the pivot)
     for j in range(level):
-        if j not in lt_set:
+        if j != piv and j not in lts:
             keep &= block[parent, j] != cand
     parent, cand = parent[keep], cand[keep]
     # remaining back edges: progressive narrowing, cheapest survivors last
@@ -270,13 +320,13 @@ def _expand_level(
     return out
 
 
-def _budget_spans(degs: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+def _budget_spans(lengths: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
     """Contiguous ``[start, end)`` row spans whose candidate volume
-    (sum of ``degs``) stays within ``budget`` — at least one row each,
+    (sum of ``lengths``) stays within ``budget`` — at least one row each,
     so a single ultra-dense row can never wedge the traversal."""
-    cum = np.cumsum(degs)
+    cum = np.cumsum(lengths)
     start, base = 0, 0
-    n = len(degs)
+    n = len(lengths)
     while start < n:
         end = int(np.searchsorted(cum, base + budget, side="right"))
         if end <= start:
@@ -301,19 +351,18 @@ def _blocks(
     while level < p:
         if len(block) == 0:
             return  # empty-frontier early exit: nothing downstream matches
-        pivots = block[:, plan.pivot[level]]
-        degs = graph.rowptr[pivots + 1] - graph.rowptr[pivots]
-        if int(degs.sum()) > max_rows and len(block) > 1:
+        starts, lengths = _scan_ranges(graph, block, level, plan)
+        if int(lengths.sum()) > max_rows and len(block) > 1:
             stats.spills += 1
             if registry is not None:
                 registry.counter("repro_frontier_spills_total").inc()
-            for s, e in _budget_spans(degs, max_rows):
+            for s, e in _budget_spans(lengths, max_rows):
                 yield from _blocks(
                     graph, plan, block[s:e], level, max_rows, stats, registry
                 )
             return
         with obs.span("frontier.level", level=level, rows_in=len(block)):
-            block = _expand_level(graph, block, level, plan)
+            block = _expand_level(graph, block, level, plan, starts, lengths)
         stats.rows += len(block)
         stats.peak_width = max(stats.peak_width, len(block))
         if registry is not None:

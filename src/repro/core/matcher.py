@@ -43,7 +43,12 @@ class CorePlan:
       position ``i`` (candidates must have at least this graph degree);
     * ``back_edges[i]`` — earlier positions the vertex must be adjacent to;
     * ``pivot[i]`` — which back edge supplies the candidate list (the
-      matcher scans the pivot's adjacency and binary-searches the rest);
+      matcher scans the pivot's adjacency and tests the rest): the
+      tightest symmetry bound among the back edges when there is one —
+      a back edge in ``less_than[i]`` that the transitive ``less_than``
+      order places below no other such back edge, so the frontier
+      scans only the pivot's neighbours above it — else the earliest
+      back edge; ``-1`` at position 0;
     * ``less_than[i]`` — earlier positions whose match must be *greater*
       than position i's match (symmetry breaking: match[j] < match[i]
       for each j in less_than[i]).
@@ -71,9 +76,6 @@ def build_plan(decomp: Decomposition, *, symmetry_breaking: bool = True) -> Core
         tuple(sorted(pos_of[w] for w in core_pat.adj[order[i]] if pos_of[w] < i))
         for i in range(p)
     )
-    # pivot: the earliest back edge; position 0 has none (scan all vertices)
-    pivot = tuple(be[0] if be else -1 for be in back_edges)
-
     if symmetry_breaking:
         restrictions, group_order = symmetry_restrictions(decomp)
     else:
@@ -87,10 +89,30 @@ def build_plan(decomp: Decomposition, *, symmetry_breaking: bool = True) -> Core
         order=order,
         min_degree=min_degree,
         back_edges=back_edges,
-        pivot=pivot,
+        pivot=_pivots(back_edges, less_than),
         less_than=less_than,
         group_order=group_order,
     )
+
+
+def _pivots(
+    back_edges: tuple[tuple[int, ...], ...], less_than: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
+    """Each position's pivot: its tightest bounding back edge, else its
+    earliest back edge (``-1`` at position 0, which scans all vertices).
+
+    ``below[j]`` holds the positions whose match the transitive
+    ``less_than`` order puts below position ``j``'s; a bounding back edge
+    below another one is the looser bound of the two.
+    """
+    below: list[set[int]] = []
+    pivot = []
+    for be, lts in zip(back_edges, less_than):
+        below.append(set().union(*({j} | below[j] for j in lts)))
+        bounds = [b for b in be if b in lts]
+        tight = [b for b in bounds if not any(b in below[c] for c in bounds)]
+        pivot.append(tight[0] if tight else be[0] if be else -1)
+    return tuple(pivot)
 
 
 def match_cores(

@@ -11,7 +11,8 @@ instead of computed per match.
   common neighbours (:func:`common_neighbor_counts`, from the graph's
   cached ``A·A`` pair index). Every edge gives one row per orientation,
   or a single orientation when the plan's symmetry restriction keeps one
-  (``group_order`` 2).
+  (``group_order`` 2); like the matcher, an orientation whose ends fall
+  below the core's full-pattern degrees gives none.
 
 :func:`anchored_rows` lays such rows out in the plan's anchored-vertex
 columns, and the plan's compiled
@@ -97,7 +98,8 @@ class VertexCoreEngine:
 
 class EdgeCoreEngine:
     """2-vertex core: one row ``[·, d_u − 1 − c, d_v − 1 − c, c]`` per
-    ordered edge, both orientations unless ``group_order`` is 2."""
+    ordered edge whose ends pass the matcher's ``min_degree`` filter,
+    both orientations unless ``group_order`` is 2."""
 
     kind = "edge-core"
     name = f"fringe-specialized({kind})"
@@ -110,12 +112,14 @@ class EdgeCoreEngine:
     def __call__(self, graph: CSRGraph) -> PartialSum:
         edges = graph.edge_array()
         deg = graph.degrees
-        c = common_neighbor_counts(graph, edges)
-        venn = np.stack(
-            [np.zeros_like(c), deg[edges[:, 0]] - 1 - c, deg[edges[:, 1]] - 1 - c, c], axis=1
-        )
-        if self.plan.group_order == 1:
-            venn = np.concatenate([venn, venn[:, [0, 2, 1, 3]]])
+        md = self.plan.core_plan.min_degree  # the matcher's degree filter, per position
+        du, dv = deg[edges[:, 0]], deg[edges[:, 1]]
+        forward = (du >= md[0]) & (dv >= md[1])
+        backward = (dv >= md[0]) & (du >= md[1]) & (self.plan.group_order == 1)
+        either = forward | backward
+        c = common_neighbor_counts(graph, edges[either])
+        venn = np.stack([np.zeros_like(c), du[either] - 1 - c, dv[either] - 1 - c, c], axis=1)
+        venn = np.concatenate([venn[forward[either]], venn[backward[either]][:, [0, 2, 1, 3]]])
         sigma = self.plan.poly.evaluate_batch(anchored_rows(self.plan, venn))
         return PartialSum(sigma=sigma, matches=len(venn))
 
@@ -133,7 +137,9 @@ def common_neighbor_counts(graph: CSRGraph, edges: np.ndarray) -> np.ndarray:
     the graph's cached ``A·A`` pair index, or ``venn_batch`` when the
     index is over budget.
     """
-    pairs = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    u, v = edges[:, 0], edges[:, 1]
+    pairs = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
     out = np.empty(len(pairs), dtype=np.int64)
     for s in range(0, len(pairs), _PAIR_CHUNK):
         out[s : s + _PAIR_CHUNK] = venn_sets(graph, pairs[s : s + _PAIR_CHUNK])[:, 0b11]

@@ -92,6 +92,7 @@ __all__ = [
     "build_pair_index",
     "pair_index",
     "INDEX_BUDGET_BYTES",
+    "group_keys",
     "unique_anchor_sets",
     "row_venns",
 ]
@@ -460,6 +461,28 @@ def venn_sets(graph: CSRGraph, sets: np.ndarray) -> np.ndarray:
     return venn
 
 
+def group_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the equal entries of a 1-D ``key``.
+
+    Returns ``(first, inverse, counts)`` over the distinct values in
+    ascending order: ``first[g]`` indexes one entry of group ``g``,
+    ``key[i]`` belongs to group ``inverse[i]``, and ``counts[g]`` is the
+    group's size — what ``np.unique(key, return_index=True,
+    return_inverse=True, return_counts=True)`` returns, except that
+    ``first`` names *a* member rather than the first occurrence. One
+    unstable ``argsort`` and a boundary mask compute it.
+    """
+    order = np.argsort(key)
+    ordered = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    inverse = np.empty(len(key), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[starts], inverse, np.diff(starts, append=len(key))
+
+
 def unique_anchor_sets(
     anchors: np.ndarray, num_vertices: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -470,20 +493,21 @@ def unique_anchor_sets(
     ``anchors`` holds the set ``sets[inverse[i]]``, and ``rank[i, j]``
     is the position of ``anchors[i, j]`` within that sorted set. The
     anchors of one row are distinct (matching is injective), so the rank
-    is a permutation of ``0..q-1``.
+    is a permutation of ``0..q-1`` and places each row in sorted order.
 
     Each sorted row is packed into one int64 key (base ``num_vertices``)
     when ``num_vertices^q`` fits, so deduplication is a 1-D
-    ``np.unique``; otherwise it falls back to a row-wise unique.
+    :func:`group_keys`; otherwise it falls back to a row-wise unique.
     """
     b, q = anchors.shape
     rank = (anchors[:, None, :] < anchors[:, :, None]).sum(axis=2)
-    srt = np.sort(anchors, axis=1)
+    srt = np.empty_like(anchors)
+    np.put_along_axis(srt, rank, anchors, axis=1)
     if int(num_vertices) ** q < 1 << 62:
         key = np.zeros(b, dtype=np.int64)
         for j in range(q):
             key = key * num_vertices + srt[:, j]
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        first, inverse, _ = group_keys(key)
         sets = srt[first]
     else:
         sets, inverse = np.unique(srt, axis=0, return_inverse=True)
@@ -502,7 +526,7 @@ def _region_maps(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     perm_id = np.zeros(len(rank), dtype=np.int64)
     for j in range(q):
         perm_id = perm_id * q + rank[:, j]
-    _, first, which = np.unique(perm_id, return_index=True, return_inverse=True)
+    first, which, _ = group_keys(perm_id)
     members = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1  # (2^q, q)
     maps = members @ (np.int64(1) << rank[first]).T  # (2^q, P)
     return np.ascontiguousarray(maps.T), which

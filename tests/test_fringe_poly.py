@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import fringe_poly
 from repro.core.fringe_count import fc_recursive
 from repro.core.fringe_poly import _crt, _RNS_PRIMES, compile_fringe_polynomial
 
@@ -63,15 +64,22 @@ class TestProfileDeduplication:
 
     @pytest.fixture
     def unique_calls(self, monkeypatch):
-        """Records, per ``np.unique`` call, whether it was row-wise."""
+        """Records, per grouping call, whether it was row-wise: ``False``
+        for the packed key's :func:`group_keys`, ``True`` for a row-wise
+        ``np.unique``."""
         calls: list[bool] = []
-        real = np.unique
+        real_group, real_unique = fringe_poly.group_keys, np.unique
 
-        def spy(ar, *args, **kwargs):
+        def group_spy(key):
+            calls.append(False)
+            return real_group(key)
+
+        def unique_spy(ar, *args, **kwargs):
             calls.append(kwargs.get("axis") is not None)
-            return real(ar, *args, **kwargs)
+            return real_unique(ar, *args, **kwargs)
 
-        monkeypatch.setattr(np, "unique", spy)
+        monkeypatch.setattr(fringe_poly, "group_keys", group_spy)
+        monkeypatch.setattr(np, "unique", unique_spy)
         return calls
 
     def test_rows_differing_outside_regions_share_one_value(self):

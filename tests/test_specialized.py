@@ -119,8 +119,22 @@ class TestEdgeCore:
                 for g in graphs:
                     expect = count_subgraphs(
                         g, pat, engine="general", config=config, decomposition=decomp
-                    ).count
-                    assert closed_form(g, pat, config, decomp).count == expect, pat.edges()
+                    )
+                    got = closed_form(g, pat, config, decomp)
+                    assert got.count == expect.count, pat.edges()
+                    assert got.core_matches == expect.core_matches, pat.edges()
+
+    def test_core_matches_pass_the_matcher_degree_filter(self):
+        """An orientation whose ends fall below the core's full-pattern
+        degrees is no core embedding: every route reports the same
+        ``core_matches``."""
+        g = gen.barabasi_albert(200, 2, seed=1)
+        pat = catalog.k_tailed_triangle(2)
+        got = {e: count_subgraphs(g, pat, engine=e) for e in ("auto", "frontier", "general")}
+        assert got["auto"].engine == "fringe-specialized(edge-core)"
+        assert {e: (r.count, r.core_matches) for e, r in got.items()} == dict.fromkeys(
+            got, (6709, 471)
+        )
 
     def test_large_graph_consistency(self):
         g = gen.kronecker(9, 8, seed=2)
