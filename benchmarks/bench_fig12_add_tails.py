@@ -16,6 +16,7 @@ import pytest
 
 from repro import count_subgraphs
 from repro.bench import workloads as W
+from repro.bench.harness import provenance
 
 SERIES = W.fig12_series(10)
 
@@ -34,9 +35,11 @@ def test_fig12_point(benchmark, graph, name, results_dir):
     path = results_dir / "fig12.json"
     data = json.loads(path.read_text()) if path.exists() else {}
     data[name] = {
+        **provenance(),
         "seconds": res.elapsed_s,
         "throughput_eps": graph.num_edges / res.elapsed_s,
         "pattern_vertices": SERIES[name].n,
+        "count": str(res.count),  # exact: counts overflow JSON readers
         "count_digits": len(str(res.count)),
     }
     path.write_text(json.dumps(data, indent=1))

@@ -348,7 +348,9 @@ def run_figure(
 
     Pattern plans compile when a cell's runner is built and each graph's
     pair index, adjacency bitmap and :func:`upper_starts` are built before
-    the sweep, so no cell pays any of them inside its timer.
+    the sweep, so no cell pays any of them inside its timer. The system
+    order rotates by one from each (pattern, graph) group to the next, so
+    no system always runs first on a freshly touched group.
     """
     if any(system.startswith("fringe") for system in systems):
         # per-graph caches: built once here, not inside the first cell
@@ -361,10 +363,13 @@ def run_figure(
     record_fh = RecordAppender(record_path) if record_path else None
     try:
         with obs.span("bench.figure", figure=figure):
+            group = 0
             for pattern_name, pattern in patterns.items():
                 dnf_count = {system: 0 for system in systems}
                 for graph_name, graph in graphs.items():
-                    for system in systems:
+                    first = group % len(systems)
+                    group += 1
+                    for system in [*systems[first:], *systems[:first]]:
                         if dnf_count[system] > 1:
                             cell = Measurement(
                                 system, pattern_name, graph_name, "dnf", None, None, graph.num_edges

@@ -41,7 +41,8 @@ FRINGE_ONLY = ("fringe-sgc",)
 # the frontier matcher against the default engine="auto" route
 # ("fringe-sgc", closed forms for 1-/2-vertex cores) and the serial oracle
 FRONTIER_VS_SERIAL = ("fringe-frontier", "fringe-sgc", "fringe-serial")
-# serial reference first so every cell is cross-checked against it
+# the serial reference, a pool started inside every call and the warm
+# pool; run_figure cross-checks every cell's count across the three
 POOL_SYSTEMS = ("fringe-serial", "fringe-pool-cold", "fringe-pool")
 
 

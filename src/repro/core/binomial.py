@@ -8,7 +8,9 @@ Fig. 4-scale patterns produce far larger values).
 
 Batched evaluation does not come through here:
 :meth:`~repro.core.fringe_poly.FringePolynomial.evaluate_batch` builds
-its own per-column binomial tables in float64 and modulo RNS primes.
+its own per-column tables by ``C(v, d) = C(v, d-1) (v-d+1) / d`` — in
+float64 with a per-row flag that marks where an entry may have rounded,
+and as residues stacked over every RNS prime of a pass.
 """
 
 from __future__ import annotations

@@ -64,6 +64,23 @@ class TestRunFigure:
         assert res.patterns() == ["triangle", "paw"]
         assert set(res.systems()) == {"fringe-sgc", "stmatch-like", "graphset-like"}
 
+    def test_system_order_rotates_per_group(self, graphs, monkeypatch):
+        from repro.bench import harness
+
+        firsts: dict[tuple[str, str], str] = {}
+
+        def fake_cell(system, pattern, pattern_name, graph, graph_name, *, timeout_s):
+            firsts.setdefault((pattern_name, graph_name), system)
+            return Measurement(system, pattern_name, graph_name, "ok", 1, 0.1, 10)
+
+        monkeypatch.setattr(harness, "run_cell", fake_cell)
+        patterns = {"triangle": catalog.triangle(), "paw": catalog.paw()}
+        res = run_figure("t", patterns, graphs, ("a", "b", "c"))
+        assert len(res.measurements) == 3 * len(patterns) * len(graphs)
+        # each group starts one system later than the one before
+        expect = [("a", "b", "c")[i % 3] for i in range(len(firsts))]
+        assert list(firsts.values()) == expect
+
     def test_geomean_and_speedup(self, graphs):
         res = run_figure(
             "smoke", {"triangle": catalog.triangle()}, graphs, ("fringe-sgc", "stmatch-like")

@@ -1,9 +1,12 @@
 """Tests for the compiled fringe polynomial (closed form of fc)."""
 
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import fringe_poly
 from repro.core.fringe_count import fc_recursive
@@ -184,10 +187,15 @@ class TestRNSInternals:
             assert _crt(residues, primes) == x
 
 
-class TestHornerEvaluation:
-    def test_matches_flat_random(self):
-        import numpy as np
+def flat(poly):
+    """The same polynomial walked term by term: no prefix is shared."""
+    return replace(poly, lcp=np.zeros_like(poly.lcp))
 
+
+class TestHornerEvaluation:
+    """The compiled shared-prefix order against the flat order."""
+
+    def test_matches_flat_random(self):
         rng = random.Random(31)
         for _ in range(40):
             q = rng.randint(1, 3)
@@ -197,19 +205,127 @@ class TestHornerEvaluation:
             k = [rng.randint(1, 3) for _ in range(s)]
             poly = compile_fringe_polynomial(anch, k, q)
             venns = np.random.default_rng(1).integers(0, 10, size=(32, 1 << q))
-            assert np.allclose(
-                poly._per_row_float(venns), poly.per_row_float_horner(venns)
-            )
+            per_row, exact = poly._per_row_float(venns)
+            flat_row, flat_exact = flat(poly)._per_row_float(venns)
+            assert exact.all() and flat_exact.all()
+            # small rows are exact in either order
+            np.testing.assert_array_equal(per_row, flat_row)
+            assert per_row.tolist() == [poly.evaluate(row) for row in venns.tolist()]
 
     def test_plan_covers_all_terms(self):
-        poly = compile_fringe_polynomial([0b01, 0b11], [3, 2], 2)
-        plan = poly.horner_plan()
-        assert sorted(t for _, t in plan) == list(range(poly.num_terms))
-        assert plan[0][0] == 0  # first term has no prefix to share
+        poly = compile_fringe_polynomial([0b01, 0b10, 0b11], [3, 2, 2], 2)
+        rows = poly.draws.tolist()
+        assert poly.lcp.shape == (poly.num_terms,)
+        assert poly.lcp[0] == 0  # first term has no prefix to share
+        assert rows == sorted(rows)
+        for t in range(1, poly.num_terms):
+            shared = int(poly.lcp[t])
+            assert rows[t][:shared] == rows[t - 1][:shared]
+            assert shared == len(rows[t]) or rows[t][shared] != rows[t - 1][shared]
+        assert poly.lcp.sum() > 0
 
     def test_no_regions(self):
-        import numpy as np
-
         poly = compile_fringe_polynomial((), (), 1)
-        out = poly.per_row_float_horner(np.zeros((4, 2), dtype=np.int64))
-        assert out.tolist() == [1.0] * 4
+        per_row, exact = poly._per_row_float(np.zeros((4, 2), dtype=np.int64))
+        assert per_row.tolist() == [1.0] * 4
+        assert exact.all()
+
+    def test_rns_flat_order_agrees(self):
+        poly = compile_fringe_polynomial([0b01, 0b10, 0b11], [5, 4, 4], 2)
+        venns = np.random.default_rng(6).integers(10**5, 10**6, size=(50, 4))
+        counts = np.arange(1, 51, dtype=np.int64)
+        expect = sum(c * poly.evaluate(row) for c, row in zip(counts.tolist(), venns.tolist()))
+        bound = expect.bit_length() + 1.0
+        assert expect > 2**200
+        assert poly._evaluate_batch_rns(venns, bound, counts) == expect
+        assert flat(poly)._evaluate_batch_rns(venns, bound, counts) == expect
+
+
+# Venn entries from three scales: small, around the 2^52 float limit for
+# a few draws, and large enough that rows need many primes
+VENN_ENTRY = st.one_of(
+    st.integers(0, 12), st.integers(50, 5_000), st.integers(10**5, 10**7)
+)
+
+
+@st.composite
+def polys_and_rows(draw):
+    q = draw(st.integers(1, 3))
+    full = (1 << q) - 1
+    anch = sorted(draw(st.sets(st.integers(1, full), min_size=1, max_size=min(3, full))))
+    k = draw(st.lists(st.integers(1, 8 if q < 3 else 3), min_size=len(anch), max_size=len(anch)))
+    rows = draw(st.lists(st.lists(VENN_ENTRY, min_size=full + 1, max_size=full + 1),
+                         min_size=1, max_size=6))
+    counts = draw(st.lists(st.integers(1, 1000), min_size=len(rows), max_size=len(rows)))
+    return anch, k, q, np.array(rows, dtype=np.int64), np.array(counts, dtype=np.int64)
+
+
+class TestOneWalk:
+    """The float pass and the stacked RNS pass walk the one compiled
+    order; both must equal the scalar flat ``evaluate`` and ``fc``."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(polys_and_rows())
+    def test_passes_equal_evaluate_and_fc(self, case):
+        anch, k, q, rows, counts = case
+        poly = compile_fringe_polynomial(anch, k, q)
+        values = [poly.evaluate(row) for row in rows.tolist()]
+        assert values == [fc_recursive(row, anch, k, q) for row in rows.tolist()]
+        expect = sum(c * v for c, v in zip(counts.tolist(), values))
+        # float pass: every row flagged exact and below 2^52 is exact
+        per_row, exact = poly._per_row_float(rows)
+        for value, got, ok in zip(values, per_row.tolist(), exact.tolist()):
+            if ok and got < 2**52:
+                assert got == value
+            elif value:
+                assert math.isclose(got, value, rel_tol=1e-9)
+        # stacked RNS pass, under the production hard bound
+        bound = poly._total_log2_bound(rows) + math.log2(int(counts.max()))
+        assert bound + 2.0 >= math.log2(max(expect, 1))  # the prime pick's slack
+        assert poly._evaluate_batch_rns(rows, bound, counts) == expect
+        assert poly.evaluate_batch(np.repeat(rows, counts, axis=0)) == expect
+
+    def test_many_primes(self):
+        poly = compile_fringe_polynomial([0b01, 0b10], [8, 8], 2)
+        rows = np.array([[0, 10**7, 10**7, 10**6], [0, 10**6, 3, 10**7]], dtype=np.int64)
+        expect = sum(poly.evaluate(row) for row in rows.tolist())
+        assert expect > 2**300
+        assert poly.evaluate_batch(rows) == expect
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_rows_straddling_the_float_limit(self, k):
+        poly = compile_fringe_polynomial([0b1], [k], 1)
+        v = int((2**52 * math.factorial(k)) ** (1 / k))  # C(v, k) ≈ v^k / k!
+        while math.comb(v, k) < 2**52:
+            v += 1
+        while math.comb(v - 1, k) >= 2**52:
+            v -= 1
+        rows = np.array([[0, v + dv] for dv in range(-3, 4)], dtype=np.int64)
+        per_row, exact = poly._per_row_float(rows)
+        assert (per_row < 2**52).any() and (per_row >= 2**52).any()
+        for row in rows.tolist():
+            assert poly.evaluate_batch(np.array([row])) == math.comb(row[1], k)
+        assert poly.evaluate_batch(rows) == sum(math.comb(v + dv, k) for dv in range(-3, 4))
+
+
+class TestFloatExactness:
+    """Float binomial tables drift once an intermediate product passes
+    2^53, even when the row's value is below 2^52."""
+
+    def test_single_type_sweep(self):
+        bad = []
+        for k in range(20, 64):
+            poly = compile_fringe_polynomial([0b1], [k], 1)
+            for v in range(k, 80):
+                if poly.evaluate_batch(np.array([[0, v]])) != math.comb(v, k):
+                    bad.append((k, v))
+        assert bad == []
+
+    @pytest.mark.parametrize("engine", ["auto", "frontier", "general"])
+    def test_star_count(self, engine):
+        from repro import count_subgraphs
+        from repro.graph import generators as gen
+        from repro.patterns import catalog
+
+        res = count_subgraphs(gen.star_graph(60), catalog.star(20), engine=engine)
+        assert res.count == math.comb(60, 20)

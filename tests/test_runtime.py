@@ -464,3 +464,33 @@ class TestCLI:
         assert "repro.core.specialized" in proc.stderr  # the log is complete
         assert "scipy.sparse" not in proc.stderr
         assert "repro.parallel" not in proc.stderr  # single-process count
+
+    def test_count_reaching_the_rns_bound_never_imports_scipy(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        # a 30-page book (spine 0-1, 30 common neighbours) and an edge with
+        # 30 tails per end: the weights pass 2^52 and the spine's row is
+        # 0, so the exact path sizes its primes by the hard log2 bound
+        graph = tmp_path / "book.el"
+        graph.write_text("0 1\n" + "".join(f"{e} {x}\n" for x in range(2, 32) for e in (0, 1)))
+        script = (
+            "from repro.cli import main\n"
+            "from repro.core.fringe_poly import FringePolynomial as F\n"
+            "calls, bound = [], F._total_log2_bound\n"
+            "F._total_log2_bound = lambda poly, rows: calls.append(1) or bound(poly, rows)\n"
+            f"main(['count', '--graph', {str(graph)!r}, '--pattern', 'edge + 30x0 + 30x1'])\n"
+            "print('bound calls:', len(calls))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert "count    : 0" in proc.stdout
+        assert "bound calls: 1" in proc.stdout
+        assert "repro.core.fringe_poly" in proc.stderr  # the log is complete
+        assert "scipy" not in proc.stderr
