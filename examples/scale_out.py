@@ -5,7 +5,7 @@ Three production concerns beyond a single count, all answered by the
 library with bit-identical results:
 
 1. **Motif families** — a census of related patterns shares one core
-   search and one Venn pass per batch (``MultiPatternCounter``);
+   search and one Venn pass per batch (``Runtime.count_many``);
 2. **Graphs bigger than one device** — the paper's §3.6 multi-GPU plan:
    partition with ghost regions as wide as the pattern core's diameter
    (+1 for fringes), count partitions independently, reduce once;
@@ -17,7 +17,7 @@ Run:  python examples/scale_out.py
 
 import time
 
-from repro import MultiPatternCounter, count_subgraphs
+from repro import count_subgraphs, get_runtime
 from repro.graph import datasets
 from repro.parallel import ParallelConfig, ghost_width, parallel_count, partitioned_count
 from repro.patterns import catalog
@@ -33,15 +33,15 @@ def main() -> None:
     # ------------------------------------------------------------------
     family = {f"{k}-tailed triangle": catalog.k_tailed_triangle(k) for k in range(1, 7)}
     t0 = time.perf_counter()
-    mpc = MultiPatternCounter(family)
-    shared = mpc.count_all(graph)
+    shared = get_runtime().count_many(graph, family, engine="frontier")
     t_shared = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     individual = {n: count_subgraphs(graph, p, engine="frontier") for n, p in family.items()}
     t_each = time.perf_counter() - t0
 
-    print(f"\nk-tailed-triangle census ({mpc.num_groups} shared core group):")
+    passes = len({res.core_matches for res in shared.values()})
+    print(f"\nk-tailed-triangle census ({passes} shared frontier pass):")
     for name in family:
         assert shared[name].count == individual[name].count
         print(f"  {name:<22} {shared[name].count:>22,}")

@@ -4,6 +4,8 @@ Public entry points:
 
 * :func:`repro.count_subgraphs` — count a pattern in a graph (plan-cached
   through the process-wide :class:`repro.Runtime`);
+* :func:`repro.count_many` — count a pattern family, sharing one pass
+  per core (:meth:`repro.Runtime.count_many`);
 * :class:`repro.Runtime` / :func:`repro.get_runtime` — the serving front
   door: LRU plan cache, backend routing, execution stats;
 * :func:`repro.compile_pattern` — build a reusable, picklable
@@ -18,9 +20,9 @@ from .core.engine import (
     CountResult,
     EngineConfig,
     ExecutionStats,
+    count_many,
     count_subgraphs,
 )
-from .core.multi import MultiPatternCounter, count_many
 from .core.plan import CountingPlan, compile_pattern
 from .graph.csr import CSRGraph
 from .obs import Observer
@@ -34,7 +36,6 @@ __all__ = [
     "CountResult",
     "CountingPlan",
     "ExecutionStats",
-    "MultiPatternCounter",
     "Observer",
     "Runtime",
     "count_many",

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -47,8 +48,8 @@ from ..patterns.pattern import Pattern
 from ..runtime import Runtime
 
 __all__ = [
+    "CELL_REPEATS",
     "Measurement",
-    "CellResult",
     "SYSTEMS",
     "run_cell",
     "run_figure",
@@ -96,8 +97,9 @@ class Measurement:
     graph: str
     status: str  # "ok" | "dnf" | "unsupported"
     count: int | None
-    seconds: float | None
+    seconds: float | None  # an ok cell's median sample
     edges: int
+    samples: tuple[float, ...] = ()  # an ok cell's CELL_REPEATS timings
 
     @property
     def throughput(self) -> float | None:
@@ -110,6 +112,10 @@ class Measurement:
 # ----------------------------------------------------------------------
 # systems under test
 # ----------------------------------------------------------------------
+# Every ok cell is timed this many times and reports the median: a single
+# shot of a millisecond cell swings by a third from one run to the next.
+CELL_REPEATS = 5
+
 # Dedicated runtime for benchmark runs: the plan cache amortizes pattern
 # compilation across the inputs of a figure without polluting (or being
 # skewed by) the process-wide serving runtime.
@@ -187,21 +193,29 @@ def run_cell(
     *,
     timeout_s: float = 10.0,
 ) -> Measurement:
-    """One (system, pattern, graph) measurement with DNF semantics."""
+    """One (system, pattern, graph) measurement with DNF semantics: the
+    median of :data:`CELL_REPEATS` timed runs, DNF if any run times out."""
     runner = SYSTEMS[system](pattern)
     if runner is None:
         return Measurement(system, pattern_name, graph_name, "unsupported", None, None, graph.num_edges)
+    dnf = Measurement(system, pattern_name, graph_name, "dnf", None, None, graph.num_edges)
+    samples = []
     with obs.span("bench.cell", system=system, pattern=pattern_name, graph=graph_name):
-        start = time.perf_counter()
-        try:
-            count = runner(graph, timeout_s)
-        except BaselineTimeout:
-            return Measurement(system, pattern_name, graph_name, "dnf", None, None, graph.num_edges)
-        elapsed = time.perf_counter() - start
-    if elapsed > timeout_s:
-        # the fringe engine has no cooperative deadline; censor post hoc
-        return Measurement(system, pattern_name, graph_name, "dnf", None, None, graph.num_edges)
-    return Measurement(system, pattern_name, graph_name, "ok", count, elapsed, graph.num_edges)
+        for _ in range(CELL_REPEATS):
+            start = time.perf_counter()
+            try:
+                count = runner(graph, timeout_s)
+            except BaselineTimeout:
+                return dnf
+            elapsed = time.perf_counter() - start
+            if elapsed > timeout_s:
+                # the fringe engine has no cooperative deadline; censor post hoc
+                return dnf
+            samples.append(elapsed)
+    return Measurement(
+        system, pattern_name, graph_name, "ok", count, statistics.median(samples),
+        graph.num_edges, tuple(samples),
+    )
 
 
 def geomean(values: Sequence[float]) -> float:
@@ -311,6 +325,7 @@ def measurement_record(figure: str, m: Measurement) -> dict:
         "status": m.status,
         "count": None if m.count is None else str(m.count),  # counts overflow JSON readers
         "seconds": m.seconds,
+        "samples": list(m.samples),
         "edges": m.edges,
         "throughput_eps": m.throughput,
         "unix_time": time.time(),

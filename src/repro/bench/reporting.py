@@ -63,6 +63,7 @@ def save_figure(result: FigureResult, path: str | Path) -> None:
                 "status": m.status,
                 "count": None if m.count is None else str(m.count),
                 "seconds": m.seconds,
+                "samples": list(m.samples),
                 "edges": m.edges,
             }
             for m in result.measurements
@@ -88,6 +89,7 @@ def load_figure(path: str | Path) -> FigureResult:
                 count=None if m["count"] is None else int(m["count"]),
                 seconds=m["seconds"],
                 edges=m["edges"],
+                samples=tuple(m.get("samples", ())),
             )
         )
     return result

@@ -28,12 +28,12 @@ from .engine import (
     CountResult,
     EngineConfig,
     ExecutionStats,
+    count_many,
     count_subgraphs,
     injective_core_sum,
 )
 from .plan import CountingPlan, compile_pattern, exact_divide, plan_key
 from .listing import CoreMatch, iter_core_matches, per_vertex_counts, top_cores
-from .multi import MultiPatternCounter, count_many
 from .fringe_count import count_fringe_choices, fc_recursive
 from .matcher import CorePlan, build_plan, count_core_matches, match_cores
 from .venn import venn_hash, venn_merge, venn_sorted
@@ -61,7 +61,6 @@ __all__ = [
     "iter_core_matches",
     "per_vertex_counts",
     "top_cores",
-    "MultiPatternCounter",
     "count_many",
     "nCk",
     "CountResult",

@@ -2,8 +2,9 @@
 
 A backend turns a :class:`~repro.core.plan.CountingPlan` plus a graph
 (and an optional start-vertex slice — the unit of work distribution) into
-a :class:`PartialSum`: the raw symmetry-reduced ordered-embedding sum
-``sigma`` and the number of core matches visited. Backends never
+a :class:`PartialSum`: the raw symmetry-reduced ordered-embedding sums,
+one per member plan scored on the pass (a family sharing one core, or
+the plan alone), and the number of core matches visited. Backends never
 normalize; :meth:`CountingPlan.normalize` is the single shared
 normalization path.
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -85,27 +87,34 @@ class WorkerDelta:
 class PartialSum:
     """A backend's contribution: raw sums plus execution substatistics.
 
-    ``sigma`` is Σ F_sets over the visited symmetry-reduced core
-    embeddings (un-normalized); ``matches`` counts those embeddings.
-    ``match_s`` is the time spent producing core matches and
+    ``sums`` holds one Σ F_sets over the visited symmetry-reduced core
+    embeddings (un-normalized) per member plan the pass scored, in the
+    order the members were given; ``sigma`` is the first (for a
+    one-pattern pass, the only) of them. ``matches`` counts those
+    embeddings. ``match_s`` is the time spent producing core matches and
     ``venn_fc_s`` the time spent in Venn + fringe-count evaluation, each
     timed directly by the backend; ``batches`` counts vectorized batch
     flushes. ``workers`` carries per-worker :class:`WorkerDelta` records
     out of the worker pool (empty for in-process execution); their fields
-    sum to this object's totals. Partial sums add: a reduction starts
-    from ``PartialSum()`` and adds each part with ``+=``.
+    sum to this object's totals. Partial sums add, ``sums`` elementwise:
+    a reduction starts from ``PartialSum()`` and adds each part with
+    ``+=``.
     """
 
-    sigma: int = 0
+    sums: tuple[int, ...] = ()
     matches: int = 0
     match_s: float = 0.0
     venn_fc_s: float = 0.0
     batches: int = 0
     workers: tuple[WorkerDelta, ...] = ()
 
+    @property
+    def sigma(self) -> int:
+        return self.sums[0] if self.sums else 0
+
     def __add__(self, other: "PartialSum") -> "PartialSum":
         return PartialSum(
-            sigma=self.sigma + other.sigma,
+            sums=tuple(map(sum, zip_longest(self.sums, other.sums, fillvalue=0))),
             matches=self.matches + other.matches,
             match_s=self.match_s + other.match_s,
             venn_fc_s=self.venn_fc_s + other.venn_fc_s,
@@ -116,7 +125,13 @@ class PartialSum:
 
 @runtime_checkable
 class Backend(Protocol):
-    """Anything that can execute a CountingPlan over a graph slice."""
+    """Anything that can execute a CountingPlan over a graph slice.
+
+    ``plan`` drives the core matching; ``members`` are the plans whose
+    fringes are counted on every match (default: ``plan`` alone). They
+    share ``plan``'s core, matching order, anchored set and symmetry
+    restriction, and the result carries one raw sum per member.
+    """
 
     name: str
 
@@ -125,6 +140,7 @@ class Backend(Protocol):
         plan: CountingPlan,
         graph: CSRGraph,
         start_vertices: Sequence[int] | None = None,
+        members: Sequence[CountingPlan] | None = None,
     ) -> PartialSum: ...
 
 
@@ -179,17 +195,19 @@ def venn_poly_sums(
     return sums, batches
 
 
-def _count_matches_only(plan, graph, start_vertices) -> PartialSum:
+def _count_matches_only(plan, graph, start_vertices, members) -> PartialSum:
     """q == 0 (no anchored fringes): every core embedding contributes 1."""
     t0 = time.perf_counter()
     matches = sum(1 for _ in match_cores(graph, plan.core_plan, start_vertices=start_vertices))
-    return PartialSum(sigma=matches, matches=matches, match_s=time.perf_counter() - t0)
+    return PartialSum(
+        sums=(matches,) * len(members), matches=matches, match_s=time.perf_counter() - t0
+    )
 
 
 class SerialBackend:
     """Per-match evaluation, the paper's Listing 5 pipeline: each core
     match from :func:`match_cores` gets its own :func:`venn_merge`
-    diagram and :func:`fc_recursive` count."""
+    diagram and one :func:`fc_recursive` count per member."""
 
     name = "serial"
 
@@ -198,14 +216,16 @@ class SerialBackend:
         plan: CountingPlan,
         graph: CSRGraph,
         start_vertices: Sequence[int] | None = None,
+        members: Sequence[CountingPlan] | None = None,
     ) -> PartialSum:
+        members = members or (plan,)
         if plan.q == 0:
-            return _count_matches_only(plan, graph, start_vertices)
-        anch, k, q = plan.anch, plan.k, plan.q
+            return _count_matches_only(plan, graph, start_vertices, members)
+        fringes = [(m.anch, m.k, m.q) for m in members]
         positions = plan.anchored_positions
         registry = obs.active_metrics()  # checked once, outside the hot loop
         degrees = graph.degrees
-        total = 0
+        sums = [0] * len(members)
         matches = 0
         match_s = venn_fc_s = 0.0
         # t_mark..t0 is one matcher pull, t0..t_mark one venn/fc evaluation
@@ -216,7 +236,8 @@ class SerialBackend:
             matches += 1
             anchors = [match[i] for i in positions]
             venn = venn_merge(graph, anchors, match)
-            total += fc_recursive(venn, anch, k, q)
+            for i, (anch, k, q) in enumerate(fringes):
+                sums[i] += fc_recursive(venn, anch, k, q)
             t_mark = time.perf_counter()
             venn_fc_s += t_mark - t0
             if registry is not None:
@@ -230,7 +251,7 @@ class SerialBackend:
             registry.counter("repro_core_matches_total").inc(matches)
             registry.counter("repro_venn_fc_seconds_total").inc(venn_fc_s)
         return PartialSum(
-            sigma=total, matches=matches, match_s=match_s, venn_fc_s=venn_fc_s
+            sums=tuple(sums), matches=matches, match_s=match_s, venn_fc_s=venn_fc_s
         )
 
 
@@ -240,10 +261,11 @@ class FrontierBackend:
     The matcher side runs level-synchronously over 2-D embedding blocks
     (:func:`repro.core.frontier.iter_frontier_blocks`); each completed
     block goes through :func:`venn_poly_sums`: one ``venn_sets`` diagram
-    per distinct anchor set, then the compiled fringe polynomial in
-    ``batch_size`` row chunks. ``EngineConfig.max_frontier_rows`` bounds
-    the candidate volume of any expansion step (larger frontiers split
-    and traverse depth-first), so memory stays fixed on dense graphs.
+    per distinct anchor set, then every member's compiled fringe
+    polynomial in ``batch_size`` row chunks. ``EngineConfig.max_frontier_rows``
+    bounds the candidate volume of any expansion step (larger frontiers
+    split and traverse depth-first), so memory stays fixed on dense
+    graphs.
     """
 
     name = "frontier"
@@ -253,24 +275,9 @@ class FrontierBackend:
         plan: CountingPlan,
         graph: CSRGraph,
         start_vertices: Sequence[int] | None = None,
+        members: Sequence[CountingPlan] | None = None,
     ) -> PartialSum:
-        return self.run_polys(plan, [plan.poly], graph, start_vertices)[1]
-
-    def run_polys(
-        self,
-        plan: CountingPlan,
-        polys: Sequence,
-        graph: CSRGraph,
-        start_vertices: Sequence[int] | None = None,
-    ) -> tuple[list[int], PartialSum]:
-        """One matcher pass of ``plan``, evaluating several polynomials.
-
-        ``polys`` are :class:`~repro.core.fringe_poly.FringePolynomial` s
-        over ``plan``'s anchors (a pattern family sharing one core, as in
-        :class:`~repro.core.multi.MultiPatternCounter`). Returns one raw
-        sum per polynomial and the pass's :class:`PartialSum`, whose
-        ``sigma`` is the first polynomial's sum.
-        """
+        polys = [m.poly for m in members or (plan,)]
         cfg = plan.config
         registry = obs.active_metrics()  # checked once, outside the hot loop
         fstats = FrontierStats()
@@ -316,10 +323,10 @@ class FrontierBackend:
                 registry.gauge("repro_frontier_rows_per_second").set(
                     fstats.rows / elapsed
                 )
-        partial = PartialSum(
-            sigma=sums[0], matches=matches, match_s=match_s, venn_fc_s=venn_fc_s, batches=batches
+        return PartialSum(
+            sums=tuple(sums), matches=matches, match_s=match_s, venn_fc_s=venn_fc_s,
+            batches=batches,
         )
-        return sums, partial
 
 
 class PoolBackend:
@@ -350,17 +357,20 @@ class PoolBackend:
         plan: CountingPlan,
         graph: CSRGraph,
         start_vertices: Sequence[int] | None = None,
+        members: Sequence[CountingPlan] | None = None,
     ) -> PartialSum:
         # deferred: repro.parallel imports cycle back through core.engine
         from ..parallel.workerpool import get_default_pool
 
         inner = self.inner if self.inner is not None else FrontierBackend()
-        if start_vertices is not None:
-            return inner.run(plan, graph, start_vertices=start_vertices)
-        if self.num_workers <= 1 or graph.num_vertices <= self.chunk_size:
-            return inner.run(plan, graph, start_vertices=None)
+        if (
+            start_vertices is not None
+            or self.num_workers <= 1
+            or graph.num_vertices <= self.chunk_size
+        ):
+            return inner.run(plan, graph, start_vertices=start_vertices, members=members)
         pool = get_default_pool(self.num_workers)
-        return pool.count(plan, graph, chunk_size=self.chunk_size, inner=inner)
+        return pool.count(plan, graph, chunk_size=self.chunk_size, inner=inner, members=members)
 
 
 def select_backend(parallel=None, route: str = "frontier") -> Backend:

@@ -28,7 +28,8 @@ cache. Every route returns a raw, symmetry-reduced ``core_sum`` and
 only :meth:`~repro.core.plan.CountingPlan.normalize` divides it.
 
 Use :func:`count_subgraphs` to count (it routes through the process-wide
-runtime, so repeated patterns hit the plan cache), or
+runtime, so repeated patterns hit the plan cache), :func:`count_many` to
+count a family that shares cores, or
 :func:`~repro.core.plan.compile_pattern` to hold one compiled pattern
 explicitly.
 """
@@ -48,6 +49,7 @@ __all__ = [
     "EngineConfig",
     "CountResult",
     "ExecutionStats",
+    "count_many",
     "count_subgraphs",
     "injective_core_sum",
 ]
@@ -173,3 +175,17 @@ def count_subgraphs(
     return get_runtime().count(
         graph, pattern, engine=engine, decomposition=decomposition, config=config
     )
+
+
+def count_many(
+    graph: CSRGraph, patterns: dict[str, Pattern], *, config: EngineConfig | None = None
+) -> dict[str, int]:
+    """Name -> count for a family of patterns.
+
+    Routes through :meth:`repro.runtime.Runtime.count_many` on the
+    process-wide runtime: members that share a core share one pass.
+    """
+    from ..runtime import get_runtime
+
+    results = get_runtime().count_many(graph, patterns, config=config)
+    return {name: res.count for name, res in results.items()}

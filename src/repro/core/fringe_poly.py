@@ -141,14 +141,20 @@ class FringePolynomial:
         # the float and the RNS passes.
         venn_matrix, counts = self._distinct_profiles(venn_matrix)
         per_row, exact = self._per_row_float(venn_matrix)
-        # a row is exact if its tables are and its weighted value < 2^52:
-        # terms are non-negative, so every partial sum and product is
-        # bounded by it
+        # NaN is a zero factor times an overflowed one (inf · 0): such rare
+        # rows are counted one by one, exactly
+        nan = np.isnan(per_row)
+        total = sum(self.evaluate(row) * c for row, c in zip(
+            venn_matrix[nan].tolist(), counts[nan].tolist()))
+        per_row[nan] = 0.0
+        # a float 0 is exact whatever the tables (a non-zero factor is at
+        # least 1); otherwise a row is exact if its tables are and its
+        # weighted value < 2^52: terms are non-negative, so every partial
+        # sum and product is bounded by it
+        safe = per_row == 0
         if all(0 <= w < _EXACT_LIMIT for w in self.weights):
-            safe = exact & (per_row * counts < _EXACT_LIMIT)
-        else:
-            safe = np.zeros(len(venn_matrix), dtype=bool)
-        total = int(
+            safe |= exact & (per_row * counts < _EXACT_LIMIT)
+        total += int(
             (np.rint(per_row[safe]).astype(np.int64) * counts[safe]).sum(dtype=np.object_)
         )
         if np.all(safe):

@@ -12,8 +12,8 @@ execution backends need into one immutable :class:`CountingPlan`:
 * the ``(anch, k)`` anchor bitsets and the compiled
   :class:`~repro.core.fringe_poly.FringePolynomial`;
 * the closed-form kind of a 1-/2-vertex core (paper §3.4's dedicated
-  code), named in :mod:`repro.core.specialized`, whose kernels count
-  closed-form Venn rows with the same polynomial;
+  code), named in :mod:`repro.core.specialized`, whose kernels build
+  closed-form Venn rows for the same polynomial to count;
 * the structural normalizer ``inj(P, P) / Π k_t!``.
 
 Every connected pattern compiles the same way, a single vertex or edge
@@ -27,8 +27,8 @@ cache, not by compilation.
 
 Normalization — ``sigma * group_order / denominator`` with the
 non-integrality assertion — lives *only* here (:func:`exact_divide` /
-:meth:`CountingPlan.normalize`): matcher backends and closed-form
-kernels alike return a raw ``sigma`` and the plan divides.
+:meth:`CountingPlan.normalize`): matcher backends and the polynomial
+over closed-form rows alike give a raw ``sigma`` and the plan divides.
 """
 
 from __future__ import annotations
@@ -109,10 +109,9 @@ class CountingPlan:
     def specialized_engine(self):
         """A closed-form kernel for this plan's core, or None.
 
-        The kernel is built from this plan: it feeds closed-form Venn
-        rows to :attr:`poly`. Calling it on a graph returns the
-        :class:`~repro.core.backends.PartialSum` that :meth:`normalize`
-        divides, like a matcher backend's ``run``.
+        The kernel is built from this plan's core plan: calling it on a
+        graph returns the closed-form Venn rows of the core embeddings,
+        which :attr:`poly` (or a family member's polynomial) then counts.
         """
         if self.specialized_kind is None:
             return None
@@ -153,9 +152,9 @@ def compile_pattern(
     anchored_positions = tuple(decomp.matching_order.index(c) for c in decomp.anchored)
     # the polynomial is always compiled: it is the one fringe evaluator
     # of every route but the serial oracle — the frontier and pool
-    # backends score matched cores with it (MultiPatternCounter hands
-    # several plans' polynomials to one frontier pass), and the closed
-    # forms score their closed-form Venn rows with it
+    # backends score matched cores with it (a family sharing one core
+    # hands every member's plan to one pass), and the runtime scores the
+    # closed forms' Venn rows with it
     poly = compile_fringe_polynomial(anch, k, decomp.q)
     # imported here: both modules import this one
     from .backends import SerialBackend

@@ -14,7 +14,7 @@ instead of computed per match.
   (``group_order`` 2); like the matcher, an orientation whose ends fall
   below the core's full-pattern degrees gives none.
 
-:func:`anchored_rows` lays such rows out in the plan's anchored-vertex
+:func:`anchored_rows` lays such rows out in a plan's anchored-vertex
 columns, and the plan's compiled
 :class:`~repro.core.fringe_poly.FringePolynomial` counts them — the
 same exact evaluator (float64 with a residue-number-system fallback) the
@@ -26,9 +26,11 @@ A 3-vertex core has no closed form here: the frontier matcher
 triangle cores faster than dedicated instance enumeration did.
 
 A kernel is built from a :class:`~repro.core.plan.CountingPlan` and
-returns what a matcher backend returns: the symmetry-reduced sum σ as a
-:class:`~repro.core.backends.PartialSum`, which
-:meth:`~repro.core.plan.CountingPlan.normalize` turns into a count.
+returns the Venn rows of the plan's core embeddings, one row per
+embedding over every core vertex; it evaluates no polynomial itself. The
+:class:`~repro.runtime.Runtime` scores one kernel's rows with the
+polynomial of every pattern that shares the core (a whole family from
+one row build) and normalizes each sum like a matcher backend's.
 Kernels hold no precomputation of their own and are cheap to build.
 """
 
@@ -39,7 +41,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .backends import PartialSum
 from .venn import venn_sets
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan -> specialized)
@@ -88,12 +89,10 @@ class VertexCoreEngine:
             raise ValueError("VertexCoreEngine needs a 1-vertex core")
         self.plan = plan
 
-    def __call__(self, graph: CSRGraph) -> PartialSum:
+    def __call__(self, graph: CSRGraph) -> np.ndarray:
         deg = np.asarray(graph.degrees, dtype=np.int64)
         deg = deg[deg >= self.plan.core_plan.min_degree[0]]  # the matcher's filter
-        venn = np.stack([np.zeros_like(deg), deg], axis=1)
-        sigma = self.plan.poly.evaluate_batch(anchored_rows(self.plan, venn))
-        return PartialSum(sigma=sigma, matches=len(deg))
+        return np.stack([np.zeros_like(deg), deg], axis=1)
 
 
 class EdgeCoreEngine:
@@ -109,7 +108,7 @@ class EdgeCoreEngine:
             raise ValueError("EdgeCoreEngine needs a 2-vertex core")
         self.plan = plan
 
-    def __call__(self, graph: CSRGraph) -> PartialSum:
+    def __call__(self, graph: CSRGraph) -> np.ndarray:
         edges = graph.edge_array()
         deg = graph.degrees
         md = self.plan.core_plan.min_degree  # the matcher's degree filter, per position
@@ -119,9 +118,7 @@ class EdgeCoreEngine:
         either = forward | backward
         c = common_neighbor_counts(graph, edges[either])
         venn = np.stack([np.zeros_like(c), du[either] - 1 - c, dv[either] - 1 - c, c], axis=1)
-        venn = np.concatenate([venn[forward[either]], venn[backward[either]][:, [0, 2, 1, 3]]])
-        sigma = self.plan.poly.evaluate_batch(anchored_rows(self.plan, venn))
-        return PartialSum(sigma=sigma, matches=len(venn))
+        return np.concatenate([venn[forward[either]], venn[backward[either]][:, [0, 2, 1, 3]]])
 
 
 # the closed-form kernel of each core size; a plan's ``specialized_kind``

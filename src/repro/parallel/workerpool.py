@@ -154,7 +154,7 @@ def _worker_main(wid: int, num_workers: int, conn, result_q, spans) -> None:
 def _worker_call(wid, num_workers, spans, call_id, payload):
     from ..core.backends import PartialSum, WorkerDelta
 
-    plan = payload["plan"]
+    plan, members = payload["plan"], payload["members"]
     inner = payload["inner"]
     graph = _resolve_graph(payload["graph"])
     num_chunks, num_vertices = payload["num_chunks"], payload["num_vertices"]
@@ -169,7 +169,7 @@ def _worker_call(wid, num_workers, spans, call_id, payload):
                 break
             ci, moved = nxt
             roots = chunk_roots(ci, num_chunks, num_vertices)
-            out += inner.run(plan, graph, start_vertices=roots)
+            out += inner.run(plan, graph, start_vertices=roots, members=members)
             done += 1
             if moved:
                 steals += 1
@@ -300,11 +300,15 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # the call path
     # ------------------------------------------------------------------
-    def count(self, plan, graph: CSRGraph, *, chunk_size: int = 256, inner=None):
+    def count(
+        self, plan, graph: CSRGraph, *, chunk_size: int = 256, inner=None, members=None
+    ):
         """Run ``plan`` over ``graph`` across the resident workers.
 
-        Returns the reduced :class:`~repro.core.backends.PartialSum`
-        (un-normalized, like every backend). Exact under work stealing:
+        ``members`` are the plans scored on every match (default:
+        ``plan``), shipped with it. Returns the reduced
+        :class:`~repro.core.backends.PartialSum` (un-normalized, like
+        every backend; one sum per member). Exact under work stealing:
         the ``ceil(n / chunk_size)`` interleaved chunks partition the
         start-vertex space and each chunk is executed exactly once.
         """
@@ -321,7 +325,7 @@ class WorkerPool:
                     self.stats = replace(self.stats, retries=self.stats.retries + 1)
                     obs.counter_add("repro_pool_retries_total")
                 try:
-                    result = self._run_call(plan, graph, chunk_size, inner, t_submit)
+                    result = self._run_call(plan, members, graph, chunk_size, inner, t_submit)
                     break
                 except WorkerDied as exc:
                     last_exc = exc
@@ -336,7 +340,7 @@ class WorkerPool:
         assert isinstance(result, PartialSum)
         return result
 
-    def _run_call(self, plan, graph, chunk_size, inner, t_submit):
+    def _run_call(self, plan, members, graph, chunk_size, inner, t_submit):
         call_id = self._call_seq = self._call_seq + 1
         num_chunks = -(-graph.num_vertices // chunk_size)
         # initial even split of the chunk index space, one span per worker
@@ -354,6 +358,7 @@ class WorkerPool:
             graph_spec = ("inline", graph)
         payload = {
             "plan": plan,
+            "members": members,
             "inner": inner,
             "graph": graph_spec,
             "num_vertices": graph.num_vertices,

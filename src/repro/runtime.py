@@ -26,12 +26,13 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import obs
-from .core.backends import select_backend
+from .core.backends import PartialSum, select_backend
 from .core.engine import ENGINES, CountResult, EngineConfig, ExecutionStats
-from .core.plan import CountingPlan, compile_pattern, plan_key
+from .core.plan import CountingPlan, compile_pattern, exact_divide, plan_key
+from .core.specialized import anchored_rows
 from .graph.csr import CSRGraph
 from .patterns.decompose import Decomposition
 from .patterns.pattern import Pattern
@@ -238,131 +239,137 @@ class Runtime:
         ``ExecutionStats.backend`` name the route that actually ran. A
         call with an explicit ``decomposition`` compiles a fresh plan and
         bypasses the cache — the cache key cannot see the core choice.
+        This is the one-pattern case of :meth:`count_many`; both run
+        the same execute path.
         """
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}")
-        with self.observer if self.observer is not None else contextlib.nullcontext():
-            return self._count(
-                graph,
-                pattern,
-                engine=engine,
-                config=config,
-                parallel=parallel,
-                decomposition=decomposition,
-                start_vertices=start_vertices,
-            )
+        [result] = self._count(
+            graph, [pattern], engine, config, parallel, decomposition, start_vertices
+        )
+        return result
+
+    def count_many(
+        self,
+        graph: CSRGraph,
+        patterns: Mapping[str, Pattern],
+        *,
+        engine: str = "auto",
+        config: EngineConfig | None = None,
+        parallel: "ParallelConfig | None" = None,
+    ) -> dict[str, CountResult]:
+        """Count a family of patterns: name -> :class:`CountResult`.
+
+        ``engine``, ``config`` and ``parallel`` mean what they mean for
+        :meth:`count`, and so do the counts. Members that share a core
+        share its graph-side work (DESIGN.md §1) and report that shared
+        pass's ``core_matches`` and ``stats``. Every route is resolved
+        before any work starts: ``engine="specialized"`` refuses a
+        family with a 3-vertex core having counted nothing.
+        """
+        if not patterns:
+            raise ValueError("need at least one pattern")
+        results = self._count(graph, list(patterns.values()), engine, config, parallel, None, None)
+        return dict(zip(patterns, results))
 
     def _count(
         self,
         graph: CSRGraph,
-        pattern: Pattern,
-        *,
+        patterns: list[Pattern],
         engine: str,
         config: EngineConfig | None,
         parallel: "ParallelConfig | None",
         decomposition: Decomposition | None,
         start_vertices: Sequence[int] | None,
-    ) -> CountResult:
+    ) -> list[CountResult]:
+        """The one execute path of :meth:`count` and :meth:`count_many`.
+
+        Routes are resolved for every pattern first. Patterns with one
+        :func:`_group_key` then share one row source — a closed-form
+        kernel's rows, or a matcher pass of :func:`_shared_plan` — and
+        each member's own polynomial (or ``fc``, on the serial oracle)
+        scores it; each sum is normalized by its own plan.
+        """
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}")
         cfg = config or EngineConfig()
-        with self._lock:
-            self.stats.counts_served += 1
-        with obs.span("count", pattern_vertices=pattern.n, engine=engine):
-            result = self._count_inner(
-                graph, pattern, engine, cfg, parallel, decomposition, start_vertices
-            )
-        registry = obs.active_metrics()
-        if registry is not None:
-            registry.counter("repro_counts_total").inc()
-            registry.histogram("repro_count_latency_seconds").observe(result.elapsed_s)
-            if result.elapsed_s > 0:
-                registry.gauge("repro_edges_per_second").set(
-                    graph.num_edges / result.elapsed_s
-                )
-        return result
-
-    def _count_inner(
-        self,
-        graph: CSRGraph,
-        pattern: Pattern,
-        engine: str,
-        cfg: EngineConfig,
-        parallel: "ParallelConfig | None",
-        decomposition: Decomposition | None,
-        start_vertices: Sequence[int] | None,
-    ) -> CountResult:
-        if decomposition is not None:
-            t0 = time.perf_counter()
-            with obs.span("compile", pattern_vertices=pattern.n, cached=False):
-                plan = compile_pattern(pattern, cfg, decomposition=decomposition)
-            hit, compile_s = False, time.perf_counter() - t0
-        else:
-            plan, hit, compile_s = self.plan_for(pattern, cfg)
-
-        # engine first: a closed form runs here, on the calling thread, and
-        # only matcher work ever reaches the worker pool
-        route = _resolve_route(engine, plan, start_vertices)
-        closed = route == plan.specialized_kind
-        t0 = time.perf_counter()
-        if closed:
-            runner = plan.specialized_engine()
-            with obs.span("execute", backend=runner.name):
-                partial = runner(graph)
-        else:  # substrate second
-            runner = select_backend(parallel, route)
-            with obs.span("execute", backend=runner.name):
-                partial = runner.run(plan, graph, start_vertices=start_vertices)
-        execute_s = time.perf_counter() - t0
-        value = plan.normalize(partial.sigma, context="parallel count" if parallel else "count")
-        # the pool backend falls back to its inner matcher in-process for
-        # small graphs; only worker records prove the workers ran
-        pooled = bool(partial.workers)
-        return CountResult(
-            count=value,
-            pattern=pattern,
-            core_matches=partial.matches,
-            elapsed_s=execute_s,
-            engine=_engine_label(route, cfg, parallel, pooled=pooled),
-            decomposition=plan.decomp,
-            stats=self._stats(
-                plan_hit=hit,
-                compile_s=compile_s,
-                backend=runner.name if closed or pooled else route,
-                execute_s=execute_s,
-                match_s=partial.match_s,
-                venn_fc_s=partial.venn_fc_s,
-                batches=partial.batches,
-                workers=len({w.pid for w in partial.workers}),
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    def _stats(
-        self,
-        *,
-        plan_hit: bool,
-        compile_s: float,
-        backend: str,
-        execute_s: float = 0.0,
-        match_s: float = 0.0,
-        venn_fc_s: float = 0.0,
-        batches: int = 0,
-        workers: int = 0,
-    ) -> ExecutionStats:
-        with self._lock:
-            cache_hits = self.stats.plan_cache_hits
-            cache_misses = self.stats.plan_cache_misses
-        return ExecutionStats(
-            backend=backend,
-            plan_cache_hit=plan_hit,
-            compile_s=compile_s,
-            execute_s=execute_s,
-            match_s=match_s,
-            venn_fc_s=venn_fc_s,
-            batches_flushed=batches,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            workers=workers,
-        )
+        with (
+            self.observer if self.observer is not None else contextlib.nullcontext(),
+            obs.span("count", pattern_vertices=max(p.n for p in patterns), engine=engine),
+        ):
+            if decomposition is None:
+                members = [self.plan_for(pattern, cfg) for pattern in patterns]
+            else:  # the cache key cannot see the core choice: compile fresh
+                t0 = time.perf_counter()
+                with obs.span("compile", pattern_vertices=patterns[0].n, cached=False):
+                    plan = compile_pattern(patterns[0], cfg, decomposition=decomposition)
+                members = [(plan, False, time.perf_counter() - t0)]
+            routes = [_resolve_route(engine, plan, start_vertices) for plan, _, _ in members]
+            with self._lock:
+                self.stats.counts_served += len(members)
+                cache_hits, cache_misses = self.stats.plan_cache_hits, self.stats.plan_cache_misses
+            groups: dict[tuple, list[int]] = {}
+            for i, (route, (plan, _, _)) in enumerate(zip(routes, members)):
+                groups.setdefault(_group_key(route, plan), []).append(i)
+            context = "parallel count" if parallel else "count"
+            results: list[CountResult] = [None] * len(members)  # type: ignore[list-item]
+            for idx in groups.values():
+                plans = [members[i][0] for i in idx]
+                route, shared = routes[idx[0]], _shared_plan(plans)
+                # engine first: a closed form runs here, on the calling thread,
+                # and only matcher work ever reaches the worker pool
+                closed = route == shared.specialized_kind
+                t0 = time.perf_counter()
+                if closed:
+                    runner = shared.specialized_engine()
+                    with obs.span("execute", backend=runner.name):
+                        rows = runner(graph)
+                        sums = [p.poly.evaluate_batch(anchored_rows(p, rows)) for p in plans]
+                        partial = PartialSum(sums=tuple(sums), matches=len(rows))
+                else:  # substrate second
+                    runner = select_backend(parallel, route)
+                    with obs.span("execute", backend=runner.name):
+                        partial = runner.run(
+                            shared, graph, start_vertices=start_vertices, members=plans
+                        )
+                execute_s = time.perf_counter() - t0
+                # the pool backend falls back to its inner matcher in-process for
+                # small graphs; only worker records prove the workers ran
+                pooled = bool(partial.workers)
+                for i, plan, sigma in zip(idx, plans, partial.sums):
+                    if plan.group_order != shared.group_order:
+                        # an edge core whose swap is a symmetry, scored on both
+                        # orientations: every embedding was counted twice
+                        sigma = exact_divide(sigma * shared.group_order, plan.group_order, context)
+                    _, hit, compile_s = members[i]
+                    results[i] = CountResult(
+                        count=plan.normalize(sigma, context=context),
+                        pattern=patterns[i],
+                        core_matches=partial.matches,
+                        elapsed_s=execute_s,
+                        engine=_engine_label(route, shared.config, parallel, pooled=pooled),
+                        decomposition=plan.decomp,
+                        stats=ExecutionStats(
+                            backend=runner.name if closed or pooled else route,
+                            plan_cache_hit=hit,
+                            compile_s=compile_s,
+                            execute_s=execute_s,
+                            match_s=partial.match_s,
+                            venn_fc_s=partial.venn_fc_s,
+                            batches_flushed=partial.batches,
+                            cache_hits=cache_hits,
+                            cache_misses=cache_misses,
+                            workers=len({w.pid for w in partial.workers}),
+                        ),
+                    )
+            registry = obs.active_metrics()
+            if registry is not None:
+                for result in results:
+                    registry.counter("repro_counts_total").inc()
+                    registry.histogram("repro_count_latency_seconds").observe(result.elapsed_s)
+                    if result.elapsed_s > 0:
+                        registry.gauge("repro_edges_per_second").set(
+                            graph.num_edges / result.elapsed_s
+                        )
+            return results
 
 
 # ----------------------------------------------------------------------
@@ -389,6 +396,39 @@ def _resolve_route(
     if engine == "specialized" and kind is None:
         raise ValueError(f"no specialized engine for a {plan.decomp.num_core}-vertex core")
     return kind or "frontier"
+
+
+def _group_key(route: str, plan: CountingPlan) -> tuple:
+    """Members with one key share one row source.
+
+    A closed form's rows serve every core of its kind: each member reads
+    its own anchored columns (:func:`anchored_rows`), and an edge core's
+    two orientations serve a member whose core swap is a symmetry. A
+    matcher pass serves the members with the same core, matching order,
+    anchored set and symmetry restriction.
+    """
+    if route == plan.specialized_kind:
+        return (route,)
+    d = plan.decomp
+    restriction = (plan.group_order, plan.core_plan.less_than)
+    return (route, d.core_pattern, d.matching_order, d.anchored, restriction)
+
+
+def _shared_plan(plans: list[CountingPlan]) -> CountingPlan:
+    """The plan a group's row source runs.
+
+    It is the member with the smallest symmetry group under the
+    *weakest* per-position degree filter. Members carry different fringe
+    loads, hence different full-pattern degree filters. A match pruned by
+    a stricter member's filter still contributes 0 to that member's
+    polynomial (not enough neighbours to place its fringes), so the
+    elementwise minimum is both safe and complete for everyone.
+    """
+    if len(plans) == 1:
+        return plans[0]
+    lead = min(plans, key=lambda p: p.group_order)
+    min_degree = tuple(map(min, zip(*(p.core_plan.min_degree for p in plans))))
+    return replace(lead, core_plan=replace(lead.core_plan, min_degree=min_degree))
 
 
 def _engine_label(

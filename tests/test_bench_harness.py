@@ -2,6 +2,7 @@
 
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,6 +50,29 @@ class TestRunCell:
     def test_unsupported_cell(self, graphs):
         m = run_cell("stmatch-like", catalog.star(12), "12-star", graphs["er"], "er")
         assert m.status == "unsupported"
+
+    def test_ok_cell_reports_the_median_of_fixed_repeats(self, graphs, monkeypatch):
+        from repro.bench import harness
+
+        times = iter([0.0, 5.0, 10.0, 11.0, 20.0, 29.0, 30.0, 32.0, 40.0, 41.0])
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: next(times), time=lambda: 0.0))
+        monkeypatch.setitem(harness.SYSTEMS, "fake", lambda pat: lambda graph, timeout_s: 7)
+        m = run_cell("fake", catalog.triangle(), "triangle", graphs["er"], "er", timeout_s=60)
+        assert harness.CELL_REPEATS == 5
+        assert m.status == "ok" and m.count == 7
+        assert m.samples == (5.0, 1.0, 9.0, 2.0, 1.0)
+        assert m.seconds == 2.0
+        record = harness.measurement_record("t", m)
+        assert (record["seconds"], record["samples"]) == (2.0, [5.0, 1.0, 9.0, 2.0, 1.0])
+
+    def test_a_slow_repeat_censors_the_cell(self, graphs, monkeypatch):
+        from repro.bench import harness
+
+        times = iter([0.0, 1.0, 2.0, 9.0])
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: next(times), time=lambda: 0.0))
+        monkeypatch.setitem(harness.SYSTEMS, "fake", lambda pat: lambda graph, timeout_s: 7)
+        m = run_cell("fake", catalog.triangle(), "triangle", graphs["er"], "er", timeout_s=5)
+        assert m.status == "dnf" and m.seconds is None and m.samples == ()
 
 
 class TestRunFigure:

@@ -195,9 +195,10 @@ class TestCountTimeout:
         import repro.runtime as runtime_mod
 
         class SlowRuntime(runtime_mod.Runtime):
+            # the abandoned daemon thread only sleeps: a count it ran after
+            # the test returned would race later tests' monkeypatched spies
             def count(self, *args, **kwargs):
                 time.sleep(5)
-                return super().count(*args, **kwargs)
 
         monkeypatch.setattr(runtime_mod, "get_runtime", lambda: SlowRuntime())
         rc = cli_main(

@@ -57,6 +57,18 @@ class TestBatchEvaluation:
         poly = compile_fringe_polynomial([1], [2], 1)
         assert poly.evaluate_batch(np.zeros((5, 2), dtype=np.int64)) == 0
 
+    def test_zero_row_with_an_overflowing_factor(self):
+        """A row whose value is 0 but one of whose binomials overflows
+        float64 (``inf · 0 = NaN``) or loses exactness is counted, not
+        sent to the hard-bound RNS bucket (which raised OverflowError)."""
+        poly = compile_fringe_polynomial([0b01, 0b10], [150, 1], 2)
+        row = np.array([[0, 10**6, 0, 0]])
+        assert poly.evaluate_batch(row) == poly.evaluate(row[0].tolist()) == 0
+        assert poly.evaluate_batch(np.array([[0, 5000, 0, 0]])) == 0  # C(5000, 150) < 2^1024
+        # NaN rows with a value (past the prime pool) and ordinary rows
+        rows = np.array([[0, 10**6, 0, 0], [0, 10**6, 1, 0], [0, 3, 1, 0], [0, 160, 2, 3]])
+        assert poly.evaluate_batch(rows) == sum(poly.evaluate(r) for r in rows.tolist())
+
 
 class TestProfileDeduplication:
     """``evaluate_batch`` evaluates each distinct ``regions`` profile once."""

@@ -22,6 +22,7 @@ from repro import Runtime, compile_pattern, count_subgraphs, get_runtime
 from repro.core.backends import FrontierBackend, PoolBackend, SerialBackend
 from repro.core.engine import ENGINES, EngineConfig
 from repro.core.plan import exact_divide, plan_key
+from repro.core.specialized import anchored_rows
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.parallel import ParallelConfig, parallel_count
@@ -156,7 +157,8 @@ class TestPlanPickle:
         eng = clone.specialized_engine()
         assert eng is not None
         expect = count_subgraphs(kron, catalog.diamond()).count
-        assert clone.normalize(eng(kron).sigma) == expect
+        rows = anchored_rows(clone, eng(kron))
+        assert clone.normalize(clone.poly.evaluate_batch(rows)) == expect
 
 
 # ----------------------------------------------------------------------
@@ -472,17 +474,25 @@ class TestCLI:
         from pathlib import Path
 
         # a 30-page book (spine 0-1, 30 common neighbours) and an edge with
-        # 30 tails per end: the weights pass 2^52 and the spine's row is
-        # 0, so the exact path sizes its primes by the hard log2 bound
+        # 30 tails per end: the weights pass 2^52 and the spine's row is 0,
+        # which the float pass counts exactly. A row whose float value
+        # overflows (C(10^6, 150) > 2^2000) sizes its primes by the hard
+        # log2 bound, which finds it beyond the prime pool.
         graph = tmp_path / "book.el"
         graph.write_text("0 1\n" + "".join(f"{e} {x}\n" for x in range(2, 32) for e in (0, 1)))
         script = (
+            "import numpy as np\n"
             "from repro.cli import main\n"
             "from repro.core.fringe_poly import FringePolynomial as F\n"
+            "from repro.core.fringe_poly import compile_fringe_polynomial\n"
             "calls, bound = [], F._total_log2_bound\n"
             "F._total_log2_bound = lambda poly, rows: calls.append(1) or bound(poly, rows)\n"
             f"main(['count', '--graph', {str(graph)!r}, '--pattern', 'edge + 30x0 + 30x1'])\n"
             "print('bound calls:', len(calls))\n"
+            "try:\n"
+            "    compile_fringe_polynomial([1], [150], 1).evaluate_batch(np.array([[0, 10**6]]))\n"
+            "except OverflowError:\n"
+            "    print('overflow, bound calls:', len(calls))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
@@ -491,6 +501,7 @@ class TestCLI:
             check=True, timeout=120,
         )
         assert "count    : 0" in proc.stdout
-        assert "bound calls: 1" in proc.stdout
+        assert "bound calls: 0" in proc.stdout
+        assert "overflow, bound calls: 1" in proc.stdout
         assert "repro.core.fringe_poly" in proc.stderr  # the log is complete
         assert "scipy" not in proc.stderr

@@ -32,9 +32,9 @@ class SlowSerial:
         self.delay_s = delay_s
         self._inner = SerialBackend()
 
-    def run(self, plan, graph, start_vertices=None):
+    def run(self, plan, graph, start_vertices=None, members=None):
         time.sleep(self.delay_s)
-        return self._inner.run(plan, graph, start_vertices=start_vertices)
+        return self._inner.run(plan, graph, start_vertices=start_vertices, members=members)
 
 
 @pytest.fixture(scope="module")
