@@ -141,12 +141,14 @@ class FringePolynomial:
         # the float and the RNS passes.
         venn_matrix, counts = self._distinct_profiles(venn_matrix)
         per_row, exact = self._per_row_float(venn_matrix)
-        # NaN is a zero factor times an overflowed one (inf · 0): such rare
-        # rows are counted one by one, exactly
+        total = 0
         nan = np.isnan(per_row)
-        total = sum(self.evaluate(row) * c for row, c in zip(
-            venn_matrix[nan].tolist(), counts[nan].tolist()))
-        per_row[nan] = 0.0
+        if nan.any():
+            # a zero factor times an overflowed one (inf · 0): such rare
+            # rows are counted one by one, exactly
+            total = sum(self.evaluate(row) * c for row, c in zip(
+                venn_matrix[nan].tolist(), counts[nan].tolist()))
+            per_row[nan] = 0.0
         # a float 0 is exact whatever the tables (a non-zero factor is at
         # least 1); otherwise a row is exact if its tables are and its
         # weighted value < 2^52: terms are non-negative, so every partial
