@@ -14,9 +14,12 @@ pool's lifecycle (lazy start on first use, :meth:`Runtime.close`,
 Venn/fc time, batch flushes, and plan-cache hit/miss counters — on
 ``CountResult.stats``.
 
-``count_subgraphs`` and ``parallel_count`` are thin wrappers over the
-process-wide :func:`get_runtime` instance, so every caller (CLI,
-benchmarks, library users) shares one plan cache.
+:meth:`Runtime.count` is the one-pattern case of
+:meth:`Runtime.count_many`: both run one execute path, which lets the
+members of a pattern family that share a core share its graph-side work.
+``count_subgraphs``, ``count_many`` and ``parallel_count`` are thin
+wrappers over the process-wide :func:`get_runtime` instance, so every
+caller (CLI, benchmarks, library users) shares one plan cache.
 """
 
 from __future__ import annotations
