@@ -8,7 +8,8 @@ on identical anchor workloads from a high-degree input.
 A second case times the two distinct-set formulations the batched
 backends can use on the sorted anchor sets the frontier matcher really
 produces: the sort-reduce ``venn_batch(graph, sets, sets)`` and the
-algebraic ``venn_sets`` (pair index + Möbius inversion), cross-checked
+algebraic ``venn_sets`` (pair index, popcounted adjacency-bitmap rows
+for three or more anchors, and a Möbius inversion), cross-checked
 equal. With ``--benchmark-disable`` every case runs once as a
 correctness check and nothing is written to ``ablation_venn.json``.
 """
@@ -21,9 +22,9 @@ import pytest
 
 from repro.core import compile_pattern
 from repro.core.frontier import frontier_match_matrix
+from repro.core.frontier import adjacency_bitmap
 from repro.core.venn import (
     pair_index,
-    unique_anchor_sets,
     venn_batch,
     venn_hash,
     venn_merge,
@@ -94,8 +95,9 @@ def distinct_sets(request, workload):
     graph = workload[0]
     plan = compile_pattern(DISTINCT_SET_PATTERNS[request.param]())
     block = frontier_match_matrix(graph, plan.core_plan)
-    sets, _, _ = unique_anchor_sets(block[:, list(plan.anchored_positions)], graph.num_vertices)
+    sets = np.unique(np.sort(block[:, list(plan.anchored_positions)], axis=1), axis=0)
     pair_index(graph)  # built once per graph, outside the timed loop
+    adjacency_bitmap(graph)
     return request.param, graph, sets
 
 

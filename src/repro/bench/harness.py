@@ -48,6 +48,7 @@ from ..patterns.pattern import Pattern
 from ..runtime import Runtime
 
 __all__ = [
+    "CELL_MIN_SECONDS",
     "CELL_REPEATS",
     "Measurement",
     "SYSTEMS",
@@ -112,9 +113,13 @@ class Measurement:
 # ----------------------------------------------------------------------
 # systems under test
 # ----------------------------------------------------------------------
-# Every ok cell is timed this many times and reports the median: a single
-# shot of a millisecond cell swings by a third from one run to the next.
+# Every ok cell is timed at least this many times and reports the median:
+# a single shot of a millisecond cell swings by a third from one run to
+# the next.
 CELL_REPEATS = 5
+# ... and until its samples add up to this many seconds, so a cell of a
+# few milliseconds takes a median of dozens of runs, not of five.
+CELL_MIN_SECONDS = 0.25
 
 # Dedicated runtime for benchmark runs: the plan cache amortizes pattern
 # compilation across the inputs of a figure without polluting (or being
@@ -194,14 +199,15 @@ def run_cell(
     timeout_s: float = 10.0,
 ) -> Measurement:
     """One (system, pattern, graph) measurement with DNF semantics: the
-    median of :data:`CELL_REPEATS` timed runs, DNF if any run times out."""
+    median of at least :data:`CELL_REPEATS` timed runs, more until the
+    samples reach :data:`CELL_MIN_SECONDS`; DNF if any run times out."""
     runner = SYSTEMS[system](pattern)
     if runner is None:
         return Measurement(system, pattern_name, graph_name, "unsupported", None, None, graph.num_edges)
     dnf = Measurement(system, pattern_name, graph_name, "dnf", None, None, graph.num_edges)
     samples = []
     with obs.span("bench.cell", system=system, pattern=pattern_name, graph=graph_name):
-        for _ in range(CELL_REPEATS):
+        while len(samples) < CELL_REPEATS or sum(samples) < CELL_MIN_SECONDS:
             start = time.perf_counter()
             try:
                 count = runner(graph, timeout_s)

@@ -46,7 +46,8 @@ from .fringe_count import fc_recursive
 from .frontier import FrontierStats, iter_frontier_blocks
 from .matcher import match_cores
 from .plan import CountingPlan
-from .venn import row_venns, unique_anchor_sets, venn_merge, venn_sets
+from .frontier import has_edges
+from .venn import group_anchor_rows, venn_merge, venn_sets
 # the sort-reduce oracle stays importable here: the repository benchmark's
 # layer tracer (perfbench/tracing.py) wraps it under this name
 from .venn import venn_batch  # noqa: F401
@@ -144,51 +145,112 @@ class Backend(Protocol):
     ) -> PartialSum: ...
 
 
+def _exclusions(plan: CountingPlan) -> list[tuple[int, int, tuple[int, ...]]]:
+    """``(column, fixed, free)`` per non-anchor matching position:
+    ``fixed`` masks the anchors it is pattern-adjacent to (every match
+    has those edges), ``free`` lists the anchor indices it is not, whose
+    graph edges vary from match to match."""
+    core = plan.core_plan
+    positions = plan.anchored_positions
+    out = []
+    for c in range(len(core.order)):
+        if c not in positions:
+            adjacent = [min(c, a) in core.back_edges[max(c, a)] for a in positions]
+            fixed = sum(1 << j for j, hit in enumerate(adjacent) if hit)
+            out.append((c, fixed, tuple(j for j, hit in enumerate(adjacent) if not hit)))
+    return out
+
+
 def venn_poly_sums(
     graph: CSRGraph,
     block: np.ndarray,
-    positions: Sequence[int],
-    polys: Sequence,
+    plan: CountingPlan,
+    members: Sequence[CountingPlan],
     batch_size: int,
     registry=None,
 ) -> tuple[list[int], int]:
-    """Σ over a block of core embeddings of each polynomial's F(venn).
+    """Σ over a block of core embeddings of each member's F(venn).
 
-    ``block`` is ``(B, p)`` with the anchors at columns ``positions``;
-    ``polys`` are :class:`~repro.core.fringe_poly.FringePolynomial` s
-    that share those anchors. Returns one sum per polynomial and the
-    number of ``batch_size`` row chunks evaluated.
+    ``block`` is ``(B, p)`` in ``plan``'s matching order; ``members``
+    share ``plan``'s core, order and anchors, and ``plan`` matched under
+    the weakest of their degree filters. Returns one sum per member and
+    the number of ``batch_size`` group chunks evaluated.
 
-    :func:`~repro.core.venn.venn_sets` runs once per distinct anchor set
-    of the block, in ``batch_size`` chunks of sets; each row chunk then
-    rebuilds its own diagrams from its sets'
-    (:func:`~repro.core.venn.row_venns`) and feeds them to every
-    polynomial. With ``registry`` set it records one
-    ``repro_venn_set_size`` sample per row, one ``repro_batch_matches``
-    sample per chunk, and the number of distinct sets in
-    ``repro_venn_unique_anchor_rows_total``.
+    Rows with equal anchors in equal order and equal *free* exclusion
+    bits (the graph edges between a non-anchor core vertex and the
+    anchors it is not pattern-adjacent to) have equal diagrams, so
+    :func:`~repro.core.venn.group_anchor_rows` groups the block once and
+    :func:`~repro.core.venn.venn_sets` runs once per distinct anchor
+    set, in ``batch_size`` chunks. Each group's diagram is its set's,
+    permuted into the group's anchor order, minus the non-anchor core
+    vertices; every member's polynomial scores one row per group,
+    weighted by the group's size. A member whose own filter is stricter
+    than ``plan``'s scores only the groups whose anchors pass it (the
+    rest score 0 for it; non-anchor core vertices carry no fringe, so
+    every member filters them alike). With ``registry`` set it records
+    one ``repro_venn_set_size`` sample per row, one
+    ``repro_batch_matches`` sample per chunk, and the number of distinct
+    sets in ``repro_venn_unique_anchor_rows_total``.
     """
-    sums = [0] * len(polys)
+    sums = [0] * len(members)
     if len(block) == 0:
         return sums, 0
-    sets, inverse, rank = unique_anchor_sets(block[:, positions], graph.num_vertices)
+    positions = list(plan.anchored_positions)
+    q = len(positions)
+    anchors = block[:, positions]
+    # per non-anchor core vertex, the anchors it is adjacent to: q bits
+    # each, packed side by side; only the free bits need an edge test
+    masks = np.zeros(len(block), dtype=np.int64)
+    exclusions = _exclusions(plan)
+    for i, (c, fixed, free) in enumerate(exclusions):
+        mask = fixed
+        for j in free:
+            mask = mask | has_edges(graph, anchors[:, j], block[:, c]).astype(np.int64) << j
+        masks |= mask << (q * i)
+    sets, set_of, rank, masks, counts = group_anchor_rows(
+        anchors, masks, q * len(exclusions), graph.num_vertices
+    )
     with obs.span("venn_unique", sets=len(sets), matches=len(block)):
-        set_venns = np.empty((len(sets), 1 << len(positions)), dtype=np.int64)
+        set_venns = np.empty((len(sets), 1 << q), dtype=np.int64)
         for s in range(0, len(sets), batch_size):
             chunk = sets[s : s + batch_size]
             set_venns[s : s + len(chunk)] = venn_sets(graph, chunk)
+    # per member, the anchor degrees its own filter asks for, when stricter
+    shared = [plan.core_plan.min_degree[a] for a in positions]
+    filters = []
+    for m in members:
+        own = [m.core_plan.min_degree[a] for a in positions]
+        filters.append(own if own != shared else None)
+    region_bits = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1  # (2^q, q)
     batches = 0
-    for s in range(0, len(block), batch_size):
-        e = min(s + batch_size, len(block))
-        with obs.span("venn_fc_batch", matches=e - s):
-            venns = row_venns(graph, set_venns[inverse[s:e]], rank[s:e], block[s:e], positions)
+    for s in range(0, len(counts), batch_size):
+        e = min(s + batch_size, len(counts))
+        chunk_counts = counts[s:e]
+        with obs.span("venn_fc_batch", matches=int(chunk_counts.sum())):
+            venns = set_venns[set_of[s:e]]
+            ranks = rank[s:e]
+            if (ranks != np.arange(q)).any():
+                # group region T is region {rank[j] : j in T} of the sorted set
+                maps = (np.int64(1) << ranks) @ region_bits.T
+                venns = np.take_along_axis(venns, maps, axis=1)
+            # a non-anchor core vertex is a neighbour of exactly the anchors
+            # its mask names; it leaves that region
+            for i in range(len(exclusions)):
+                mask = masks[s:e] >> (q * i) & ((1 << q) - 1)
+                sel = np.flatnonzero(mask)
+                venns[sel, mask[sel]] -= 1
             if registry is not None:
-                registry.histogram("repro_batch_matches").observe(e - s)
+                registry.histogram("repro_batch_matches").observe(int(chunk_counts.sum()))
                 registry.histogram("repro_venn_set_size").observe_many(
-                    venns.sum(axis=1).tolist()
+                    np.repeat(venns.sum(axis=1), chunk_counts).tolist()
                 )
-            for i, poly in enumerate(polys):
-                sums[i] += poly.evaluate_batch(venns)
+            for i, (m, own) in enumerate(zip(members, filters)):
+                if own is None:
+                    sums[i] += m.poly.evaluate_batch(venns, chunk_counts)
+                else:
+                    group_anchors = np.take_along_axis(sets[set_of[s:e]], ranks, axis=1)
+                    keep = (graph.degrees[group_anchors] >= own).all(axis=1)
+                    sums[i] += m.poly.evaluate_batch(venns[keep], chunk_counts[keep])
         batches += 1
     if registry is not None:
         registry.counter("repro_venn_unique_anchor_rows_total").inc(len(sets))
@@ -262,7 +324,7 @@ class FrontierBackend:
     (:func:`repro.core.frontier.iter_frontier_blocks`); each completed
     block goes through :func:`venn_poly_sums`: one ``venn_sets`` diagram
     per distinct anchor set, then every member's compiled fringe
-    polynomial in ``batch_size`` row chunks. ``EngineConfig.max_frontier_rows``
+    polynomial on one row per row group, in ``batch_size`` group chunks. ``EngineConfig.max_frontier_rows``
     bounds the candidate volume of any expansion step (larger frontiers
     split and traverse depth-first), so memory stays fixed on dense
     graphs.
@@ -277,12 +339,11 @@ class FrontierBackend:
         start_vertices: Sequence[int] | None = None,
         members: Sequence[CountingPlan] | None = None,
     ) -> PartialSum:
-        polys = [m.poly for m in members or (plan,)]
+        members = members or (plan,)
         cfg = plan.config
         registry = obs.active_metrics()  # checked once, outside the hot loop
         fstats = FrontierStats()
-        positions = list(plan.anchored_positions)
-        sums = [0] * len(polys)
+        sums = [0] * len(members)
         matches = 0
         match_s = venn_fc_s = 0.0
         batches = 0
@@ -308,7 +369,7 @@ class FrontierBackend:
                     continue
                 t0 = time.perf_counter()
                 block_sums, block_batches = venn_poly_sums(
-                    graph, block, positions, polys, cfg.batch_size, registry
+                    graph, block, plan, members, cfg.batch_size, registry
                 )
                 sums = [s + b for s, b in zip(sums, block_sums)]
                 batches += block_batches

@@ -120,18 +120,20 @@ class FringePolynomial:
             total += term
         return total
 
-    def evaluate_batch(self, venn_matrix: np.ndarray) -> int:
-        """Σ over rows of F(venn_row), vectorized and **exact**.
+    def evaluate_batch(self, venn_matrix: np.ndarray, counts: np.ndarray | None = None) -> int:
+        """Σ over rows of ``counts[i] · F(venn_row)``, vectorized and **exact**.
 
-        ``venn_matrix`` is ``(n_matches, 2^q)``. A float64 pass computes
-        every row; rows whose binomial tables are exact and whose value
-        (and hence every intermediate — all terms are non-negative) stays
-        below 2^52 are summed directly. The remaining rows are
-        re-evaluated in a residue number system — vectorized int64
-        arithmetic modulo several 30-bit primes, recombined by CRT. This
-        keeps fringe-heavy patterns (whose counts dwarf 2^64) both exact
-        and data-parallel, exactly the multi-word strategy GPU big-integer
-        kernels use.
+        ``venn_matrix`` is ``(n_matches, 2^q)``; ``counts`` (default: all
+        ones) gives each row's multiplicity, so a caller that grouped
+        equal rows passes one row per group. A float64 pass computes
+        every row; rows whose binomial tables are exact and whose
+        weighted value (and hence every intermediate — all terms are
+        non-negative) stays below 2^52 are summed directly. The
+        remaining rows are re-evaluated in a residue number system —
+        vectorized int64 arithmetic modulo several 30-bit primes,
+        recombined by CRT. This keeps fringe-heavy patterns (whose counts
+        dwarf 2^64) both exact and data-parallel, exactly the multi-word
+        strategy GPU big-integer kernels use.
         """
         if len(venn_matrix) == 0:
             return 0
@@ -139,7 +141,7 @@ class FringePolynomial:
         # matches repeat the same small profiles); evaluating each
         # distinct profile once and weighting by multiplicity shrinks both
         # the float and the RNS passes.
-        venn_matrix, counts = self._distinct_profiles(venn_matrix)
+        venn_matrix, counts = self._distinct_profiles(venn_matrix, counts)
         per_row, exact = self._per_row_float(venn_matrix)
         total = 0
         nan = np.isnan(per_row)
@@ -189,9 +191,12 @@ class FringePolynomial:
             total += self._evaluate_batch_rns(rows, bound, cnts)
         return total
 
-    def _distinct_profiles(self, venn_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _distinct_profiles(
+        self, venn_matrix: np.ndarray, counts: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One representative row per distinct ``regions`` profile, and
-        each profile's multiplicity.
+        each profile's multiplicity: its number of rows, or the sum of
+        its rows' ``counts``.
 
         F reads only the ``regions`` columns, so rows that differ
         elsewhere share one value, and any row of a group represents it.
@@ -203,17 +208,23 @@ class FringePolynomial:
         """
         cols = venn_matrix[:, list(self.regions)]
         if cols.shape[1] == 0:
-            return venn_matrix[:1], np.array([len(venn_matrix)], dtype=np.int64)
+            total = len(venn_matrix) if counts is None else counts.sum()
+            return venn_matrix[:1], np.array([total], dtype=np.int64)
         lo, hi = int(cols.min()), int(cols.max())
         width = hi.bit_length()
         if lo >= 0 and width * cols.shape[1] <= 62:
             key = np.zeros(len(cols), dtype=np.int64)
             for j in range(cols.shape[1]):
                 key = (key << width) | cols[:, j]
-            first, _, counts = group_keys(key)
+            first, inverse, sizes = group_keys(key)
         else:
-            _, first, counts = np.unique(cols, axis=0, return_index=True, return_counts=True)
-        return venn_matrix[first], counts
+            _, first, inverse, sizes = np.unique(
+                cols, axis=0, return_index=True, return_inverse=True, return_counts=True
+            )
+        if counts is not None:
+            sizes = np.zeros(len(first), dtype=np.int64)
+            np.add.at(sizes, inverse.reshape(-1), counts)
+        return venn_matrix[first], sizes
 
     # -- the one term walk ----------------------------------------------
     def _walk(

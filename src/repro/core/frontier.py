@@ -24,7 +24,8 @@ array kernels:
   against every earlier column;
 * **back-edge checking** — :func:`has_edges`, one bit test per (matched
   vertex, candidate) pair in the graph's cached adjacency bitmap
-  (:func:`adjacency_bitmap`, bit ``u·n + v``), so a level's membership
+  (:func:`adjacency_bitmap`, bit ``u·stride + v`` with each row padded
+  to whole 64-bit words), so a level's membership
   queries cost one gather whatever the degrees. A graph whose bitmap
   would exceed :data:`BITMAP_BUDGET_BYTES` is probed by
   :func:`has_edges_bulk` instead: ``O(log max_degree)`` synchronized
@@ -69,6 +70,7 @@ __all__ = [
     "FrontierStats",
     "GraphCache",
     "adjacency_bitmap",
+    "bitmap_stride",
     "build_adjacency_bitmap",
     "has_edges",
     "has_edges_bulk",
@@ -82,8 +84,8 @@ __all__ = [
 # int64 this bounds the transient candidate arrays to ~8 MB per column;
 # EngineConfig.max_frontier_rows overrides it per call.
 DEFAULT_MAX_FRONTIER_ROWS = 1 << 20
-# Largest adjacency bitmap one graph may get: ceil(n² / 8) bytes must fit,
-# else has_edges bisects. 64 MiB covers n up to about 23,000.
+# Largest adjacency bitmap one graph may get: n · bitmap_stride(n) / 8
+# bytes must fit, else has_edges bisects. 64 MiB covers n up to about 23,000.
 BITMAP_BUDGET_BYTES = 64 << 20
 
 _T = TypeVar("_T")
@@ -172,20 +174,29 @@ def has_edges_bulk(
     return found & (colidx[np.where(found, lo, 0)] == v)
 
 
-def build_adjacency_bitmap(graph: CSRGraph) -> np.ndarray:
-    """The graph's adjacency matrix as ``ceil(n² / 8)`` ``uint8`` bytes:
-    bit ``k & 7`` of byte ``k >> 3`` is set iff ``(u, v)`` with
-    ``k = u·n + v`` is an edge.
+def bitmap_stride(n: int) -> int:
+    """Bits per adjacency-bitmap row: ``n`` rounded up to whole 64-bit words."""
+    return -(-n // 64) * 64
 
-    The CSR keys ``u·n + v`` already ascend, so the entries of one byte
-    are contiguous and one ``bitwise_or.reduceat`` packs them: ``O(m)``
-    work and no ``n²``-sized temporary.
+
+def build_adjacency_bitmap(graph: CSRGraph) -> np.ndarray:
+    """The graph's adjacency matrix as ``n · stride / 8`` ``uint8`` bytes,
+    ``stride = bitmap_stride(n)``: bit ``k & 7`` of byte ``k >> 3`` is set
+    iff ``(u, v)`` with ``k = u·stride + v`` is an edge.
+
+    Each row fills whole 64-bit words, so ``bitmap.view(np.uint64)``
+    reshaped to ``(n, stride / 64)`` holds one neighbourhood per row: the
+    Venn pass ANDs and popcounts those rows. The CSR keys ``u·stride + v``
+    already ascend, so the entries of one byte are contiguous and one
+    ``bitwise_or.reduceat`` packs them: ``O(m)`` work and no ``n²``-sized
+    temporary.
     """
     n = graph.num_vertices
-    bitmap = np.zeros(-(-n * n // 8), dtype=np.uint8)
+    stride = bitmap_stride(n)
+    bitmap = np.zeros(n * stride // 8, dtype=np.uint8)
     if len(graph.colidx) == 0:
         return bitmap
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, graph.degrees) + graph.colidx
+    keys = np.repeat(np.arange(n, dtype=np.int64) * stride, graph.degrees) + graph.colidx
     byte = keys >> 3
     starts = np.flatnonzero(np.concatenate(([True], byte[1:] != byte[:-1])))
     bits = np.left_shift(1, keys & 7).astype(np.uint8)
@@ -198,7 +209,7 @@ _BITMAPS: GraphCache[np.ndarray | None] = GraphCache()
 
 def _bitmap_within_budget(graph: CSRGraph) -> np.ndarray | None:
     n = graph.num_vertices
-    nbytes = -(-n * n // 8)
+    nbytes = n * bitmap_stride(n) // 8
     if len(graph.colidx) == 0 or nbytes > BITMAP_BUDGET_BYTES:
         return None
     with obs.span("frontier.bitmap_build", n=n, bytes=nbytes):
@@ -229,7 +240,7 @@ def has_edges(graph: CSRGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if len(graph.colidx):
             obs.counter_add("repro_frontier_bitmap_fallbacks_total")
         return has_edges_bulk(graph.rowptr, graph.colidx, u, v)
-    k = u.astype(np.int64, copy=False) * graph.num_vertices + v
+    k = u.astype(np.int64, copy=False) * bitmap_stride(graph.num_vertices) + v
     return ((bitmap[k >> 3] >> (k & 7).astype(np.uint8)) & 1).view(bool)
 
 

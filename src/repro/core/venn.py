@@ -29,15 +29,14 @@ with a single gather + sort-reduce pass across the whole batch.
 
 The batched backends do not call :func:`venn_batch` on every matched
 core. Core embeddings repeat the same anchor *set* — in another order,
-or with different non-anchor core vertices — so a block of embeddings
-is first reduced to its distinct sorted anchor sets
-(:func:`unique_anchor_sets`) and one diagram is computed per distinct
-set, excluding only the anchors. :func:`row_venns` then rebuilds any
-row's own diagram from its set's: it permutes the region bits back into
-the row's anchor order (one column map per anchor permutation, at most
-``q!``) and removes each non-anchor core vertex from the one region its
-adjacency to the anchors names. The result equals
-``venn_batch(graph, block[:, positions], block)`` row for row.
+or with different non-anchor core vertices — so
+:func:`group_anchor_rows` groups a block of embeddings once, by sorted
+anchor set, anchor order and the bits the caller names (the adjacency
+of non-anchor core vertices to anchors), and one diagram is computed
+per distinct set, excluding only the anchors. Each group's diagram is
+its set's with the region bits permuted into the group's anchor order,
+minus one at the region each non-anchor core vertex's adjacency names
+(:func:`repro.core.backends.venn_poly_sums`).
 
 The per-set diagrams come from :func:`venn_sets`, which never gathers
 whole neighbourhoods. Region sizes follow from intersection sizes
@@ -47,28 +46,29 @@ whole neighbourhoods. Region sizes follow from intersection sizes
 
 (the paper's §3.6 "search later anchors, then correct", done
 algebraically): ``|T| = 1`` is a degree, ``|T| = 2`` one entry of
-``A·A``, and ``|T| >= 3`` scans only the smallest member's adjacency
-list with :func:`~repro.core.frontier.has_edges` bit tests against the
-others (the graph's cached adjacency bitmap; bisection over budget).
-An in-place ``O(q·2^q)`` transform inverts the sizes; each anchor then
-leaves the region its adjacency to the other anchors names.
+``A·A``, and ``|T| >= 3`` the AND of the members' rows of the graph's
+cached :func:`~repro.core.frontier.adjacency_bitmap` (each row whole
+``uint64`` words), counted with ``np.bitwise_count``. An in-place
+``O(q·2^q)`` transform inverts the sizes; each anchor then leaves the
+region its adjacency to the other anchors names.
 
-``A·A`` lives in a :class:`PairIndex`: its strict upper triangle in CSR
-form — ``int64`` row pointers, ``int32`` columns and ``int32`` common-
-neighbour counts, 8 B per nonzero. :func:`build_pair_index` counts the
-2-paths ``u–w–v`` (``v > u``) in row blocks of about
-:data:`INDEX_BLOCK_PATHS` 2-paths with NumPy alone, and
-:func:`pair_index` caches the result per graph object in a
+``A·A`` lives in a :class:`PairIndex`: its strict upper triangle as
+sorted pair keys ``u·n + v`` (``int32`` while ``n² < 2^31``, else
+``int64``) and ``int32`` common-neighbour counts, 8 B per nonzero on
+``int32`` keys; a lookup is one ``searchsorted``.
+:func:`build_pair_index` counts the 2-paths ``u–w–v`` (``v > u``) in
+row blocks of about :data:`INDEX_BLOCK_PATHS` 2-paths with NumPy alone,
+and :func:`pair_index` caches the result per graph object in a
 :class:`~repro.core.frontier.GraphCache` (never on the graph, so it
 never enters a pickled graph; pool workers build their own on their
 attached graph). A graph gets an index only when the bound
 ``Σ_w C(deg w, 2) · 8`` bytes fits :data:`INDEX_BUDGET_BYTES` (64 MiB)
-and its ids fit ``int32``; otherwise :func:`venn_sets` falls back to
-:func:`venn_batch`, which also stays the
-differential oracle in the tests. Builds record a ``venn.index_build``
-span and the ``repro_venn_index_builds_total`` /
-``repro_venn_index_bytes`` metrics; fallbacks count into
-``repro_venn_index_fallbacks_total``.
+and its ids fit ``int32``; otherwise, or for ``q >= 3`` on a graph
+without a bitmap (edgeless, or over its budget), :func:`venn_sets`
+falls back to :func:`venn_batch`, which also stays the differential
+oracle in the tests. Builds record a ``venn.index_build`` span and the
+``repro_venn_index_builds_total`` / ``repro_venn_index_bytes`` metrics;
+fallbacks count into ``repro_venn_index_fallbacks_total``.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ import numpy as np
 
 from .. import obs
 from ..graph.csr import CSRGraph
-from .frontier import GraphCache, has_edges, row_lower_bound
+from .frontier import GraphCache, adjacency_bitmap, has_edges
 
 __all__ = [
     "venn_hash",
@@ -93,8 +93,7 @@ __all__ = [
     "pair_index",
     "INDEX_BUDGET_BYTES",
     "group_keys",
-    "unique_anchor_sets",
-    "row_venns",
+    "group_anchor_rows",
 ]
 
 
@@ -283,8 +282,8 @@ def venn_batch(
 # algebraic Venn: intersection sizes + superset Möbius inversion
 # ----------------------------------------------------------------------
 # Largest pair index one graph may get: the bound Σ_w C(deg w, 2) · 8 B
-# (an int32 column plus an int32 value per upper-triangle nonzero) must
-# fit, else venn_sets falls back to venn_batch for that graph.
+# (a key plus an int32 value per upper-triangle nonzero) must fit, else
+# venn_sets falls back to venn_batch for that graph.
 INDEX_BUDGET_BYTES = 64 << 20
 # 2-paths gathered per build block; bounds the build's transient memory
 INDEX_BLOCK_PATHS = 1 << 16
@@ -292,29 +291,34 @@ INDEX_BLOCK_PATHS = 1 << 16
 
 @dataclass(frozen=True)
 class PairIndex:
-    """The strict upper triangle of ``A·A`` in CSR form.
+    """The strict upper triangle of ``A·A`` as sorted pair keys.
 
-    For ``u < v``, ``cols[ptr[u]:ptr[u + 1]]`` lists (ascending) every
-    ``v`` that shares a neighbour with ``u`` and ``vals`` the number of
-    common neighbours ``|N(u) ∩ N(v)|``.
+    ``keys`` lists (ascending) ``u·n + v`` for every pair ``u < v`` that
+    shares a neighbour, and ``vals`` the number of common neighbours
+    ``|N(u) ∩ N(v)|``. ``keys`` is ``int32`` while ``n² < 2^31`` (8 B
+    per nonzero with its count) and ``int64`` beyond (12 B).
     """
 
-    ptr: np.ndarray  # (n + 1,) int64
-    cols: np.ndarray  # (nnz,) int32
+    num_vertices: int
+    keys: np.ndarray  # (nnz,) int32 or int64
     vals: np.ndarray  # (nnz,) int32
 
     @property
     def nbytes(self) -> int:
-        return self.ptr.nbytes + self.cols.nbytes + self.vals.nbytes
+        return self.keys.nbytes + self.vals.nbytes
 
     def lookup(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``|N(u[i]) ∩ N(v[i])|`` for element-wise pairs with ``u < v``."""
-        if len(self.cols) == 0:
+        if len(self.keys) == 0:
             return np.zeros(len(u), dtype=np.int64)
-        lo = row_lower_bound(self.ptr, self.cols, u, v)
-        at = np.minimum(lo, len(self.cols) - 1)
-        hit = (lo < self.ptr[u + 1]) & (self.cols[at] == v)
-        return np.where(hit, self.vals[at], 0).astype(np.int64)
+        # queries in the keys' dtype: numpy never casts the whole key array
+        query = (u * self.num_vertices + v).astype(self.keys.dtype, copy=False)
+        at = np.minimum(np.searchsorted(self.keys, query), len(self.keys) - 1)
+        return np.where(self.keys[at] == query, self.vals[at], 0).astype(np.int64)
+
+
+def _key_dtype(n: int) -> type:
+    return np.int32 if n * n < 1 << 31 else np.int64
 
 
 def build_pair_index(graph: CSRGraph, block_paths: int = INDEX_BLOCK_PATHS) -> PairIndex:
@@ -323,11 +327,13 @@ def build_pair_index(graph: CSRGraph, block_paths: int = INDEX_BLOCK_PATHS) -> P
     Rows ``u`` are processed in contiguous blocks of about
     ``block_paths`` 2-paths. For an edge ``u → w`` the ``v > u`` in
     ``N(w)`` are the entries after the reverse edge ``w → u``, so each
-    block is one repeat+offset gather and one ``np.unique`` count; the
-    blocks' keys are disjoint, so their outputs concatenate into CSR.
+    block is one repeat+offset gather and one ``np.unique`` count of the
+    keys ``u·n + v``; the blocks' keys ascend from block to block, so
+    their outputs concatenate into the sorted index.
     """
     n = graph.num_vertices
     rowptr, colidx = graph.rowptr, graph.colidx
+    dtype = _key_dtype(n)
     # rev[e]: position of the reverse of edge e. CSR order is (u, w);
     # a stable sort by w gives (w, u), the CSR order of the reverses.
     rev = np.empty(len(colidx), dtype=np.int64)
@@ -337,29 +343,22 @@ def build_pair_index(graph: CSRGraph, block_paths: int = INDEX_BLOCK_PATHS) -> P
     total = int(row_cum[-1])
     cuts = np.searchsorted(row_cum, np.arange(block_paths, total, block_paths))
     cuts = np.unique(np.concatenate(([0], cuts, [n])))
-    row_nnz = np.zeros(n, dtype=np.int64)
-    cols, vals = [], []
+    keys, vals = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=np.int32)]
     for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         e0, e1 = int(rowptr[r0]), int(rowptr[r1])
         lens = after[e0:e1]
         m = int(lens.sum())
         if m == 0:
             continue
-        src = np.repeat(np.arange(r1 - r0, dtype=np.int64), graph.degrees[r0:r1])
+        src = np.repeat(np.arange(r0, r1, dtype=np.int64), graph.degrees[r0:r1])
         reps = np.repeat(np.arange(e1 - e0, dtype=np.int64), lens)
         offsets = np.arange(m, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-        keys = src[reps] * n + colidx[rev[e0:e1][reps] + 1 + offsets]
-        keys, counts = np.unique(keys, return_counts=True)
-        row_nnz[r0:r1] = np.bincount(keys // n, minlength=r1 - r0)
-        cols.append((keys % n).astype(np.int32))
+        block, counts = np.unique(
+            src[reps] * n + colidx[rev[e0:e1][reps] + 1 + offsets], return_counts=True
+        )
+        keys.append(block.astype(dtype))
         vals.append(counts.astype(np.int32))
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_nnz, out=ptr[1:])
-    return PairIndex(
-        ptr,
-        np.concatenate(cols) if cols else np.empty(0, dtype=np.int32),
-        np.concatenate(vals) if vals else np.empty(0, dtype=np.int32),
-    )
+    return PairIndex(n, np.concatenate(keys), np.concatenate(vals))
 
 
 _INDEXES: GraphCache[PairIndex | None] = GraphCache()
@@ -373,7 +372,7 @@ def _index_within_budget(graph: CSRGraph) -> PairIndex | None:
     with obs.span("venn.index_build", n=graph.num_vertices) as attrs:
         index = build_pair_index(graph)
         if attrs is not None:
-            attrs.update(nnz=len(index.cols), bytes=index.nbytes)
+            attrs.update(nnz=len(index.keys), bytes=index.nbytes)
     registry = obs.active_metrics()
     if registry is not None:
         registry.counter("repro_venn_index_builds_total").inc()
@@ -392,28 +391,6 @@ def pair_index(graph: CSRGraph) -> PairIndex | None:
     return _INDEXES.get(graph, _index_within_budget)
 
 
-def _intersection_sizes(
-    graph: CSRGraph, sets: np.ndarray, degs: np.ndarray, members: list[int]
-) -> np.ndarray:
-    """``|∩_{j in members} N(sets[:, j])|`` per row: the smallest member's
-    adjacency list, filtered by adjacency to each other member."""
-    rowptr, colidx = graph.rowptr, graph.colidx
-    rows = np.arange(len(sets))
-    pick = np.asarray(members)[np.argmin(degs[:, members], axis=1)]
-    smallest = sets[rows, pick]
-    lens = degs[rows, pick]
-    m = int(lens.sum())
-    reps = np.repeat(rows, lens)
-    offsets = np.arange(m, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    x = colidx[rowptr[smallest][reps] + offsets]
-    for j in members:
-        test = pick[reps] != j
-        keep = ~test
-        keep[test] = has_edges(graph, sets[reps[test], j], x[test])
-        reps, x = reps[keep], x[keep]
-    return np.bincount(reps, minlength=len(sets))
-
-
 def venn_sets(graph: CSRGraph, sets: np.ndarray) -> np.ndarray:
     """``venn_batch(graph, sets, sets)`` from intersection sizes.
 
@@ -421,16 +398,19 @@ def venn_sets(graph: CSRGraph, sets: np.ndarray) -> np.ndarray:
     order. Region sizes follow from the sizes of the intersections
     ``I[T] = |∩_{j in T} N(sets[:, j])|`` by a superset Möbius
     inversion, ``venn[S] = Σ_{T ⊇ S} (−1)^{|T|−|S|} I[T]``: degrees for
-    ``|T| = 1``, the cached :func:`pair_index` for ``|T| = 2``,
-    :func:`_intersection_sizes` for ``|T| >= 3``. Each anchor then
-    leaves the one region its adjacency to the other anchors names.
-    Falls back to :func:`venn_batch` when the graph has no index.
+    ``|T| = 1``, the cached :func:`pair_index` for ``|T| = 2``, and for
+    ``|T| >= 3`` the AND of the members' rows of the
+    :func:`~repro.core.frontier.adjacency_bitmap`, popcounted. Each
+    anchor then leaves the one region its adjacency to the other anchors
+    names. Falls back to :func:`venn_batch` when the graph has no index,
+    or, for ``q >= 3``, no bitmap.
     """
     u, q = sets.shape
     if u == 0 or q == 0:
         return np.zeros((u, 1 << q), dtype=np.int64)
     index = pair_index(graph) if q >= 2 else None
-    if q >= 2 and index is None:
+    bitmap = adjacency_bitmap(graph) if q >= 3 else None
+    if (q >= 2 and index is None) or (q >= 3 and bitmap is None):
         obs.counter_add("repro_venn_index_fallbacks_total")
         return venn_batch(graph, sets, sets)
     degs = graph.degrees[sets]
@@ -444,10 +424,17 @@ def venn_sets(graph: CSRGraph, sets: np.ndarray) -> np.ndarray:
             hit = has_edges(graph, a, b).astype(np.int64)
             adj[:, i] |= hit << j
             adj[:, j] |= hit << i
-    for t in range(7, 1 << q):
-        members = [j for j in range(q) if t >> j & 1]
-        if len(members) >= 3:
-            venn[:, t] = _intersection_sizes(graph, sets, degs, members)
+    if q >= 3:
+        words = bitmap.view(np.uint64).reshape(graph.num_vertices, -1)
+        nbrs = [words[sets[:, j]] for j in range(q)]
+        both = np.empty_like(nbrs[0])
+        for t in range(7, 1 << q):
+            members = [j for j in range(q) if t >> j & 1]
+            if len(members) >= 3:
+                np.bitwise_and(nbrs[members[0]], nbrs[members[1]], out=both)
+                for j in members[2:]:
+                    both &= nbrs[j]
+                venn[:, t] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
     # superset Möbius transform, one bit at a time, in place
     for j in range(q):
         pairs = venn.reshape(u, -1, 2, 1 << j)
@@ -483,88 +470,68 @@ def group_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order[starts], inverse, np.diff(starts, append=len(key))
 
 
-def unique_anchor_sets(
-    anchors: np.ndarray, num_vertices: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct anchor sets of a ``(B, q)`` anchor matrix.
+def group_anchor_rows(
+    anchors: np.ndarray, free: np.ndarray, free_width: int, num_vertices: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows of a ``(B, q)`` anchor matrix that share their
+    anchor set, their anchor order and their ``free`` bits.
 
-    Returns ``(sets, inverse, rank)``: ``sets`` is ``(U, q)``, each row
-    one distinct set with its vertices in ascending order; row ``i`` of
-    ``anchors`` holds the set ``sets[inverse[i]]``, and ``rank[i, j]``
-    is the position of ``anchors[i, j]`` within that sorted set. The
-    anchors of one row are distinct (matching is injective), so the rank
-    is a permutation of ``0..q-1`` and places each row in sorted order.
+    ``free[i]`` holds ``free_width`` bits the caller needs equal within a
+    group (the adjacency of non-anchor core vertices to anchors). Rows of
+    one group have equal anchors in equal order, so they share one Venn
+    diagram. Returns ``(sets, set_of, rank, free, counts)`` over the
+    ``G`` groups, ordered by sorted anchor set: ``sets`` is ``(U, q)``,
+    each row one distinct set in ascending order, and group ``g`` holds
+    the set ``sets[set_of[g]]``; ``rank[g, j]`` is the position of the
+    group's ``j``-th anchor within that set, so ``np.take_along_axis(
+    sets[set_of], rank, axis=1)`` are the groups' anchor rows;
+    ``free[g]`` are the group's bits and ``counts[g]`` its size.
 
-    Each sorted row is packed into one int64 key (base ``num_vertices``)
-    when ``num_vertices^q`` fits, so deduplication is a 1-D
-    :func:`group_keys`; otherwise it falls back to a row-wise unique.
+    Each row's sorted set, anchor ranks and free bits are packed into
+    one int64 key when ``num_vertices^q · q^q · 2^free_width`` fits 62
+    bits; one sort groups the keys and the groups are decoded from the
+    distinct keys. Otherwise a row-wise unique groups the rows.
     """
     b, q = anchors.shape
-    rank = (anchors[:, None, :] < anchors[:, :, None]).sum(axis=2)
-    srt = np.empty_like(anchors)
-    np.put_along_axis(srt, rank, anchors, axis=1)
-    if int(num_vertices) ** q < 1 << 62:
+    rank = np.zeros((b, q), dtype=np.int64)
+    for k in range(q):
+        for j in range(k):
+            below = anchors[:, j] < anchors[:, k]
+            rank[:, k] += below
+            rank[:, j] += ~below
+    perms = q**q
+    if int(num_vertices) ** q * perms << free_width < 1 << 62:
+        # anchor j is digit rank[j] (base n) of the sorted set's key
+        digit = int(num_vertices) ** np.arange(q - 1, -1, -1, dtype=np.int64)
         key = np.zeros(b, dtype=np.int64)
         for j in range(q):
-            key = key * num_vertices + srt[:, j]
-        first, inverse, _ = group_keys(key)
-        sets = srt[first]
+            key += anchors[:, j] * digit[rank[:, j]]
+        for j in range(q):
+            key = key * q + rank[:, j]
+        key = np.sort((key << free_width) | free)
+        new = np.empty(b, dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        counts = np.empty(len(starts), dtype=np.int64)
+        counts[:-1] = starts[1:] - starts[:-1]
+        counts[-1:] = b - starts[-1:]
+        key = key[starts]
+        free = key & ((1 << free_width) - 1)
+        set_key, perm = np.divmod(key >> free_width, perms)
+        new = np.empty(len(key), dtype=bool)
+        new[:1] = True
+        np.not_equal(set_key[1:], set_key[:-1], out=new[1:])
+        rank = (perm[:, None] // q ** np.arange(q - 1, -1, -1)) % q
+        sets = (set_key[new][:, None] // digit) % num_vertices
     else:
-        sets, inverse = np.unique(srt, axis=0, return_inverse=True)
-    return sets, inverse.reshape(-1), rank
-
-
-def _region_maps(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column maps from sorted-set region order to each row's anchor order.
-
-    Returns ``(maps, which)``: ``maps`` is ``(P, 2^q)`` with one map per
-    distinct permutation among the rows of ``rank`` (``P <= q!``), and
-    row ``i`` uses ``maps[which[i]]``. A row's own region ``T`` reads
-    the sorted-set region ``maps[which[i], T]`` = ``{rank[i, j] : j in T}``.
-    """
-    q = rank.shape[1]
-    perm_id = np.zeros(len(rank), dtype=np.int64)
-    for j in range(q):
-        perm_id = perm_id * q + rank[:, j]
-    first, which, _ = group_keys(perm_id)
-    members = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1  # (2^q, q)
-    maps = members @ (np.int64(1) << rank[first]).T  # (2^q, P)
-    return np.ascontiguousarray(maps.T), which
-
-
-def row_venns(
-    graph: CSRGraph,
-    set_venns: np.ndarray,
-    rank: np.ndarray,
-    core_matrix: np.ndarray,
-    positions: Sequence[int],
-) -> np.ndarray:
-    """Each row's Venn diagram, rebuilt from its anchor set's diagram.
-
-    ``set_venns[i]`` is the diagram of row ``i``'s sorted anchor set with
-    only the anchors excluded (``venn_batch(graph, sets, sets)`` gathered
-    through the inverse index of :func:`unique_anchor_sets`); ``rank``
-    holds the rows' anchor ranks from the same call; ``core_matrix`` is
-    ``(B, p)`` with the anchors at columns ``positions``. Returns a new
-    ``(B, 2^q)`` matrix equal to ``venn_batch(graph, core_matrix[:,
-    positions], core_matrix)``.
-    """
-    if (rank == np.arange(len(positions))).all():
-        venns = set_venns.copy()
-    else:
-        maps, which = _region_maps(rank)
-        venns = np.take_along_axis(set_venns, maps[which], axis=1)
-    # a non-anchor core vertex c is a neighbour of exactly the anchors
-    # named by its adjacency mask; venn_batch excludes it from that region
-    anchor_cols = set(positions)
-    rows = np.arange(len(core_matrix))
-    for c in range(core_matrix.shape[1]):
-        if c in anchor_cols:
-            continue
-        mask = np.zeros(len(core_matrix), dtype=np.int64)
-        for j, a in enumerate(positions):
-            hit = has_edges(graph, core_matrix[:, a], core_matrix[:, c])
-            mask |= hit.astype(np.int64) << j
-        sel = mask != 0
-        venns[rows[sel], mask[sel]] -= 1
-    return venns
+        srt = np.empty_like(anchors)
+        np.put_along_axis(srt, rank, anchors, axis=1)
+        rows, counts = np.unique(
+            np.column_stack([srt, rank, free]), axis=0, return_counts=True
+        )
+        group_sets, rank, free = rows[:, :q], rows[:, q : 2 * q], rows[:, 2 * q]
+        new = np.ones(len(rows), dtype=bool)
+        np.any(group_sets[1:] != group_sets[:-1], axis=1, out=new[1:])
+        sets = group_sets[new]
+    return sets, np.cumsum(new) - 1, rank, free, counts

@@ -222,6 +222,8 @@ class CSRGraph:
     # dunder
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
+        if other is self:  # per-graph caches look their graph up by weakref equality
+            return True
         if not isinstance(other, CSRGraph):
             return NotImplemented
         return np.array_equal(self.rowptr, other.rowptr) and np.array_equal(

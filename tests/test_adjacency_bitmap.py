@@ -3,7 +3,7 @@
 ``has_edges`` is the one graph-level edge test of the frontier matcher and
 the Venn pass. These tests hold it to :func:`has_edges_bulk` (the
 bisection it replaced, kept as fallback and oracle) and to a dense
-``np.packbits`` reference, on random and degenerate graphs, on the
+``np.packbits`` reference with rows padded to whole 64-bit words, on random and degenerate graphs, on the
 over-budget fallback, under concurrent first use, and across a pickle
 and a worker pool.
 """
@@ -21,6 +21,7 @@ from repro.core.backends import FrontierBackend
 from repro.core.engine import EngineConfig
 from repro.core.frontier import (
     adjacency_bitmap,
+    bitmap_stride,
     build_adjacency_bitmap,
     has_edges,
     has_edges_bulk,
@@ -34,8 +35,9 @@ from repro.runtime import Runtime
 
 
 def dense_bitmap(graph: CSRGraph) -> np.ndarray:
+    """The adjacency matrix with each row padded to whole 64-bit words."""
     n = graph.num_vertices
-    dense = np.zeros((n, n), dtype=np.uint8)
+    dense = np.zeros((n, bitmap_stride(n)), dtype=np.uint8)
     src = np.repeat(np.arange(n), graph.degrees)
     dense[src, graph.colidx] = 1
     return np.packbits(dense.ravel(), bitorder="little")
@@ -99,7 +101,7 @@ def test_edgeless_graphs_get_no_bitmap(n):
         assert not has_edges(g, u, v).any()
     # an edgeless graph is not a budget fallback
     assert ob.metrics.counter("repro_frontier_bitmap_fallbacks_total").value == 0
-    assert len(build_adjacency_bitmap(g)) == -(-n * n // 8)
+    assert len(build_adjacency_bitmap(g)) == n * bitmap_stride(n) // 8
 
 
 def test_isolated_vertices():
@@ -190,7 +192,7 @@ def test_one_count_builds_one_bitmap_and_the_next_none():
     with Observer() as ob:
         first = rt.count(g, pattern, engine="frontier")
     m = ob.metrics
-    nbytes = -(-g.num_vertices**2 // 8)
+    nbytes = g.num_vertices * bitmap_stride(g.num_vertices) // 8
     assert m.counter("repro_frontier_bitmap_builds_total").value == 1
     assert m.gauge("repro_frontier_bitmap_bytes").value == nbytes
     assert m.counter("repro_frontier_bitmap_fallbacks_total").value == 0

@@ -65,6 +65,19 @@ class TestRunCell:
         record = harness.measurement_record("t", m)
         assert (record["seconds"], record["samples"]) == (2.0, [5.0, 1.0, 9.0, 2.0, 1.0])
 
+    def test_fast_cells_repeat_until_the_minimum_sampled_time(self, graphs, monkeypatch):
+        from repro.bench import harness
+
+        # every run takes 0.01 s: 5 repeats sample 0.05 s, so the cell goes on
+        clock = iter([i * 0.01 for i in range(10_000)])
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: next(clock), time=lambda: 0.0))
+        monkeypatch.setitem(harness.SYSTEMS, "fake", lambda pat: lambda graph, timeout_s: 7)
+        m = run_cell("fake", catalog.triangle(), "triangle", graphs["er"], "er", timeout_s=60)
+        assert m.status == "ok"
+        assert len(m.samples) > harness.CELL_REPEATS
+        assert sum(m.samples) >= harness.CELL_MIN_SECONDS
+        assert sum(m.samples[:-1]) < harness.CELL_MIN_SECONDS
+
     def test_a_slow_repeat_censors_the_cell(self, graphs, monkeypatch):
         from repro.bench import harness
 

@@ -154,6 +154,44 @@ class TestProfileDeduplication:
         assert len(poly._distinct_profiles(venns)[0]) == 3
 
 
+class TestWeightedRows:
+    """``evaluate_batch(rows, counts)`` equals the rows repeated ``counts`` times."""
+
+    CASES = [
+        # small float-exact rows
+        ([0b01, 0b11], [2, 1], 2, np.random.default_rng(7).integers(0, 10, size=(60, 4))),
+        # rows beyond 2^200: the RNS buckets
+        ([0b01, 0b10], [8, 8], 2, np.array([[0, 10**7, 10**7, 10**6], [0, 10**6, 3, 10**7],
+                                            [0, 40, 50, 3]])),
+        # a NaN row (inf · 0) next to ordinary ones
+        ([0b01, 0b10], [150, 1], 2, np.array([[0, 10**6, 0, 0], [0, 3, 1, 0], [0, 160, 2, 3]])),
+        # repeated profiles: the weights of equal rows add up
+        ([0b001, 0b011, 0b110], [2, 1, 2], 3, np.tile([[0, 5, 6, 7, 1, 2, 3, 4]], (5, 1))),
+    ]
+
+    @pytest.mark.parametrize("anch, k, q, rows", CASES)
+    def test_counts_equal_repeated_rows(self, anch, k, q, rows):
+        poly = compile_fringe_polynomial(anch, k, q)
+        counts = np.arange(1, len(rows) + 1, dtype=np.int64) * 3
+        got = poly.evaluate_batch(rows, counts)
+        assert got == poly.evaluate_batch(np.repeat(rows, counts, axis=0))
+        assert got == sum(c * poly.evaluate(r) for r, c in zip(rows.tolist(), counts.tolist()))
+
+    def test_beyond_2_200(self):
+        poly = compile_fringe_polynomial([0b01, 0b10], [8, 8], 2)
+        rows = np.array([[0, 10**7, 10**7, 10**6]])
+        assert poly.evaluate_batch(rows, np.array([5])) == 5 * poly.evaluate(rows[0].tolist())
+        assert poly.evaluate_batch(rows, np.array([5])) > 2**200
+
+    def test_nan_row_alone(self):
+        poly = compile_fringe_polynomial([0b01, 0b10], [150, 1], 2)
+        assert poly.evaluate_batch(np.array([[0, 10**6, 0, 0]]), np.array([7])) == 0
+
+    def test_no_regions_sums_the_counts(self):
+        poly = compile_fringe_polynomial((), (), 2)
+        assert poly.evaluate_batch(np.zeros((3, 4), dtype=np.int64), np.array([2, 5, 1])) == 8
+
+
 class TestStructure:
     def test_single_type_single_region(self):
         poly = compile_fringe_polynomial([0b11], [3], 2)

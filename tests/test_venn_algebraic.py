@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import Runtime
 from repro.core import FrontierBackend, compile_pattern
 from repro.core import backends
+from repro.core import frontier as frontier_mod
 from repro.core import venn as venn_mod
 from repro.core.venn import build_pair_index, pair_index, venn_batch, venn_sets
 from repro.graph import datasets, generators as gen
@@ -58,8 +59,8 @@ def dense_a2_upper(graph: CSRGraph) -> np.ndarray:
 
 def index_as_dense(index, n: int) -> np.ndarray:
     out = np.zeros((n, n), dtype=np.int64)
-    rows = np.repeat(np.arange(n), np.diff(index.ptr))
-    out[rows, index.cols] = index.vals
+    rows, cols = np.divmod(index.keys.astype(np.int64), max(n, 1))
+    out[rows, cols] = index.vals
     return out
 
 
@@ -149,14 +150,14 @@ def test_every_row_order_of_a_clique_with_pendants():
 def test_index_block_sizes_on_kron(graphs, block_paths):
     graph = graphs["kron"]
     index = build_pair_index(graph, block_paths)
-    assert index.ptr.dtype == np.int64
-    assert index.cols.dtype == index.vals.dtype == np.int32
+    assert index.keys.dtype == index.vals.dtype == np.int32
+    assert (np.diff(index.keys) > 0).all()
     np.testing.assert_array_equal(
         index_as_dense(index, graph.num_vertices), dense_a2_upper(graph)
     )
     # the bound the budget checks is an upper bound on the nonzeros
     deg = graph.degrees
-    assert len(index.cols) <= int((deg * (deg - 1) // 2).sum())
+    assert len(index.keys) <= int((deg * (deg - 1) // 2).sum())
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +169,7 @@ def test_edgeless_graph(q):
     sets = np.array([[5, 0, 3, 1][:q], [2, 4, 1, 0][:q]], dtype=np.int64)
     assert_equal_oracle(g, sets)
     assert not venn_sets(g, sets).any()
-    assert len(pair_index(g).cols) == 0
+    assert len(pair_index(g).keys) == 0
 
 
 @pytest.mark.parametrize("q", [0, 1, 2, 3])
@@ -245,7 +246,7 @@ def test_concurrent_first_use_builds_one_index(monkeypatch):
 def test_index_stays_out_of_pickled_graphs():
     g = gen.kronecker(6, edge_factor=8, seed=7)
     before = len(pickle.dumps(g))
-    assert len(pair_index(g).cols) > 0
+    assert len(pair_index(g).keys) > 0
     assert len(pickle.dumps(g)) == before
     clone = pickle.loads(pickle.dumps(g))
     assert clone == g and pair_index(clone) is not pair_index(g)
@@ -265,7 +266,7 @@ def test_one_count_builds_one_index_and_the_next_none():
     (span,) = [s for s in ob.tracer.spans if s.name == "venn.index_build"]
     assert span.attrs == {
         "n": g.num_vertices,
-        "nnz": len(pair_index(g).cols),
+        "nnz": len(pair_index(g).keys),
         "bytes": pair_index(g).nbytes,
     }
     with Observer() as ob2:
@@ -274,3 +275,87 @@ def test_one_count_builds_one_index_and_the_next_none():
     assert not [s for s in ob2.tracer.spans if s.name == "venn.index_build"]
     oracle = rt.count(g, pattern, engine="general")
     assert first.count == second.count == oracle.count
+
+
+# ----------------------------------------------------------------------
+# popcount intersections, fallbacks and the pair keys
+# ----------------------------------------------------------------------
+@st.composite
+def sparse_graph_and_rows(draw, max_n=70):
+    """Random graphs with isolated vertices (edges drawn among a prefix
+    of the ids, maybe none) and rows of q = 1..4 distinct vertices; up to
+    70 vertices, so bitmap rows span two 64-bit words."""
+    n = draw(st.integers(min_value=4, max_value=max_n))
+    touched = draw(st.integers(min_value=0, max_value=n))
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, max(touched - 1, 0)), st.integers(0, max(touched - 1, 0))),
+            max_size=6 * touched,
+        )
+    )
+    graph = CSRGraph.from_edges([e for e in edges if e[0] != e[1]], num_vertices=n)
+    q = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(
+        st.lists(st.permutations(range(n)).map(lambda p: p[:q]), min_size=1, max_size=20)
+    )
+    return graph, np.asarray(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("budget", ["none", "bitmap", "index"])
+@SETTINGS
+@given(graph_rows=sparse_graph_and_rows())
+def test_sets_equal_venn_batch_under_every_budget(budget, graph_rows):
+    graph, sets = graph_rows
+    with pytest.MonkeyPatch.context() as mp:
+        if budget == "bitmap":
+            mp.setattr(frontier_mod, "BITMAP_BUDGET_BYTES", 0)
+        elif budget == "index":
+            mp.setattr(venn_mod, "INDEX_BUDGET_BYTES", -1)
+        assert_equal_oracle(graph, sets)
+        assert_equal_oracle(graph, np.sort(sets, axis=1))
+
+
+def test_over_bitmap_budget_falls_back_to_venn_batch(monkeypatch):
+    g = gen.kronecker(5, edge_factor=6, seed=11)
+    monkeypatch.setattr(frontier_mod, "BITMAP_BUDGET_BYTES", 0)
+    sets = np.array([[0, 1, 2], [3, 1, 4], [7, 5, 6]], dtype=np.int64)
+    with Observer(trace=False) as ob:
+        assert_equal_oracle(g, sets)
+        assert_equal_oracle(g, sets[:, :2])  # q = 2 reads the index alone
+    assert ob.metrics.counter("repro_venn_index_fallbacks_total").value == 1
+    assert pair_index(g) is not None
+
+
+def test_intersections_read_padded_bitmap_rows():
+    # 130 vertices: three words per row, the last one mostly padding; a
+    # hub 0 joined to everyone and a clique on the top ids cross the words
+    n = 130
+    edges = [(0, v) for v in range(1, n)]
+    edges += [(u, v) for u in range(120, n) for v in range(u + 1, n)]
+    edges += [(5, 70), (5, 127), (70, 127), (63, 64), (64, 65), (63, 65)]
+    g = CSRGraph.from_edges(edges, num_vertices=n)
+    rows = np.array([[121, 125, 129, 0], [5, 70, 127, 0], [63, 64, 65, 0], [0, 1, 2, 3]])
+    for q in (3, 4):
+        assert_equal_oracle(g, rows[:, :q])
+
+
+@pytest.mark.parametrize("n", [300, 46_341])
+def test_lookup_equals_dense_product_for_both_key_dtypes(n):
+    rng = np.random.default_rng(n)
+    # ~40 touched vertices spread over the id range; the rest isolated
+    touched = np.sort(rng.choice(n, size=40, replace=False))
+    pairs = rng.integers(0, 40, size=(160, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    g = CSRGraph.from_edges(touched[pairs].tolist(), num_vertices=n)
+    index = build_pair_index(g, block_paths=17)
+    assert index.keys.dtype == (np.int32 if n * n < 1 << 31 else np.int64)
+    assert index.nbytes == (index.keys.itemsize + 4) * len(index.keys)
+    sub = np.zeros((40, 40), dtype=np.int64)
+    local = np.searchsorted(touched, g.edge_array())
+    sub[local[:, 0], local[:, 1]] = sub[local[:, 1], local[:, 0]] = 1
+    expect = sub @ sub
+    iu, ju = np.triu_indices(40, 1)
+    np.testing.assert_array_equal(index.lookup(touched[iu], touched[ju]), expect[iu, ju])
+    # pairs with an isolated vertex share nothing
+    lonely = np.setdiff1d(np.arange(min(n, 500)), touched)[:20]
+    np.testing.assert_array_equal(index.lookup(lonely[:10], lonely[10:]), 0)
