@@ -188,9 +188,10 @@ def venn_poly_sums(
     than ``plan``'s scores only the groups whose anchors pass it (the
     rest score 0 for it; non-anchor core vertices carry no fringe, so
     every member filters them alike). With ``registry`` set it records
-    one ``repro_venn_set_size`` sample per row, one
-    ``repro_batch_matches`` sample per chunk, and the number of distinct
-    sets in ``repro_venn_unique_anchor_rows_total``.
+    one ``repro_venn_set_size`` sample per row (one weighted sample per
+    row group: the group's set size, as many times as the group has
+    rows), one ``repro_batch_matches`` sample per chunk, and the number
+    of distinct sets in ``repro_venn_unique_anchor_rows_total``.
     """
     sums = [0] * len(members)
     if len(block) == 0:
@@ -222,6 +223,9 @@ def venn_poly_sums(
         own = [m.core_plan.min_degree[a] for a in positions]
         filters.append(own if own != shared else None)
     region_bits = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1  # (2^q, q)
+    if registry is not None:
+        batch_hist = registry.histogram("repro_batch_matches")
+        set_size_hist = registry.histogram("repro_venn_set_size")
     batches = 0
     for s in range(0, len(counts), batch_size):
         e = min(s + batch_size, len(counts))
@@ -240,10 +244,8 @@ def venn_poly_sums(
                 sel = np.flatnonzero(mask)
                 venns[sel, mask[sel]] -= 1
             if registry is not None:
-                registry.histogram("repro_batch_matches").observe(int(chunk_counts.sum()))
-                registry.histogram("repro_venn_set_size").observe_many(
-                    np.repeat(venns.sum(axis=1), chunk_counts).tolist()
-                )
+                batch_hist.observe(int(chunk_counts.sum()))
+                set_size_hist.observe_many(venns.sum(axis=1), chunk_counts)
             for i, (m, own) in enumerate(zip(members, filters)):
                 if own is None:
                     sums[i] += m.poly.evaluate_batch(venns, chunk_counts)
@@ -286,6 +288,9 @@ class SerialBackend:
         fringes = [(m.anch, m.k, m.q) for m in members]
         positions = plan.anchored_positions
         registry = obs.active_metrics()  # checked once, outside the hot loop
+        if registry is not None:
+            set_size_hist = registry.histogram("repro_venn_set_size")
+            candidate_hist = registry.histogram("repro_candidate_set_size")
         degrees = graph.degrees
         sums = [0] * len(members)
         matches = 0
@@ -303,10 +308,8 @@ class SerialBackend:
             t_mark = time.perf_counter()
             venn_fc_s += t_mark - t0
             if registry is not None:
-                registry.histogram("repro_venn_set_size").observe(sum(venn))
-                registry.histogram("repro_candidate_set_size").observe(
-                    int(sum(degrees[a] for a in anchors))
-                )
+                set_size_hist.observe(sum(venn))
+                candidate_hist.observe(int(sum(degrees[a] for a in anchors)))
                 t_mark = time.perf_counter()
         match_s += time.perf_counter() - t_mark
         if registry is not None:

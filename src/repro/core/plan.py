@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+from .. import obs
 from ..graph.csr import CSRGraph
 from ..patterns.decompose import Decomposition, decompose
 from ..patterns.pattern import Pattern
@@ -176,8 +177,11 @@ def compile_pattern(
     # |Aut(P)| / Π k_t! — the fringe method run on the pattern itself
     # (DESIGN.md §1), on the per-match oracle: a pattern graph has few
     # core matches, so the vectorized backends only add set-up cost.
+    # It counts no data graph, so it stays out of the active observer's
+    # match and Venn metrics.
     pattern_graph = CSRGraph.from_edges(pattern.edges(), num_vertices=pattern.n)
-    partial = SerialBackend().run(draft, pattern_graph)
+    with obs.Observer(trace=False, metrics=False):
+        partial = SerialBackend().run(draft, pattern_graph)
     denominator = partial.sigma * core_plan.group_order
     if denominator <= 0:
         raise AssertionError("pattern must embed in itself")

@@ -8,8 +8,9 @@ instead of computed per match.
 * 1 vertex — a vertex v has one region, its degree: the row ``[·, d_v]``;
 * 2 vertices — an ordered edge (u, v) has the row
   ``[·, d_u − 1 − c, d_v − 1 − c, c]``, where ``c`` is the number of
-  common neighbours (:func:`common_neighbor_counts`, from the graph's
-  cached ``A·A`` pair index). Every edge gives one row per orientation,
+  common neighbours (:func:`edge_common_neighbors`: every edge's count,
+  read from the graph's ``A·A`` pair index once and cached per graph,
+  8 B per edge). Every edge gives one row per orientation,
   or a single orientation when the plan's symmetry restriction keeps one
   (``group_order`` 2); like the matcher, an orientation whose ends fall
   below the core's full-pattern degrees gives none.
@@ -31,7 +32,9 @@ embedding over every core vertex; it evaluates no polynomial itself. The
 :class:`~repro.runtime.Runtime` scores one kernel's rows with the
 polynomial of every pattern that shares the core (a whole family from
 one row build) and normalizes each sum like a matcher backend's.
-Kernels hold no precomputation of their own and are cheap to build.
+Kernels hold no precomputation of their own and are cheap to build; the
+per-edge counts belong to the graph, in a
+:class:`~repro.core.frontier.GraphCache`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from .frontier import GraphCache
 from .venn import venn_sets
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan -> specialized)
@@ -52,6 +56,7 @@ __all__ = [
     "EdgeCoreEngine",
     "anchored_rows",
     "common_neighbor_counts",
+    "edge_common_neighbors",
 ]
 
 _PAIR_CHUNK = 1 << 16  # edges per venn_sets call in common_neighbor_counts
@@ -116,7 +121,7 @@ class EdgeCoreEngine:
         forward = (du >= md[0]) & (dv >= md[1])
         backward = (dv >= md[0]) & (du >= md[1]) & (self.plan.group_order == 1)
         either = forward | backward
-        c = common_neighbor_counts(graph, edges[either])
+        c = edge_common_neighbors(graph)[either]
         venn = np.stack([np.zeros_like(c), du[either] - 1 - c, dv[either] - 1 - c, c], axis=1)
         return np.concatenate([venn[forward[either]], venn[backward[either]][:, [0, 2, 1, 3]]])
 
@@ -141,3 +146,22 @@ def common_neighbor_counts(graph: CSRGraph, edges: np.ndarray) -> np.ndarray:
     for s in range(0, len(pairs), _PAIR_CHUNK):
         out[s : s + _PAIR_CHUNK] = venn_sets(graph, pairs[s : s + _PAIR_CHUNK])[:, 0b11]
     return out
+
+
+def _build_edge_common_neighbors(graph: CSRGraph) -> np.ndarray:
+    counts = common_neighbor_counts(graph, graph.edge_array())
+    counts.setflags(write=False)
+    return counts
+
+
+_EDGE_COMMON: GraphCache[np.ndarray] = GraphCache()
+
+
+def edge_common_neighbors(graph: CSRGraph) -> np.ndarray:
+    """:func:`common_neighbor_counts` of every edge of
+    :meth:`~repro.graph.csr.CSRGraph.edge_array`, in its order.
+
+    Built on first use and cached per graph object (read-only, 8 B per
+    edge), so repeated edge-core counts on one graph only gather.
+    """
+    return _EDGE_COMMON.get(graph, _build_edge_common_neighbors)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from contextlib import nullcontext
 from contextvars import ContextVar
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .export import metrics_table, prometheus_text, trace_jsonl_lines, write_trace_jsonl
 from .metrics import BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
@@ -146,7 +146,10 @@ def observe(name: str, value: float, **labels: str) -> None:
         registry.histogram(name, **labels).observe(value)
 
 
-def observe_many(name: str, values: Iterable[float], **labels: str) -> None:
+def observe_many(
+    name: str, values: Iterable[float], counts: Sequence[int] | None = None, **labels: str
+) -> None:
+    """Record ``values`` (``counts[i]`` copies of ``values[i]`` when given)."""
     registry = active_metrics()
     if registry is not None:
-        registry.histogram(name, **labels).observe_many(values)
+        registry.histogram(name, **labels).observe_many(values, counts)

@@ -21,7 +21,10 @@ Design constraints:
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -94,11 +97,11 @@ class Histogram:
     """Fixed-bucket histogram (non-cumulative bins + overflow bin).
 
     ``counts[i]`` holds observations ``<= buckets[i]`` (and above the
-    previous bound); ``counts[-1]`` is the overflow bin. The Prometheus
-    exporter cumulates on the way out.
+    previous bound); ``counts[-1]`` is the overflow bin, which also
+    takes NaN. The Prometheus exporter cumulates on the way out.
     """
 
-    __slots__ = ("buckets", "counts", "sum", "count", "_lock")
+    __slots__ = ("buckets", "counts", "sum", "count", "_bounds", "_lock")
     kind = "histogram"
 
     def __init__(self, lock: threading.Lock, buckets: Sequence[float] = DEFAULT_BUCKETS):
@@ -106,32 +109,55 @@ class Histogram:
         self.counts = [0] * (len(self.buckets) + 1)
         self.sum: float = 0.0
         self.count: int = 0
+        self._bounds = np.asarray(self.buckets, dtype=np.float64)
         self._lock = lock
 
-    def _bin(self, value: float) -> int:
-        # first bucket whose upper bound admits the value (linear scan is
-        # fine: bucket tables are ~a dozen entries)
-        for i, ub in enumerate(self.buckets):
-            if value <= ub:
-                return i
-        return len(self.buckets)
-
     def observe(self, value: float) -> None:
+        # the first bound >= value; NaN compares false with every bound
+        b = bisect_left(self.buckets, value) if value == value else len(self.buckets)
         with self._lock:
-            self.counts[self._bin(value)] += 1
+            self.counts[b] += 1
             self.sum += value
             self.count += 1
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        vals = [float(v) for v in values]
-        if not vals:
+    def observe_many(
+        self, values: Iterable[float], counts: Sequence[int] | None = None
+    ) -> None:
+        """Record every value, or ``counts[i]`` copies of ``values[i]``.
+
+        Bins the whole array with one ``searchsorted`` on the bounds (the
+        bucket rule of :meth:`observe`; NaN sorts past every bound) and
+        one ``bincount``, weighted by ``counts``, under one lock.
+        """
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        vals = np.asarray(values, dtype=np.float64).reshape(-1)
+        if counts is None:
+            weights = None
+            total = len(vals)
+        else:
+            weights = np.asarray(counts, dtype=np.int64).reshape(-1)
+            if weights.shape != vals.shape:
+                raise ValueError("observe_many: values and counts differ in length")
+            if (weights < 0).any():
+                raise ValueError("observe_many: negative count")
+            # a zero count records nothing, not even a NaN in the sum
+            keep = weights > 0
+            vals, weights = vals[keep], weights[keep]
+            total = int(weights.sum())
+        if total == 0:
             return
-        bins = [self._bin(v) for v in vals]
+        bins = np.bincount(
+            np.searchsorted(self._bounds, vals, side="left"),
+            weights=weights,
+            minlength=len(self.counts),
+        ).astype(np.int64).tolist()
+        added = float(vals.sum() if weights is None else vals @ weights)
         with self._lock:
-            for b in bins:
-                self.counts[b] += 1
-            self.sum += sum(vals)
-            self.count += len(vals)
+            for i, c in enumerate(bins):
+                self.counts[i] += c
+            self.sum += added
+            self.count += total
 
     @property
     def mean(self) -> float:

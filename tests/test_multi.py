@@ -13,6 +13,7 @@ from repro import count_subgraphs
 from repro.bench import workloads as W
 from repro.core import specialized
 from repro.core.engine import EngineConfig, count_many
+from repro.core.frontier import GraphCache
 from repro.core.plan import CountingPlan, compile_pattern
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
@@ -153,7 +154,8 @@ class TestSharedWorkEfficiency:
 
     def test_edge_core_family_builds_rows_once_per_graph(self, graph, small, monkeypatch):
         """The Fig. 9 family spans both edge-core symmetry groups, yet one
-        closed-form row build (one common-neighbour pass) serves it."""
+        closed-form row build (one common-neighbour pass) serves it, and
+        the per-graph cache serves every later edge-core count."""
         calls = []
         counts = specialized.common_neighbor_counts
 
@@ -162,10 +164,14 @@ class TestSharedWorkEfficiency:
             return counts(g, edges)
 
         monkeypatch.setattr(specialized, "common_neighbor_counts", counted)
+        # an empty per-edge cache, so earlier tests' builds do not count
+        monkeypatch.setattr(specialized, "_EDGE_COMMON", GraphCache())
         fam = W.fig09_patterns()
         assert {p.group_order for p in map(compile_pattern, fam.values())} == {1, 2}
         rt = Runtime()
         results = [rt.count_many(g, fam) for g in (graph, small)]
+        assert calls == [graph, small]
+        rt.count_many(graph, fam)
         assert calls == [graph, small]
         for g, res in zip((graph, small), results):
             assert passes(res) == 1

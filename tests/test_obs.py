@@ -17,15 +17,19 @@ Covers the contracts the tentpole makes:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 
+import numpy as np
 import pytest
 
-from repro import Observer, Runtime, compile_pattern, count_subgraphs
+from repro import EngineConfig, Observer, Runtime, compile_pattern, count_subgraphs
 from repro import obs
 from repro import runtime as runtime_mod
 from repro.core.backends import FrontierBackend, PoolBackend, SerialBackend
+from repro.core.frontier import frontier_match_matrix
+from repro.core.venn import venn_batch
 from repro.graph import generators as gen
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -108,6 +112,97 @@ class TestMetrics:
         for t in threads:
             t.join()
         assert reg.counter("c").value == 4000
+
+
+def _per_value(buckets, values):
+    """A histogram filled one ``observe`` call per value."""
+    h = MetricsRegistry().histogram("h", buckets=buckets)
+    for v in values:
+        h.observe(v)
+    return h
+
+
+def _same_histogram(a, b):
+    assert a.buckets == b.buckets
+    assert a.counts == b.counts and a.count == b.count
+    assert a.sum == b.sum or (np.isnan(a.sum) and np.isnan(b.sum))
+
+
+class TestWeightedHistogram:
+    """``observe_many(values, counts)`` is ``observe`` over ``np.repeat``."""
+
+    BUCKETS = (1, 4, 16, 64)
+
+    @pytest.mark.parametrize(
+        "values, counts",
+        [
+            ([0, 1, 4, 16, 64], [1, 2, 3, 4, 5]),  # every value on a bound
+            ([0.5, 1.5, 4.0, 65, 1e9], [3, 1, 2, 7, 1]),  # overflow
+            ([float("nan"), 2.0, float("nan")], [2, 1, 1]),  # NaN overflows
+            ([float("inf"), -3.0, 3.0], [1, 1, 2]),
+            ([2.0, 70.0, 3.0], [0, 2, 0]),  # zero weights record nothing
+            ([], []),
+            ([5.0, 5.0], [0, 0]),
+        ],
+    )
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_weighted_equals_repeated_observe(self, values, counts, as_array):
+        vals = np.asarray(values, dtype=np.float64) if as_array else values
+        cnts = np.asarray(counts, dtype=np.int64) if as_array else counts
+        weighted = MetricsRegistry().histogram("h", buckets=self.BUCKETS)
+        weighted.observe_many(vals, cnts)
+        expect = _per_value(self.BUCKETS, np.repeat(np.asarray(values, dtype=float), counts))
+        _same_histogram(weighted, expect)
+        unweighted = MetricsRegistry().histogram("h", buckets=self.BUCKETS)
+        unweighted.observe_many(np.repeat(vals, cnts) if as_array else list(np.repeat(vals, cnts)))
+        _same_histogram(unweighted, expect)
+
+    def test_random_integer_samples(self):
+        rng = np.random.default_rng(7)
+        buckets = (1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144)
+        for _ in range(50):
+            values = rng.integers(0, 300_000, size=int(rng.integers(0, 40)))
+            values[: len(values) // 3] = rng.choice(buckets, size=len(values) // 3)
+            counts = rng.integers(0, 9, size=len(values))
+            weighted = MetricsRegistry().histogram("h", buckets=buckets)
+            weighted.observe_many(values, counts)
+            _same_histogram(weighted, _per_value(buckets, np.repeat(values, counts)))
+
+    def test_observe_and_observe_many_bin_alike(self):
+        values = [-1, 0, 1, 1.0000001, 4, 15.9, 16, 64, 64.5, float("inf"), float("nan")]
+        for v in values:
+            single = MetricsRegistry().histogram("h", buckets=self.BUCKETS)
+            single.observe(v)
+            bulk = MetricsRegistry().histogram("h", buckets=self.BUCKETS)
+            bulk.observe_many([v])
+            assert single.counts == bulk.counts, v
+
+    def test_weighted_samples_survive_snapshot_and_merge(self):
+        worker, parent, expect = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+        worker.histogram("repro_venn_set_size").observe_many(
+            np.array([3, 16, 17, 500_000]), np.array([4, 1, 2, 1])
+        )
+        parent.histogram("repro_venn_set_size").observe(5)
+        parent.merge(worker.snapshot())
+        for v in [5, 3, 3, 3, 3, 16, 17, 17, 500_000]:
+            expect.histogram("repro_venn_set_size").observe(v)
+        _same_histogram(
+            parent.histogram("repro_venn_set_size"), expect.histogram("repro_venn_set_size")
+        )
+
+    def test_rejects_mismatched_or_negative_counts(self):
+        h = MetricsRegistry().histogram("h", buckets=self.BUCKETS)
+        with pytest.raises(ValueError, match="length"):
+            h.observe_many([1, 2], [1])
+        with pytest.raises(ValueError, match="negative"):
+            h.observe_many([1, 2], [1, -1])
+        assert h.count == 0 and h.counts == [0] * 5
+
+    def test_module_helper_forwards_counts(self):
+        with Observer(trace=False) as ob:
+            obs.observe_many("repro_venn_set_size", [2, 20], [3, 1])
+        h = ob.metrics.histogram("repro_venn_set_size")
+        assert h.count == 4 and h.sum == 26 and h.counts[:3] == [0, 3, 0]
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +452,9 @@ class TestStatsPropagation:
         m = ob.metrics
         assert len({w.pid for w in partial.workers}) > 1
         assert m.counter("repro_core_matches_total").value == ref_matches
+        _same_histogram(
+            m.histogram("repro_venn_set_size"), ref.metrics.histogram("repro_venn_set_size")
+        )
         assert m.histogram("repro_venn_set_size").count == ref_matches
         assert m.gauge("repro_worker_load_imbalance").value >= 1.0
         assert m.gauge("repro_workers").value >= 2
@@ -392,6 +490,74 @@ class TestStatsPropagation:
             parallel=ParallelConfig(num_workers=2, chunk_size=16),
         )
         assert res.stats.workers >= 2
+
+
+class TestVennSetSizeHistogram:
+    """The frontier pass records one weighted sample per row group; the
+    histogram equals one sample per matched row."""
+
+    @pytest.mark.parametrize(
+        "pattern, symmetry",
+        [
+            (catalog.four_cycle(), True),  # anchor pairs repeat across rows
+            (catalog.tailed_triangle(), True),
+            (catalog.tailed_triangle(), False),  # every orientation of the core
+            (catalog.four_clique(), True),
+            (catalog.diamond(), True),
+        ],
+        ids=["4-cycle", "tailed-triangle", "tailed-triangle-both", "4-clique", "diamond"],
+    )
+    def test_frontier_equals_per_row_venn_batch(self, kron, pattern, symmetry):
+        plan = compile_pattern(
+            pattern, EngineConfig(batch_size=3, symmetry_breaking=symmetry)
+        )
+        rows = frontier_match_matrix(kron, plan.core_plan)
+        assert len(rows) > 3
+        positions = list(plan.anchored_positions)
+        sizes = venn_batch(kron, rows[:, positions], rows).sum(axis=1)
+        with Observer(trace=False) as ob:
+            partial = FrontierBackend().run(plan, kron)
+        assert partial.matches == len(rows)
+        assert partial.batches > 1  # the groups split into several chunks
+        _same_histogram(
+            ob.metrics.histogram("repro_venn_set_size"),
+            _per_value(ob.metrics.histogram("repro_venn_set_size").buckets, sizes),
+        )
+
+    def test_serial_oracle_records_one_sample_per_match(self, kron):
+        plan = compile_pattern(catalog.four_cycle())
+        with Observer(trace=False) as serial:
+            s = SerialBackend().run(plan, kron)
+        with Observer(trace=False) as frontier:
+            FrontierBackend().run(plan, kron)
+        assert serial.metrics.histogram("repro_candidate_set_size").count == s.matches
+        _same_histogram(
+            serial.metrics.histogram("repro_venn_set_size"),
+            frontier.metrics.histogram("repro_venn_set_size"),
+        )
+
+    def test_service_frontier_request_counts_every_match(self, kron):
+        from repro.serve import CountingService, CountRequest, GraphRegistry
+
+        expect = Runtime().count(kron, catalog.four_cycle(), engine="frontier")
+
+        async def scenario():
+            registry = GraphRegistry()
+            registry.register("g", kron)
+            service = CountingService(registry)
+            service.start()
+            try:
+                return service, await service.submit(
+                    CountRequest(graph="g", pattern="4-cycle", engine="frontier")
+                )
+            finally:
+                await service.stop()
+
+        service, response = asyncio.run(scenario())
+        assert response.count == expect.count
+        hist = service.metrics.histogram("repro_venn_set_size")
+        assert hist.count == expect.core_matches > 0
+        assert service.metrics.counter("repro_core_matches_total").value == hist.count
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.core.specialized import (
     EdgeCoreEngine,
     VertexCoreEngine,
     common_neighbor_counts,
+    edge_common_neighbors,
 )
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
@@ -202,6 +203,37 @@ class TestCommonNeighborCounts:
         fresh = CSRGraph.from_edges(edges.tolist(), num_vertices=g.num_vertices)
         monkeypatch.setattr(venn_mod, "INDEX_BUDGET_BYTES", 0)
         assert common_neighbor_counts(fresh, edges).tolist() == via_index.tolist()
+
+
+class TestEdgeCommonNeighbors:
+    def test_cached_per_graph_and_read_only(self, monkeypatch):
+        g = gen.barabasi_albert(150, 5, seed=9)
+        counts = edge_common_neighbors(g)
+        assert counts.tolist() == common_neighbor_counts(g, g.edge_array()).tolist()
+        assert counts.dtype == np.int64 and not counts.flags.writeable
+        builds = []
+        monkeypatch.setattr(
+            specialized, "common_neighbor_counts", lambda *a: builds.append(a) or None
+        )
+        for pat in (catalog.diamond(), catalog.k_tailed_triangle(2), catalog.path(4)):
+            closed_form(g, pat)
+        assert edge_common_neighbors(g) is counts and not builds
+
+    def test_over_budget_graph_counts_the_same(self, monkeypatch):
+        g = gen.barabasi_albert(150, 5, seed=9)
+        fresh = CSRGraph.from_edges(g.edge_array().tolist(), num_vertices=g.num_vertices)
+        monkeypatch.setattr(venn_mod, "INDEX_BUDGET_BYTES", 0)
+        assert venn_mod.pair_index(fresh) is None
+        assert edge_common_neighbors(fresh).tolist() == edge_common_neighbors(g).tolist()
+        for pat in (catalog.diamond(), catalog.k_tailed_triangle(2), catalog.path(4)):
+            expect = count_subgraphs(g, pat, engine="general")
+            got = closed_form(fresh, pat)
+            assert (got.count, got.core_matches) == (expect.count, expect.core_matches)
+
+    def test_edgeless_graph(self):
+        g = CSRGraph.from_edges([], num_vertices=4)
+        assert len(edge_common_neighbors(g)) == 0
+        assert closed_form(g, catalog.diamond()).count == 0
 
 
 class TestThreeCore:
