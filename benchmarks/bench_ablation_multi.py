@@ -27,7 +27,7 @@ import pytest
 from repro.bench import workloads as W
 from repro.bench.harness import RecordAppender, _bench_record_path, provenance
 from repro.core.frontier import adjacency_bitmap, upper_starts
-from repro.core.venn import pair_index
+from repro.core.venn import pair_index, slot_common_neighbors
 from repro.runtime import Runtime
 
 REPEATS = 9
@@ -53,6 +53,7 @@ def runtime(kron_tiny):
     pair_index(kron_tiny)
     adjacency_bitmap(kron_tiny)
     upper_starts(kron_tiny)
+    slot_common_neighbors(kron_tiny)
     return rt
 
 

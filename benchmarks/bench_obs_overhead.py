@@ -28,7 +28,7 @@ import pytest
 from repro import obs
 from repro.bench.harness import RecordAppender, _bench_record_path, provenance
 from repro.core.frontier import adjacency_bitmap, upper_starts
-from repro.core.venn import pair_index
+from repro.core.venn import pair_index, slot_common_neighbors
 from repro.patterns import catalog
 from repro.runtime import Runtime
 
@@ -54,6 +54,7 @@ def runtimes(kron_tiny):
     pair_index(kron_tiny)
     adjacency_bitmap(kron_tiny)
     upper_starts(kron_tiny)
+    slot_common_neighbors(kron_tiny)
     return plain, metered
 
 

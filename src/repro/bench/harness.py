@@ -42,7 +42,7 @@ from ..baselines import (
     TDFSCounter,
 )
 from ..core.frontier import adjacency_bitmap, upper_starts
-from ..core.venn import pair_index
+from ..core.venn import pair_index, slot_common_neighbors
 from ..graph.csr import CSRGraph
 from ..patterns.pattern import Pattern
 from ..runtime import Runtime
@@ -368,8 +368,9 @@ def run_figure(
     one line per cell into ``BENCH_<figure>.json`` as cells complete.
 
     Pattern plans compile when a cell's runner is built and each graph's
-    pair index, adjacency bitmap and :func:`upper_starts` are built before
-    the sweep, so no cell pays any of them inside its timer. The system
+    pair index, adjacency bitmap, :func:`upper_starts` and per-slot
+    common-neighbour counts are built before the sweep, so no cell pays
+    any of them inside its timer. The system
     order rotates by one from each (pattern, graph) group to the next, so
     no system always runs first on a freshly touched group.
     """
@@ -379,6 +380,7 @@ def run_figure(
             pair_index(graph)
             adjacency_bitmap(graph)
             upper_starts(graph)
+            slot_common_neighbors(graph)
     record_path = _bench_record_path(figure, record_dir)
     result = FigureResult(figure=figure)
     record_fh = RecordAppender(record_path) if record_path else None

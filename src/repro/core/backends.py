@@ -16,8 +16,9 @@ Three backends mirror the paper's execution models:
 * :class:`FrontierBackend` — the production matcher: the
   frontier-at-a-time matcher (:mod:`repro.core.frontier`) produces whole
   *blocks* of core embeddings per NumPy kernel pass and feeds them
-  straight into one Venn per distinct anchor set + the compiled fringe
-  polynomial (:func:`venn_poly_sums`), with no per-embedding Python loop
+  straight into the Venn pass + the compiled fringe polynomial
+  (:func:`venn_poly_sums`: one diagram per row, or per distinct anchor
+  set where rows can share one), with no per-embedding Python loop
   (the warp model of Listing 7);
 * :class:`PoolBackend` — the worker substrate: the *persistent* pool
   (:mod:`repro.parallel.workerpool`), workers started once and reused
@@ -47,7 +48,7 @@ from .frontier import FrontierStats, iter_frontier_blocks
 from .matcher import match_cores
 from .plan import CountingPlan
 from .frontier import has_edges
-from .venn import group_anchor_rows, venn_merge, venn_sets
+from .venn import group_anchor_rows, slot_common_neighbors, venn_merge, venn_sets
 # the sort-reduce oracle stays importable here: the repository benchmark's
 # layer tracer (perfbench/tracing.py) wraps it under this name
 from .venn import venn_batch  # noqa: F401
@@ -60,6 +61,8 @@ __all__ = [
     "FrontierBackend",
     "PoolBackend",
     "select_backend",
+    "groups_can_fold",
+    "pivot_slot_levels",
     "venn_poly_sums",
 ]
 
@@ -161,6 +164,68 @@ def _exclusions(plan: CountingPlan) -> list[tuple[int, int, tuple[int, ...]]]:
     return out
 
 
+def groups_can_fold(plan: CountingPlan) -> bool:
+    """Can grouping a frontier block's rows fold any of them together?
+
+    Not when every core vertex is an anchor and either ``q <= 2`` or the
+    symmetry restriction ``less_than`` totally orders the anchor
+    positions: rows with equal anchors in equal order are then the same
+    row, so every group holds one row. Only the two orders of an anchor
+    pair can share a sorted set then, and a pair's diagram costs less
+    than the grouping that would find it.
+    """
+    core = plan.core_plan
+    p, q = len(core.order), plan.q
+    if q < p:
+        return True
+    if q <= 2:
+        return False
+    below = [set(lts) for lts in core.less_than]  # below[j]: positions whose match is smaller
+    for k in range(p):  # transitive closure (Warshall)
+        for j in range(p):
+            if k in below[j]:
+                below[j] |= below[k]
+    return any(i not in below[j] and j not in below[i] for j in range(p) for i in range(j))
+
+
+def pivot_slot_levels(plan: CountingPlan) -> tuple[int, ...]:
+    """The levels whose pivot edge joins two anchors, when rows are
+    scored one by one (:func:`groups_can_fold` is false): the frontier
+    carries those candidates' CSR slots to :func:`venn_poly_sums`."""
+    if groups_can_fold(plan):
+        return ()
+    core, anchored = plan.core_plan, set(plan.anchored_positions)
+    return tuple(
+        level for level in range(1, len(core.order))
+        if level in anchored and core.pivot[level] in anchored
+    )
+
+
+def _row_venns(
+    graph: CSRGraph,
+    anchors: np.ndarray,
+    plan: CountingPlan,
+    slots: np.ndarray | None,
+) -> np.ndarray:
+    """One diagram per row of ``anchors`` (every core vertex an anchor).
+
+    The common neighbours of a pivot edge are read at its slot
+    (``slots``, the columns of :func:`pivot_slot_levels`); pattern edges
+    need no edge test."""
+    core, col = plan.core_plan, {a: j for j, a in enumerate(plan.anchored_positions)}
+    adjacent = {
+        (min(col[a], col[b]), max(col[a], col[b]))
+        for b in range(len(core.order)) for a in core.back_edges[b]
+    }
+    common = {}
+    if slots is not None:
+        counts = slot_common_neighbors(graph)
+        for k, level in enumerate(pivot_slot_levels(plan)):
+            i, j = sorted((col[core.pivot[level]], col[level]))
+            common[i, j] = counts[slots[:, k]]
+    return venn_sets(graph, anchors, common, adjacent)
+
+
 def venn_poly_sums(
     graph: CSRGraph,
     block: np.ndarray,
@@ -168,15 +233,22 @@ def venn_poly_sums(
     members: Sequence[CountingPlan],
     batch_size: int,
     registry=None,
+    slots: np.ndarray | None = None,
 ) -> tuple[list[int], int]:
     """Σ over a block of core embeddings of each member's F(venn).
 
     ``block`` is ``(B, p)`` in ``plan``'s matching order; ``members``
     share ``plan``'s core, order and anchors, and ``plan`` matched under
     the weakest of their degree filters. Returns one sum per member and
-    the number of ``batch_size`` group chunks evaluated.
+    the number of ``batch_size`` row or group chunks evaluated.
 
-    Rows with equal anchors in equal order and equal *free* exclusion
+    When :func:`groups_can_fold` is false, each chunk of ``batch_size``
+    rows gets one :func:`~repro.core.venn.venn_sets` diagram per row,
+    scored directly; ``slots`` (the block's pivot slots at the levels
+    :func:`pivot_slot_levels` names) supply the pivot edges' common
+    neighbours, and without them every pair is looked up.
+
+    Otherwise rows with equal anchors in equal order and equal *free* exclusion
     bits (the graph edges between a non-anchor core vertex and the
     anchors it is not pattern-adjacent to) have equal diagrams, so
     :func:`~repro.core.venn.group_anchor_rows` groups the block once and
@@ -191,7 +263,8 @@ def venn_poly_sums(
     one ``repro_venn_set_size`` sample per row (one weighted sample per
     row group: the group's set size, as many times as the group has
     rows), one ``repro_batch_matches`` sample per chunk, and the number
-    of distinct sets in ``repro_venn_unique_anchor_rows_total``.
+    of diagrams computed (distinct sets, or rows when scored one by one)
+    in ``repro_venn_unique_anchor_rows_total``.
     """
     sums = [0] * len(members)
     if len(block) == 0:
@@ -199,6 +272,36 @@ def venn_poly_sums(
     positions = list(plan.anchored_positions)
     q = len(positions)
     anchors = block[:, positions]
+    # per member, the anchor degrees its own filter asks for, when stricter
+    shared = [plan.core_plan.min_degree[a] for a in positions]
+    filters = []
+    for m in members:
+        own = [m.core_plan.min_degree[a] for a in positions]
+        filters.append(own if own != shared else None)
+    if registry is not None:
+        batch_hist = registry.histogram("repro_batch_matches")
+        set_size_hist = registry.histogram("repro_venn_set_size")
+    if not groups_can_fold(plan):
+        batches = 0
+        for s in range(0, len(block), batch_size):
+            rows = anchors[s : s + batch_size]
+            with obs.span("venn_fc_batch", matches=len(rows)):
+                venns = _row_venns(
+                    graph, rows, plan, None if slots is None else slots[s : s + batch_size]
+                )
+                if registry is not None:
+                    batch_hist.observe(len(rows))
+                    set_size_hist.observe_many(venns.sum(axis=1))
+                for i, (m, own) in enumerate(zip(members, filters)):
+                    if own is None:
+                        sums[i] += m.poly.evaluate_batch(venns)
+                    else:
+                        keep = (graph.degrees[rows] >= own).all(axis=1)
+                        sums[i] += m.poly.evaluate_batch(venns[keep])
+            batches += 1
+        if registry is not None:
+            registry.counter("repro_venn_unique_anchor_rows_total").inc(len(block))
+        return sums, batches
     # per non-anchor core vertex, the anchors it is adjacent to: q bits
     # each, packed side by side; only the free bits need an edge test
     masks = np.zeros(len(block), dtype=np.int64)
@@ -216,16 +319,7 @@ def venn_poly_sums(
         for s in range(0, len(sets), batch_size):
             chunk = sets[s : s + batch_size]
             set_venns[s : s + len(chunk)] = venn_sets(graph, chunk)
-    # per member, the anchor degrees its own filter asks for, when stricter
-    shared = [plan.core_plan.min_degree[a] for a in positions]
-    filters = []
-    for m in members:
-        own = [m.core_plan.min_degree[a] for a in positions]
-        filters.append(own if own != shared else None)
     region_bits = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1  # (2^q, q)
-    if registry is not None:
-        batch_hist = registry.histogram("repro_batch_matches")
-        set_size_hist = registry.histogram("repro_venn_set_size")
     batches = 0
     for s in range(0, len(counts), batch_size):
         e = min(s + batch_size, len(counts))
@@ -324,10 +418,12 @@ class FrontierBackend:
     """Frontier-at-a-time vectorized matching + batched venn/fc.
 
     The matcher side runs level-synchronously over 2-D embedding blocks
-    (:func:`repro.core.frontier.iter_frontier_blocks`); each completed
-    block goes through :func:`venn_poly_sums`: one ``venn_sets`` diagram
-    per distinct anchor set, then every member's compiled fringe
-    polynomial on one row per row group, in ``batch_size`` group chunks. ``EngineConfig.max_frontier_rows``
+    (:func:`repro.core.frontier.iter_frontier_blocks`), carrying the
+    pivot slots :func:`pivot_slot_levels` names; each completed block
+    goes through :func:`venn_poly_sums`: ``venn_sets`` diagrams per row
+    (or per distinct anchor set, when :func:`groups_can_fold`), then
+    every member's compiled fringe polynomial, in ``batch_size`` chunks.
+    ``EngineConfig.max_frontier_rows``
     bounds the candidate volume of any expansion step (larger frontiers
     split and traverse depth-first), so memory stays fixed on dense
     graphs.
@@ -350,6 +446,8 @@ class FrontierBackend:
         matches = 0
         match_s = venn_fc_s = 0.0
         batches = 0
+        slot_levels = pivot_slot_levels(plan)
+        slots = None
         t_run = time.perf_counter()
         with obs.span("frontier.match", pattern_vertices=plan.pattern.n):
             blocks = iter_frontier_blocks(
@@ -358,6 +456,7 @@ class FrontierBackend:
                 start_vertices=start_vertices,
                 max_rows=cfg.max_frontier_rows,
                 stats=fstats,
+                slot_levels=slot_levels,
             )
             while True:
                 t0 = time.perf_counter()
@@ -365,6 +464,8 @@ class FrontierBackend:
                 match_s += time.perf_counter() - t0
                 if block is None:
                     break
+                if slot_levels:
+                    block, slots = block
                 matches += len(block)
                 if plan.q == 0:
                     # no anchored fringes: every core embedding contributes 1
@@ -372,7 +473,7 @@ class FrontierBackend:
                     continue
                 t0 = time.perf_counter()
                 block_sums, block_batches = venn_poly_sums(
-                    graph, block, plan, members, cfg.batch_size, registry
+                    graph, block, plan, members, cfg.batch_size, registry, slots
                 )
                 sums = [s + b for s, b in zip(sums, block_sums)]
                 batches += block_batches

@@ -8,9 +8,10 @@ instead of computed per match.
 * 1 vertex — a vertex v has one region, its degree: the row ``[·, d_v]``;
 * 2 vertices — an ordered edge (u, v) has the row
   ``[·, d_u − 1 − c, d_v − 1 − c, c]``, where ``c`` is the number of
-  common neighbours (:func:`edge_common_neighbors`: every edge's count,
-  read from the graph's ``A·A`` pair index once and cached per graph,
-  8 B per edge). Every edge gives one row per orientation,
+  common neighbours, read at the edge's upper-triangle slot of the
+  graph's cached per-slot counts
+  (:func:`~repro.core.venn.slot_common_neighbors`, 8 B per edge, built
+  without the pair index). Every edge gives one row per orientation,
   or a single orientation when the plan's symmetry restriction keeps one
   (``group_order`` 2); like the matcher, an orientation whose ends fall
   below the core's full-pattern degrees gives none.
@@ -33,7 +34,7 @@ embedding over every core vertex; it evaluates no polynomial itself. The
 polynomial of every pattern that shares the core (a whole family from
 one row build) and normalizes each sum like a matcher backend's.
 Kernels hold no precomputation of their own and are cheap to build; the
-per-edge counts belong to the graph, in a
+per-slot counts belong to the graph, in a
 :class:`~repro.core.frontier.GraphCache`.
 """
 
@@ -44,8 +45,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from .frontier import GraphCache
-from .venn import venn_sets
+from .venn import slot_common_neighbors, venn_sets
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan -> specialized)
     from .plan import CountingPlan
@@ -56,7 +56,6 @@ __all__ = [
     "EdgeCoreEngine",
     "anchored_rows",
     "common_neighbor_counts",
-    "edge_common_neighbors",
 ]
 
 _PAIR_CHUNK = 1 << 16  # edges per venn_sets call in common_neighbor_counts
@@ -114,16 +113,25 @@ class EdgeCoreEngine:
         self.plan = plan
 
     def __call__(self, graph: CSRGraph) -> np.ndarray:
-        edges = graph.edge_array()
         deg = graph.degrees
+        src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), deg)
+        upper = src < graph.colidx  # the slots of the edges u < v
+        du, dv = deg[src[upper]], deg[graph.colidx[upper]]
+        c = slot_common_neighbors(graph)[upper]
         md = self.plan.core_plan.min_degree  # the matcher's degree filter, per position
-        du, dv = deg[edges[:, 0]], deg[edges[:, 1]]
         forward = (du >= md[0]) & (dv >= md[1])
         backward = (dv >= md[0]) & (du >= md[1]) & (self.plan.group_order == 1)
-        either = forward | backward
-        c = edge_common_neighbors(graph)[either]
-        venn = np.stack([np.zeros_like(c), du[either] - 1 - c, dv[either] - 1 - c, c], axis=1)
-        return np.concatenate([venn[forward[either]], venn[backward[either]][:, [0, 2, 1, 3]]])
+        split = int(forward.sum())
+        venn = np.zeros((split + int(backward.sum()), 4), dtype=np.int64)
+        # forward rows (u, v), then backward rows (v, u)
+        for rows, keep, first, second in (
+            (venn[:split], forward, du, dv), (venn[split:], backward, dv, du)
+        ):
+            ck = c[keep]
+            rows[:, 1] = first[keep] - 1 - ck
+            rows[:, 2] = second[keep] - 1 - ck
+            rows[:, 3] = ck
+        return venn
 
 
 # the closed-form kernel of each core size; a plan's ``specialized_kind``
@@ -146,22 +154,3 @@ def common_neighbor_counts(graph: CSRGraph, edges: np.ndarray) -> np.ndarray:
     for s in range(0, len(pairs), _PAIR_CHUNK):
         out[s : s + _PAIR_CHUNK] = venn_sets(graph, pairs[s : s + _PAIR_CHUNK])[:, 0b11]
     return out
-
-
-def _build_edge_common_neighbors(graph: CSRGraph) -> np.ndarray:
-    counts = common_neighbor_counts(graph, graph.edge_array())
-    counts.setflags(write=False)
-    return counts
-
-
-_EDGE_COMMON: GraphCache[np.ndarray] = GraphCache()
-
-
-def edge_common_neighbors(graph: CSRGraph) -> np.ndarray:
-    """:func:`common_neighbor_counts` of every edge of
-    :meth:`~repro.graph.csr.CSRGraph.edge_array`, in its order.
-
-    Built on first use and cached per graph object (read-only, 8 B per
-    edge), so repeated edge-core counts on one graph only gather.
-    """
-    return _EDGE_COMMON.get(graph, _build_edge_common_neighbors)

@@ -28,8 +28,10 @@ of anchor rows in, a ``(B, 2^q)`` matrix of region counts out, computed
 with a single gather + sort-reduce pass across the whole batch.
 
 The batched backends do not call :func:`venn_batch` on every matched
-core. Core embeddings repeat the same anchor *set* — in another order,
-or with different non-anchor core vertices — so
+core. Where every core vertex is an anchor and the symmetry restriction
+orders them, each row gets its own :func:`venn_sets` diagram. Otherwise
+core embeddings repeat the same anchor *set* — in another order, or
+with different non-anchor core vertices — so
 :func:`group_anchor_rows` groups a block of embeddings once, by sorted
 anchor set, anchor order and the bits the caller names (the adjacency
 of non-anchor core vertices to anchors), and one diagram is computed
@@ -69,18 +71,25 @@ falls back to :func:`venn_batch`, which also stays the differential
 oracle in the tests. Builds record a ``venn.index_build`` span and the
 ``repro_venn_index_builds_total`` / ``repro_venn_index_bytes`` metrics;
 fallbacks count into ``repro_venn_index_fallbacks_total``.
+
+A pair that is an edge needs no index: :func:`slot_common_neighbors`
+keeps ``|N(u) ∩ N(v)|`` at every CSR slot of ``v`` in ``u``'s row
+(``A ⊙ A²`` at the positions of ``A``, ``int32``), built with
+:func:`~repro.core.frontier.has_edges` alone and cached per graph. The
+frontier backend hands those counts to :func:`venn_sets` for its pivot
+edges, and the edge-core closed form reads them directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..graph.csr import CSRGraph
-from .frontier import GraphCache, adjacency_bitmap, has_edges
+from .frontier import GraphCache, _budget_spans, adjacency_bitmap, has_edges
 
 __all__ = [
     "venn_hash",
@@ -92,6 +101,8 @@ __all__ = [
     "build_pair_index",
     "pair_index",
     "INDEX_BUDGET_BYTES",
+    "build_slot_common_neighbors",
+    "slot_common_neighbors",
     "group_keys",
     "group_anchor_rows",
 ]
@@ -287,6 +298,9 @@ def venn_batch(
 INDEX_BUDGET_BYTES = 64 << 20
 # 2-paths gathered per build block; bounds the build's transient memory
 INDEX_BLOCK_PATHS = 1 << 16
+# edge tests per block of the per-slot count build: small enough that a
+# block's transient arrays stay in cache
+SLOT_BLOCK_TESTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -391,7 +405,77 @@ def pair_index(graph: CSRGraph) -> PairIndex | None:
     return _INDEXES.get(graph, _index_within_budget)
 
 
-def venn_sets(graph: CSRGraph, sets: np.ndarray) -> np.ndarray:
+def build_slot_common_neighbors(
+    graph: CSRGraph, block_tests: int = SLOT_BLOCK_TESTS
+) -> np.ndarray:
+    """``|N(u) ∩ N(colidx[s])|`` for every CSR slot ``s`` of every row
+    ``u``: the edge-masked ``A ⊙ A²`` at the positions of ``A``, as
+    ``int32`` (4 B per slot, 8 B per undirected edge).
+
+    Each edge ``u < v`` scans the adjacency list of its endpoint of
+    smaller degree and tests every entry against the other endpoint with
+    :func:`~repro.core.frontier.has_edges` (the adjacency bitmap, or
+    bisection past its budget), in blocks of about ``block_tests``
+    tests. The pair index is never read. The edge's reverse slot, in
+    ``v``'s row, gets the same count.
+    """
+    n, rowptr, colidx, deg = graph.num_vertices, graph.rowptr, graph.colidx, graph.degrees
+    out = np.zeros(len(colidx), dtype=np.int32)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    upper = np.flatnonzero(src < colidx)
+    if len(upper) == 0:
+        return out
+    u, v = src[upper], colidx[upper]
+    small = np.where(deg[u] <= deg[v], u, v)
+    other = u + v - small
+    lengths = deg[small]
+    counts = np.empty(len(upper), dtype=np.int32)
+    for e0, e1 in _budget_spans(lengths, block_tests):
+        lens = lengths[e0:e1]  # every edge scans at least its own other end
+        total = int(lens.sum())
+        edge = np.repeat(np.arange(e0, e1, dtype=np.int64), lens)
+        first = np.cumsum(lens) - lens
+        offsets = np.arange(total, dtype=np.int64) - np.repeat(first, lens)
+        hit = has_edges(graph, other[edge], colidx[rowptr[small[edge]] + offsets])
+        counts[e0:e1] = np.add.reduceat(hit.astype(np.int32), first)
+    out[upper] = counts
+    # lower slots in CSR order are (v, u) by v then u; a stable sort by u
+    # lines them up with the upper slots' (u, v)
+    lower = np.flatnonzero(src > colidx)
+    out[lower[np.argsort(colidx[lower], kind="stable")]] = counts
+    return out
+
+
+def _build_slot_common(graph: CSRGraph) -> np.ndarray:
+    with obs.span("venn.slot_build", n=graph.num_vertices, slots=len(graph.colidx)):
+        counts = build_slot_common_neighbors(graph)
+    counts.setflags(write=False)
+    return counts
+
+
+_SLOT_COMMON: GraphCache[np.ndarray] = GraphCache()
+
+
+def slot_common_neighbors(graph: CSRGraph) -> np.ndarray:
+    """The graph's cached :func:`build_slot_common_neighbors`, built on
+    first use: read-only, one ``int32`` per slot of ``colidx``.
+
+    The frontier backend reads a pivot edge's common neighbours here at
+    the slot the matcher gathered it from, and the edge-core closed form
+    reads the upper-triangle slots (``u < v``, the order of
+    :meth:`~repro.graph.csr.CSRGraph.edge_array`). A
+    :class:`~repro.core.frontier.GraphCache` keeps it per graph object
+    and out of pickles.
+    """
+    return _SLOT_COMMON.get(graph, _build_slot_common)
+
+
+def venn_sets(
+    graph: CSRGraph,
+    sets: np.ndarray,
+    common: Mapping[tuple[int, int], np.ndarray] | None = None,
+    adjacent: Collection[tuple[int, int]] = (),
+) -> np.ndarray:
     """``venn_batch(graph, sets, sets)`` from intersection sizes.
 
     ``sets`` is ``(U, q)``, each row ``q`` distinct vertices in any
@@ -402,28 +486,38 @@ def venn_sets(graph: CSRGraph, sets: np.ndarray) -> np.ndarray:
     ``|T| >= 3`` the AND of the members' rows of the
     :func:`~repro.core.frontier.adjacency_bitmap`, popcounted. Each
     anchor then leaves the one region its adjacency to the other anchors
-    names. Falls back to :func:`venn_batch` when the graph has no index,
-    or, for ``q >= 3``, no bitmap.
+    names. Falls back to :func:`venn_batch` when the graph has no index
+    (and some pair is not in ``common``), or, for ``q >= 3``, no bitmap.
+
+    ``common`` maps column pairs ``(i, j)``, ``i < j``, to their
+    common-neighbour counts when the caller already has them (read from
+    :func:`slot_common_neighbors`), and ``adjacent`` lists the column
+    pairs that are edges in every row; neither is looked up again.
     """
     u, q = sets.shape
     if u == 0 or q == 0:
         return np.zeros((u, 1 << q), dtype=np.int64)
-    index = pair_index(graph) if q >= 2 else None
+    common = common or {}
+    lookups = q * (q - 1) // 2 > len(common)
+    index = pair_index(graph) if lookups else None
     bitmap = adjacency_bitmap(graph) if q >= 3 else None
-    if (q >= 2 and index is None) or (q >= 3 and bitmap is None):
+    if (lookups and index is None) or (q >= 3 and bitmap is None):
         obs.counter_add("repro_venn_index_fallbacks_total")
         return venn_batch(graph, sets, sets)
-    degs = graph.degrees[sets]
-    venn = np.zeros((u, 1 << q), dtype=np.int64)
-    adj = np.zeros((u, q), dtype=np.int64)  # anchors adjacent to anchor j
+    # region-major: one contiguous row of u counts per region
+    venn = np.zeros((1 << q, u), dtype=np.int64)
+    adj = np.zeros((q, u), dtype=np.int64)  # anchors adjacent to anchor j
     for j in range(q):
-        venn[:, 1 << j] = degs[:, j]
+        venn[1 << j] = graph.degrees[sets[:, j]]
         for i in range(j):
             a, b = sets[:, i], sets[:, j]
-            venn[:, (1 << i) | (1 << j)] = index.lookup(np.minimum(a, b), np.maximum(a, b))
-            hit = has_edges(graph, a, b).astype(np.int64)
-            adj[:, i] |= hit << j
-            adj[:, j] |= hit << i
+            known = common.get((i, j))
+            if known is None:
+                known = index.lookup(np.minimum(a, b), np.maximum(a, b))
+            venn[(1 << i) | (1 << j)] = known
+            hit = 1 if (i, j) in adjacent else has_edges(graph, a, b).astype(np.int64)
+            adj[i] |= hit << j
+            adj[j] |= hit << i
     if q >= 3:
         words = bitmap.view(np.uint64).reshape(graph.num_vertices, -1)
         nbrs = [words[sets[:, j]] for j in range(q)]
@@ -434,18 +528,19 @@ def venn_sets(graph: CSRGraph, sets: np.ndarray) -> np.ndarray:
                 np.bitwise_and(nbrs[members[0]], nbrs[members[1]], out=both)
                 for j in members[2:]:
                     both &= nbrs[j]
-                venn[:, t] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
+                venn[t] = np.bitwise_count(both).sum(axis=1, dtype=np.int64)
     # superset Möbius transform, one bit at a time, in place
     for j in range(q):
-        pairs = venn.reshape(u, -1, 2, 1 << j)
-        pairs[:, :, 0, :] -= pairs[:, :, 1, :]
-    venn[:, 0] = 0
-    # an anchor is a neighbour of exactly the anchors its mask names
-    rows = np.arange(u)
+        for t in range(1 << q):
+            if not t >> j & 1:
+                venn[t] -= venn[t | 1 << j]
+    # an anchor is a neighbour of exactly the anchors its mask names (an
+    # anchor adjacent to none lands in region 0, cleared below)
+    flat, rows = venn.reshape(-1), np.arange(u)
     for j in range(q):
-        sel = adj[:, j] != 0
-        venn[rows[sel], adj[sel, j]] -= 1
-    return venn
+        flat[adj[j] * u + rows] -= 1
+    venn[0] = 0
+    return venn.T
 
 
 def group_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ All loaders return an undirected simple :class:`~repro.graph.csr.CSRGraph`.
 from __future__ import annotations
 
 import io as _io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,18 +44,19 @@ def _open_text(path) -> _io.TextIOBase:
 
 
 def read_edge_list(path, *, comments: str = "#%", compact: bool = False) -> CSRGraph:
-    """Read a SNAP-style whitespace-separated edge list."""
-    rows: list[tuple[int, int]] = []
-    with _open_text(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line[0] in comments:
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"malformed edge line: {line!r}")
-            rows.append((int(parts[0]), int(parts[1])))
-    edges = np.asarray(rows, dtype=INDEX_DTYPE).reshape(-1, 2)
+    """Read a SNAP-style whitespace-separated edge list.
+
+    One ``np.loadtxt`` pass reads the first two columns as int64: blank
+    lines and text after a ``comments`` character are skipped, further
+    columns are ignored, and a line with one token raises ``ValueError``.
+    An empty file is an empty graph.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        edges = np.loadtxt(
+            path, dtype=INDEX_DTYPE, comments=list(comments), usecols=(0, 1), ndmin=2,
+            encoding="utf-8",
+        )
     return graph_from_raw_edges(edges, compact=compact)
 
 

@@ -177,12 +177,14 @@ class MetricsRegistry:
 
     # -- access (get-or-create; kind mismatches are programming errors) --
     def _get(self, factory, name: str, labels: Mapping[str, str]):
-        key = (name, _label_key(labels))
-        with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = factory()
-                self._metrics[key] = metric
+        key = (name, _label_key(labels) if labels else ())
+        # an existing metric is one dict read; the lock guards creation
+        metric = self._metrics.get(key)
+        if metric is None:
+            with self._lock:
+                metric = self._metrics.get(key)
+                if metric is None:
+                    metric = self._metrics[key] = factory()
         return metric
 
     def counter(self, name: str, **labels: str) -> Counter:
@@ -194,8 +196,11 @@ class MetricsRegistry:
     def histogram(
         self, name: str, buckets: Sequence[float] | None = None, **labels: str
     ) -> Histogram:
-        resolved = tuple(buckets) if buckets is not None else BUCKETS.get(name, DEFAULT_BUCKETS)
-        return self._get(lambda: Histogram(self._lock, resolved), name, labels)
+        def create() -> Histogram:
+            resolved = tuple(buckets) if buckets is not None else BUCKETS.get(name, DEFAULT_BUCKETS)
+            return Histogram(self._lock, resolved)
+
+        return self._get(create, name, labels)
 
     # ------------------------------------------------------------------
     def collect(self) -> list[tuple[str, dict, Counter | Gauge | Histogram]]:

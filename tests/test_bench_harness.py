@@ -281,9 +281,12 @@ class TestCellsExcludeSetUp:
         monkeypatch.setattr(harness, "pair_index", lambda g: built.append(("pairs", g)))
         monkeypatch.setattr(harness, "adjacency_bitmap", lambda g: built.append(("bits", g)))
         monkeypatch.setattr(harness, "upper_starts", lambda g: built.append(("starts", g)))
+        monkeypatch.setattr(
+            harness, "slot_common_neighbors", lambda g: built.append(("slots", g))
+        )
         graph = gen.erdos_renyi(20, 0.3, seed=5)
         run_figure("t", {"triangle": catalog.triangle()}, {"er": graph}, ["fringe-sgc"])
-        assert built == [("pairs", graph), ("bits", graph), ("starts", graph)]
+        assert built == [("pairs", graph), ("bits", graph), ("starts", graph), ("slots", graph)]
         built.clear()
         run_figure("t", {"triangle": catalog.triangle()}, {"er": graph}, ["stmatch-like"])
         assert built == []

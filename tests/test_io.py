@@ -1,5 +1,7 @@
 """Round-trip and format tests for graph I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,27 @@ class TestEdgeList:
         path.write_text("0\n")
         with pytest.raises(ValueError):
             gio.read_edge_list(path)
+
+    def test_extra_columns_and_trailing_comments_ignored(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1 7 x\n  1\t2  # weight\n2 3 % note\n")
+        g = gio.read_edge_list(path)
+        assert g.edge_array().tolist() == [[0, 1], [1, 2], [2, 3]]
+
+    def test_one_token_line_after_edges_rejected(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 2\n5\n")
+        with pytest.raises(ValueError):
+            gio.read_edge_list(path)
+
+    @pytest.mark.parametrize("text", ["", "# only a header\n\n"])
+    def test_empty_file_is_an_empty_graph(self, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = gio.read_edge_list(path)
+        assert (g.num_vertices, g.num_edges) == (0, 0)
 
     def test_compact_relabels(self, tmp_path):
         path = tmp_path / "g.txt"

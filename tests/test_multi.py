@@ -11,7 +11,7 @@ import pytest
 
 from repro import count_subgraphs
 from repro.bench import workloads as W
-from repro.core import specialized
+from repro.core import venn as venn_mod
 from repro.core.engine import EngineConfig, count_many
 from repro.core.frontier import GraphCache
 from repro.core.plan import CountingPlan, compile_pattern
@@ -157,15 +157,15 @@ class TestSharedWorkEfficiency:
         closed-form row build (one common-neighbour pass) serves it, and
         the per-graph cache serves every later edge-core count."""
         calls = []
-        counts = specialized.common_neighbor_counts
+        build = venn_mod.build_slot_common_neighbors
 
-        def counted(g, edges):
+        def counted(g):
             calls.append(g)
-            return counts(g, edges)
+            return build(g)
 
-        monkeypatch.setattr(specialized, "common_neighbor_counts", counted)
-        # an empty per-edge cache, so earlier tests' builds do not count
-        monkeypatch.setattr(specialized, "_EDGE_COMMON", GraphCache())
+        monkeypatch.setattr(venn_mod, "build_slot_common_neighbors", counted)
+        # an empty per-slot cache, so earlier tests' builds do not count
+        monkeypatch.setattr(venn_mod, "_SLOT_COMMON", GraphCache())
         fam = W.fig09_patterns()
         assert {p.group_order for p in map(compile_pattern, fam.values())} == {1, 2}
         rt = Runtime()

@@ -113,6 +113,34 @@ class TestMetrics:
             t.join()
         assert reg.counter("c").value == 4000
 
+    def test_lookups_return_one_metric_per_series(self):
+        reg = MetricsRegistry()
+        assert reg.counter("c") is reg.counter("c")
+        assert reg.counter("c", a="1", b="2") is reg.counter("c", b="2", a="1")
+        assert reg.counter("c", a="1") is not reg.counter("c")
+        h = reg.histogram("h", buckets=(1, 2))
+        # buckets only shape a new histogram
+        assert reg.histogram("h") is h and h.buckets == (1, 2)
+
+    def test_concurrent_first_lookups_create_one_metric(self):
+        reg = MetricsRegistry()
+        start = threading.Barrier(8)
+        got = []
+
+        def work(i):
+            start.wait()
+            got.append(reg.histogram(f"h{i % 2}"))
+            reg.counter("c").inc()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len({id(h) for h in got}) == 2
+        assert reg.counter("c").value == 8
+        assert [name for name, _, _ in reg.collect()] == ["c", "h0", "h1"]
+
 
 def _per_value(buckets, values):
     """A histogram filled one ``observe`` call per value."""

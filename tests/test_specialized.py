@@ -16,8 +16,9 @@ from repro.core.specialized import (
     EdgeCoreEngine,
     VertexCoreEngine,
     common_neighbor_counts,
-    edge_common_neighbors,
 )
+from repro.core import frontier as frontier_mod
+from repro.core.venn import slot_common_neighbors
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from repro.patterns import catalog
@@ -205,26 +206,37 @@ class TestCommonNeighborCounts:
         assert common_neighbor_counts(fresh, edges).tolist() == via_index.tolist()
 
 
+def upper_slots(graph):
+    """Per-slot counts at the slots of the edges ``u < v``, in
+    ``edge_array()`` order."""
+    src = np.repeat(np.arange(graph.num_vertices), graph.degrees)
+    return slot_common_neighbors(graph)[src < graph.colidx]
+
+
 class TestEdgeCommonNeighbors:
+    """The edge-core closed form reads the graph's per-slot counts."""
+
     def test_cached_per_graph_and_read_only(self, monkeypatch):
         g = gen.barabasi_albert(150, 5, seed=9)
-        counts = edge_common_neighbors(g)
-        assert counts.tolist() == common_neighbor_counts(g, g.edge_array()).tolist()
-        assert counts.dtype == np.int64 and not counts.flags.writeable
+        counts = slot_common_neighbors(g)
+        assert upper_slots(g).tolist() == common_neighbor_counts(g, g.edge_array()).tolist()
+        assert counts.dtype == np.int32 and not counts.flags.writeable
         builds = []
         monkeypatch.setattr(
-            specialized, "common_neighbor_counts", lambda *a: builds.append(a) or None
+            venn_mod, "build_slot_common_neighbors", lambda *a: builds.append(a) or None
         )
         for pat in (catalog.diamond(), catalog.k_tailed_triangle(2), catalog.path(4)):
             closed_form(g, pat)
-        assert edge_common_neighbors(g) is counts and not builds
+        assert slot_common_neighbors(g) is counts and not builds
 
     def test_over_budget_graph_counts_the_same(self, monkeypatch):
         g = gen.barabasi_albert(150, 5, seed=9)
         fresh = CSRGraph.from_edges(g.edge_array().tolist(), num_vertices=g.num_vertices)
         monkeypatch.setattr(venn_mod, "INDEX_BUDGET_BYTES", 0)
+        monkeypatch.setattr(frontier_mod, "BITMAP_BUDGET_BYTES", 0)
         assert venn_mod.pair_index(fresh) is None
-        assert edge_common_neighbors(fresh).tolist() == edge_common_neighbors(g).tolist()
+        assert frontier_mod.adjacency_bitmap(fresh) is None
+        assert slot_common_neighbors(fresh).tolist() == slot_common_neighbors(g).tolist()
         for pat in (catalog.diamond(), catalog.k_tailed_triangle(2), catalog.path(4)):
             expect = count_subgraphs(g, pat, engine="general")
             got = closed_form(fresh, pat)
@@ -232,7 +244,7 @@ class TestEdgeCommonNeighbors:
 
     def test_edgeless_graph(self):
         g = CSRGraph.from_edges([], num_vertices=4)
-        assert len(edge_common_neighbors(g)) == 0
+        assert len(slot_common_neighbors(g)) == 0
         assert closed_form(g, catalog.diamond()).count == 0
 
 

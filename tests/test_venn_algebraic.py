@@ -86,16 +86,19 @@ def test_captured_distinct_sets_equal_venn_batch(graphs, graph_name, name, monke
     graph, plan = graphs[graph_name], plan_of(name)
     calls = []
 
-    def capture(g, sets):
-        calls.append(sets.copy())
-        return venn_sets(g, sets)
+    def capture(g, sets, *known):
+        # rows scored one by one also pass the pairs they already know
+        venns = venn_sets(g, sets, *known)
+        calls.append((sets.copy(), venns.copy()))
+        return venns
 
     monkeypatch.setattr(backends, "venn_sets", capture)
     partial = FrontierBackend().run(plan, graph)
     assert calls or partial.matches == 0
-    for sets in calls:
+    for sets, venns in calls:
         assert sets.shape[1] == plan.q
         assert_equal_oracle(graph, sets)
+        np.testing.assert_array_equal(venns, venn_batch(graph, sets, sets))
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +258,8 @@ def test_index_stays_out_of_pickled_graphs():
 def test_one_count_builds_one_index_and_the_next_none():
     g = gen.kronecker(6, edge_factor=8, seed=9)
     rt = Runtime()
-    pattern = catalog.diamond()
+    # the 4-cycle's anchors are no pivot edge: their pairs are looked up
+    pattern = catalog.four_cycle()
     rt.plan_for(pattern)  # compiling may count on the pattern's own graph
     with Observer() as ob:
         first = rt.count(g, pattern, engine="frontier")
