@@ -69,7 +69,6 @@ import sys
 import time
 
 from .core.engine import ENGINES, EngineConfig
-from .graph import datasets
 from .graph.io import load_graph
 from .patterns.decompose import decompose
 from .patterns.dsl import parse_pattern, pattern_names
@@ -83,6 +82,8 @@ def _load_graph(args):
     if args.graph:
         graph, name = load_graph(args.graph), args.graph
     elif args.dataset:
+        from .graph import datasets
+
         graph, name = datasets.make(args.dataset, args.scale), args.dataset
     else:
         raise SystemExit("a graph is required: --graph FILE or --dataset NAME")
@@ -346,6 +347,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_datasets(_args) -> int:
+    from .graph import datasets
+
     print(f"{'name':<20}{'type':<24}{'source':<8}{'paper |V|':>12}{'paper |E|':>14}")
     for spec in datasets.DATASETS.values():
         print(

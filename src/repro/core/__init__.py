@@ -3,8 +3,11 @@
 Layered architecture (DESIGN.md §7): :mod:`repro.core.plan` compiles
 patterns into frozen plans, :mod:`repro.core.backends` executes plans
 over graphs, and :class:`repro.runtime.Runtime` fronts both with an LRU
-plan cache.
+plan cache. The listing helpers (:mod:`repro.core.listing`) load on
+first attribute access (PEP 562).
 """
+
+import importlib
 
 from .backends import (
     Backend,
@@ -33,7 +36,6 @@ from .engine import (
     injective_core_sum,
 )
 from .plan import CountingPlan, compile_pattern, exact_divide, plan_key
-from .listing import CoreMatch, iter_core_matches, per_vertex_counts, top_cores
 from .fringe_count import count_fringe_choices, fc_recursive
 from .matcher import CorePlan, build_plan, count_core_matches, match_cores
 from .venn import venn_hash, venn_merge, venn_sorted
@@ -78,3 +80,11 @@ __all__ = [
     "venn_merge",
     "venn_sorted",
 ]
+
+_LAZY = {name: "listing" for name in ("CoreMatch", "iter_core_matches", "per_vertex_counts", "top_cores")}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

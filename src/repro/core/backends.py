@@ -61,6 +61,7 @@ __all__ = [
     "FrontierBackend",
     "PoolBackend",
     "select_backend",
+    "anchors_ordered",
     "groups_can_fold",
     "pivot_slot_levels",
     "venn_poly_sums",
@@ -164,28 +165,40 @@ def _exclusions(plan: CountingPlan) -> list[tuple[int, int, tuple[int, ...]]]:
     return out
 
 
-def groups_can_fold(plan: CountingPlan) -> bool:
-    """Can grouping a frontier block's rows fold any of them together?
+def anchors_ordered(plan: CountingPlan) -> bool:
+    """Does the symmetry restriction fix the anchors' order?
 
-    Not when every core vertex is an anchor and either ``q <= 2`` or the
-    symmetry restriction ``less_than`` totally orders the anchor
-    positions: rows with equal anchors in equal order are then the same
-    row, so every group holds one row. Only the two orders of an anchor
-    pair can share a sorted set then, and a pair's diagram costs less
-    than the grouping that would find it.
+    True when the transitive closure of ``less_than`` totally orders the
+    anchor positions: every match then lists its anchors in one fixed
+    order of their values, so two rows with the same anchor set have
+    them in the same order.
     """
     core = plan.core_plan
-    p, q = len(core.order), plan.q
-    if q < p:
-        return True
-    if q <= 2:
-        return False
+    p = len(core.order)
     below = [set(lts) for lts in core.less_than]  # below[j]: positions whose match is smaller
     for k in range(p):  # transitive closure (Warshall)
         for j in range(p):
             if k in below[j]:
                 below[j] |= below[k]
-    return any(i not in below[j] and j not in below[i] for j in range(p) for i in range(j))
+    positions = plan.anchored_positions
+    return all(
+        a in below[b] or b in below[a] for i, b in enumerate(positions) for a in positions[:i]
+    )
+
+
+def groups_can_fold(plan: CountingPlan) -> bool:
+    """Can grouping a frontier block's rows fold any of them together?
+
+    Not when every core vertex is an anchor and either ``q <= 2`` or
+    :func:`anchors_ordered`: rows with equal anchors in equal order are
+    then the same row, so every group holds one row. Only the two orders
+    of an anchor pair can share a sorted set then, and a pair's diagram
+    costs less than the grouping that would find it.
+    """
+    p, q = len(plan.core_plan.order), plan.q
+    if q < p:
+        return True
+    return q > 2 and not anchors_ordered(plan)
 
 
 def pivot_slot_levels(plan: CountingPlan) -> tuple[int, ...]:
@@ -312,7 +325,7 @@ def venn_poly_sums(
             mask = mask | has_edges(graph, anchors[:, j], block[:, c]).astype(np.int64) << j
         masks |= mask << (q * i)
     sets, set_of, rank, masks, counts = group_anchor_rows(
-        anchors, masks, q * len(exclusions), graph.num_vertices
+        anchors, masks, q * len(exclusions), graph.num_vertices, anchors_ordered(plan)
     )
     with obs.span("venn_unique", sets=len(sets), matches=len(block)):
         set_venns = np.empty((len(sets), 1 << q), dtype=np.int64)

@@ -17,11 +17,16 @@ array kernels:
   pivot's first larger neighbour, read from the graph's cached
   :func:`upper_starts`, so candidates the bound would reject are never
   gathered: Listing 7's ``match[j] < match[i]`` pruning, applied before
-  the gather instead of after it;
-* **degree / symmetry / injectivity filtering** — boolean masks:
-  full-pattern degree lower bounds, the ``match[j] < v`` order
-  constraints from symmetry breaking, and row-wise ``!=`` compares
-  against every earlier column;
+  the gather instead of after it. A level that must exceed a *sibling*
+  (an earlier level read from the same pivot's list) starts right after
+  the sibling's slot, which the rows carry;
+* **support / degree / symmetry / injectivity filtering** — boolean
+  masks: the support bound (the pivot edge's common-neighbour count,
+  one gather from :func:`~repro.core.venn.slot_common_neighbors` at the
+  candidate's slot, must reach ``CorePlan.min_common``: fewer places no
+  full pattern), full-pattern degree lower bounds, the ``match[j] < v``
+  order constraints from symmetry breaking, and row-wise ``!=``
+  compares against every earlier column;
 * **back-edge checking** — :func:`has_edges`, one bit test per (matched
   vertex, candidate) pair in the graph's cached adjacency bitmap
   (:func:`adjacency_bitmap`, bit ``u·stride + v`` with each row padded
@@ -46,7 +51,8 @@ slot instead of searching for the pair.
 
 Observability: each expansion emits a ``frontier.level`` span and a
 ``repro_frontier_width`` histogram sample; splits count into
-``repro_frontier_spills_total``; the backend reports aggregate
+``repro_frontier_spills_total`` and support-pruned candidates into
+``repro_frontier_support_pruned_total``; the backend reports aggregate
 ``repro_frontier_rows_total`` and a ``repro_frontier_rows_per_second``
 throughput gauge. A bitmap build records a ``frontier.bitmap_build``
 span and the ``repro_frontier_bitmap_builds_total`` /
@@ -56,6 +62,7 @@ budget count into ``repro_frontier_bitmap_fallbacks_total``.
 
 from __future__ import annotations
 
+import functools
 import threading
 import weakref
 from dataclasses import dataclass
@@ -127,12 +134,15 @@ class FrontierStats:
     (the data volume the matcher pushed through its kernels — the
     numerator of the rows/sec throughput gauge); ``peak_width`` is the
     widest single frontier block seen; ``spills`` counts block splits
-    forced by ``max_rows``.
+    forced by ``max_rows``; ``support_pruned`` counts the candidates
+    that passed the degree filter but failed the support bound
+    (``CorePlan.min_common``).
     """
 
     rows: int = 0
     peak_width: int = 0
     spills: int = 0
+    support_pruned: int = 0
 
 
 def row_lower_bound(
@@ -268,40 +278,77 @@ def upper_starts(graph: CSRGraph) -> np.ndarray:
     return _UPPER_STARTS.get(graph, _build_upper_starts)
 
 
+@dataclass(frozen=True)
+class _Walk:
+    """The constants of one :func:`iter_frontier_blocks` traversal.
+
+    ``carried`` lists (ascending) the levels whose CSR slots the rows
+    carry: the caller's ``slot_levels`` and every level that bounds a
+    later sibling scan; ``siblings[level]`` names the earlier levels
+    whose carried slot starts ``level``'s scan. ``common`` is the
+    graph's :func:`~repro.core.venn.slot_common_neighbors` when some
+    level has a support bound, and ``pruned`` the
+    ``repro_frontier_support_pruned_total`` counter when metrics are on.
+    """
+
+    graph: CSRGraph
+    plan: CorePlan
+    carried: tuple[int, ...]
+    siblings: tuple[tuple[int, ...], ...]
+    common: np.ndarray | None
+    max_rows: int
+    stats: FrontierStats
+    registry: obs.MetricsRegistry | None
+    pruned: obs.Counter | None
+
+
+def _sibling_bounds(plan: CorePlan) -> tuple[tuple[int, ...], ...]:
+    """Per level, the earlier levels it must exceed whose candidates were
+    read from the same pivot's adjacency list: the level's scan can
+    start right after such a sibling's slot."""
+    return tuple(
+        tuple(j for j in plan.less_than[level] if j > 0 and plan.pivot[j] == plan.pivot[level])
+        for level in range(len(plan.order))
+    )
+
+
 def _scan_ranges(
-    graph: CSRGraph, block: np.ndarray, level: int, plan: CorePlan
+    walk: _Walk, block: np.ndarray, slots: np.ndarray | None, level: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's candidate slice ``colidx[start : start + length]`` at
-    ``level``: the pivot's whole adjacency list, or only its neighbours
-    above it when the pivot bounds the level (``match[pivot] < v``)."""
+    ``level``: the pivot's adjacency list above its tightest start —
+    the pivot itself when the pivot bounds the level (``match[pivot] <
+    v``), and the slot of every sibling bound (an earlier level read
+    from the same list that the level must exceed)."""
+    graph, plan = walk.graph, walk.plan
     piv = plan.pivot[level]
     pivots = block[:, piv]
+    bounds = [slots[:, walk.carried.index(j)] + 1 for j in walk.siblings[level]]
     if piv in plan.less_than[level]:
-        starts = upper_starts(graph)[pivots]
-    else:
-        starts = graph.rowptr[pivots]
+        bounds.append(upper_starts(graph)[pivots])
+    starts = functools.reduce(np.maximum, bounds) if bounds else graph.rowptr[pivots]
     return starts, graph.rowptr[pivots + 1] - starts
 
 
 def _expand_level(
-    graph: CSRGraph,
+    walk: _Walk,
     block: np.ndarray,
     level: int,
-    plan: CorePlan,
     starts: np.ndarray,
     lengths: np.ndarray,
-    slots: np.ndarray | None = None,
-    carry: bool = False,
+    slots: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Extend every partial embedding in ``block`` by matching position
     ``level``, gathering row ``r``'s candidates from its scan range
     (``starts[r]``, ``lengths[r]``: :func:`_scan_ranges`); returns the
     filtered ``(rows, level + 1)`` frontier and its slot columns:
     ``slots`` (one column per carried level, or ``None``) follow their
-    rows, and with ``carry`` the CSR position each candidate was read
-    from joins them as a new last column."""
+    rows, and at a carried level the CSR position each candidate was
+    read from joins them as a new last column."""
+    graph, plan = walk.graph, walk.plan
     colidx, degrees = graph.colidx, graph.degrees
     piv = plan.pivot[level]
+    carry = level in walk.carried
     total = int(lengths.sum())
     if total == 0:  # the caller drops an empty frontier with its slots
         return np.empty((0, level + 1), dtype=np.int64), None
@@ -312,15 +359,25 @@ def _expand_level(
     )
     slot = starts[parent] + offsets
     cand = colidx[slot]
-    if not carry:
-        slot = None  # free it now: holding it slows the next allocations
 
     keep = degrees[cand] >= plan.min_degree[level]
+    # support bound: the pivot edge needs as many common neighbours as
+    # the pattern puts on it, read at the slot the candidate came from
+    need = plan.min_common[level]
+    if need:
+        passed = np.count_nonzero(keep)
+        keep &= walk.common[slot] >= need
+        dropped = int(passed - np.count_nonzero(keep))
+        walk.stats.support_pruned += dropped
+        if walk.pruned is not None:
+            walk.pruned.inc(dropped)
+    if not carry:
+        slot = None  # free it now: holding it slows the next allocations
     # symmetry-breaking order constraints: match[j] < candidate (the scan
-    # range already enforces the pivot's)
+    # range already enforces the pivot's and every sibling's)
     lts = plan.less_than[level]
     for j in lts:
-        if j != piv:
+        if j != piv and j not in walk.siblings[level]:
             keep &= block[parent, j] < cand
     # injectivity against every earlier position (strict < above already
     # implies != for the symmetry-constrained columns, and a neighbour of
@@ -368,38 +425,28 @@ def _budget_spans(lengths: np.ndarray, budget: int) -> Iterator[tuple[int, int]]
 
 
 def _blocks(
-    graph: CSRGraph,
-    plan: CorePlan,
-    block: np.ndarray,
-    slots: np.ndarray | None,
-    level: int,
-    slot_levels: Sequence[int],
-    max_rows: int,
-    stats: FrontierStats,
-    registry,
+    walk: _Walk, block: np.ndarray, slots: np.ndarray | None, level: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Carry one frontier block (and its slot columns) through levels
     ``level..p-1``, splitting whenever the next expansion would exceed
     ``max_rows`` candidates."""
-    p = len(plan.order)
+    p = len(walk.plan.order)
+    stats, registry = walk.stats, walk.registry
     while level < p:
         if len(block) == 0:
             return  # empty-frontier early exit: nothing downstream matches
-        starts, lengths = _scan_ranges(graph, block, level, plan)
-        if int(lengths.sum()) > max_rows and len(block) > 1:
+        starts, lengths = _scan_ranges(walk, block, slots, level)
+        if int(lengths.sum()) > walk.max_rows and len(block) > 1:
             stats.spills += 1
             if registry is not None:
                 registry.counter("repro_frontier_spills_total").inc()
-            for s, e in _budget_spans(lengths, max_rows):
+            for s, e in _budget_spans(lengths, walk.max_rows):
                 yield from _blocks(
-                    graph, plan, block[s:e], None if slots is None else slots[s:e],
-                    level, slot_levels, max_rows, stats, registry,
+                    walk, block[s:e], None if slots is None else slots[s:e], level
                 )
             return
         with obs.span("frontier.level", level=level, rows_in=len(block)):
-            block, slots = _expand_level(
-                graph, block, level, plan, starts, lengths, slots, level in slot_levels
-            )
+            block, slots = _expand_level(walk, block, level, starts, lengths, slots)
         stats.rows += len(block)
         stats.peak_width = max(stats.peak_width, len(block))
         if registry is not None:
@@ -420,12 +467,16 @@ def iter_frontier_blocks(
 ) -> Iterator[np.ndarray] | Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream completed core embeddings as ``(rows, p)`` int64 blocks.
 
-    Row-for-row equivalent to collecting :func:`repro.core.matcher.
-    match_cores` (same symmetry reduction, same matching-order column
-    layout), but produced level-synchronously: row ``i`` of a block maps
-    matching position ``j`` to graph vertex ``block[i, j]``.
-    ``start_vertices`` restricts position-0 roots — the same
-    work-distribution unit the parallel layers slice. ``max_rows``
+    The rows are the :func:`repro.core.matcher.match_cores` tuples (same
+    symmetry reduction, same matching-order column layout) whose pivot
+    edges meet the plan's support bound: at every level the pivot edge
+    has at least ``plan.min_common[level]`` common graph neighbours
+    (read from :func:`~repro.core.venn.slot_common_neighbors` at the
+    candidate's slot). A dropped row places no full pattern, so every
+    fringe count on it is 0. They are produced level-synchronously: row
+    ``i`` of a block maps matching position ``j`` to graph vertex
+    ``block[i, j]``. ``start_vertices`` restricts position-0 roots — the
+    same work-distribution unit the parallel layers slice. ``max_rows``
     bounds the candidate volume of any single expansion; larger
     frontiers are split and traversed block-by-block (depth-first), so
     peak memory is ``O(max_rows · p)`` regardless of graph density.
@@ -449,17 +500,31 @@ def iter_frontier_blocks(
     if stats is None:
         stats = FrontierStats()
     registry = obs.active_metrics()
+    siblings = _sibling_bounds(plan)
+    carried = tuple(sorted(set(slot_levels).union(*siblings)))
+    common = pruned = None
+    if any(plan.min_common):
+        from .venn import slot_common_neighbors  # venn imports this module
+
+        common = slot_common_neighbors(graph)
+        if registry is not None:
+            pruned = registry.counter("repro_frontier_support_pruned_total")
+    walk = _Walk(graph, plan, carried, siblings, common, max_rows, stats, registry, pruned)
     frontier = roots.reshape(-1, 1)
     stats.rows += len(frontier)
     stats.peak_width = max(stats.peak_width, len(frontier))
     if registry is not None:
         registry.histogram("repro_frontier_width").observe(len(frontier))
-    blocks = _blocks(graph, plan, frontier, None, 1, slot_levels, max_rows, stats, registry)
-    if slot_levels:
-        yield from blocks
-    else:
+    blocks = _blocks(walk, frontier, None, 1)
+    if not slot_levels:
         for block, _ in blocks:
             yield block
+    elif carried == tuple(slot_levels):
+        yield from blocks
+    else:  # drop the columns only the sibling scans needed
+        columns = [carried.index(level) for level in slot_levels]
+        for block, slots in blocks:
+            yield block, slots[:, columns]
 
 
 def frontier_match_matrix(

@@ -15,7 +15,9 @@ materializing anything.
 
 :mod:`repro.core.frontier` is this matcher's vectorized sibling: it
 enumerates the *same* symmetry-reduced embedding set (same plan, same
-constraints) but level-synchronously over a 2-D frontier array instead
+constraints), less the embeddings whose pivot edges miss the plan's
+support bound (``CorePlan.min_common``; they score 0), but
+level-synchronously over a 2-D frontier array instead
 of one tuple at a time — trading the fixed memory bound for bulk NumPy
 throughput, with ``max_rows`` restoring a configurable bound.
 """
@@ -49,6 +51,12 @@ class CorePlan:
       order places below no other such back edge, so the frontier
       scans only the pivot's neighbours above it — else the earliest
       back edge; ``-1`` at position 0;
+    * ``min_common[i]`` — full-pattern vertices adjacent to both position
+      ``i``'s core vertex and its pivot's (``0`` at position 0): a core
+      embedding whose pivot edge has fewer common graph neighbours
+      places no full pattern, so every fringe count on it is 0. The
+      vectorized routes drop such candidates; :func:`match_cores`, the
+      oracle, keeps them;
     * ``less_than[i]`` — earlier positions whose match must be *greater*
       than position i's match (symmetry breaking: match[j] < match[i]
       for each j in less_than[i]).
@@ -59,6 +67,7 @@ class CorePlan:
     min_degree: tuple[int, ...]
     back_edges: tuple[tuple[int, ...], ...]
     pivot: tuple[int, ...]
+    min_common: tuple[int, ...]
     less_than: tuple[tuple[int, ...], ...]
     group_order: int
 
@@ -84,12 +93,19 @@ def build_plan(decomp: Decomposition, *, symmetry_breaking: bool = True) -> Core
     for i, j in restrictions:  # require match[i] < match[j]
         lt[j].append(i)
     less_than = tuple(tuple(sorted(v)) for v in lt)
+    pivot = _pivots(back_edges, less_than)
+    vertex = [decomp.core_vertices[c] for c in order]
+    min_common = tuple(
+        len(pattern.adj[vertex[i]] & pattern.adj[vertex[piv]]) if piv >= 0 else 0
+        for i, piv in enumerate(pivot)
+    )
     return CorePlan(
         decomp=decomp,
         order=order,
         min_degree=min_degree,
         back_edges=back_edges,
-        pivot=_pivots(back_edges, less_than),
+        pivot=pivot,
+        min_common=min_common,
         less_than=less_than,
         group_order=group_order,
     )

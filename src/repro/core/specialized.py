@@ -13,8 +13,9 @@ instead of computed per match.
   (:func:`~repro.core.venn.slot_common_neighbors`, 8 B per edge, built
   without the pair index). Every edge gives one row per orientation,
   or a single orientation when the plan's symmetry restriction keeps one
-  (``group_order`` 2); like the matcher, an orientation whose ends fall
-  below the core's full-pattern degrees gives none.
+  (``group_order`` 2); like the frontier matcher, an orientation whose
+  ends fall below the core's full-pattern degrees, or an edge with fewer
+  common neighbours than the pattern puts on it, gives none.
 
 :func:`anchored_rows` lays such rows out in a plan's anchored-vertex
 columns, and the plan's compiled
@@ -101,8 +102,9 @@ class VertexCoreEngine:
 
 class EdgeCoreEngine:
     """2-vertex core: one row ``[·, d_u − 1 − c, d_v − 1 − c, c]`` per
-    ordered edge whose ends pass the matcher's ``min_degree`` filter,
-    both orientations unless ``group_order`` is 2."""
+    ordered edge whose ends pass the matcher's ``min_degree`` filter and
+    whose ``c`` meets its ``min_common`` support bound, both orientations
+    unless ``group_order`` is 2."""
 
     kind = "edge-core"
     name = f"fringe-specialized({kind})"
@@ -118,9 +120,13 @@ class EdgeCoreEngine:
         upper = src < graph.colidx  # the slots of the edges u < v
         du, dv = deg[src[upper]], deg[graph.colidx[upper]]
         c = slot_common_neighbors(graph)[upper]
-        md = self.plan.core_plan.min_degree  # the matcher's degree filter, per position
-        forward = (du >= md[0]) & (dv >= md[1])
-        backward = (dv >= md[0]) & (du >= md[1]) & (self.plan.group_order == 1)
+        core = self.plan.core_plan
+        md = core.min_degree  # the matcher's degree filter, per position
+        # and its support bound: fewer common neighbours than the pattern
+        # puts on the edge place no fringes
+        supported = c >= core.min_common[1]
+        forward = supported & (du >= md[0]) & (dv >= md[1])
+        backward = supported & (dv >= md[0]) & (du >= md[1]) & (self.plan.group_order == 1)
         split = int(forward.sum())
         venn = np.zeros((split + int(backward.sum()), 4), dtype=np.int64)
         # forward rows (u, v), then backward rows (v, u)

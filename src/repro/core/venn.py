@@ -566,7 +566,11 @@ def group_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def group_anchor_rows(
-    anchors: np.ndarray, free: np.ndarray, free_width: int, num_vertices: int
+    anchors: np.ndarray,
+    free: np.ndarray,
+    free_width: int,
+    num_vertices: int,
+    ordered: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group the rows of a ``(B, q)`` anchor matrix that share their
     anchor set, their anchor order and their ``free`` bits.
@@ -575,34 +579,45 @@ def group_anchor_rows(
     group (the adjacency of non-anchor core vertices to anchors). Rows of
     one group have equal anchors in equal order, so they share one Venn
     diagram. Returns ``(sets, set_of, rank, free, counts)`` over the
-    ``G`` groups, ordered by sorted anchor set: ``sets`` is ``(U, q)``,
-    each row one distinct set in ascending order, and group ``g`` holds
-    the set ``sets[set_of[g]]``; ``rank[g, j]`` is the position of the
-    group's ``j``-th anchor within that set, so ``np.take_along_axis(
+    ``G`` groups, ordered by set: ``sets`` is ``(U, q)``, each row one
+    distinct set in ascending order (but see ``ordered``), and group ``g`` holds the set
+    ``sets[set_of[g]]``; ``rank[g, j]`` is the position of the group's
+    ``j``-th anchor within that set, so ``np.take_along_axis(
     sets[set_of], rank, axis=1)`` are the groups' anchor rows;
     ``free[g]`` are the group's bits and ``counts[g]`` its size.
 
-    Each row's sorted set, anchor ranks and free bits are packed into
-    one int64 key when ``num_vertices^q · q^q · 2^free_width`` fits 62
-    bits; one sort groups the keys and the groups are decoded from the
-    distinct keys. Otherwise a row-wise unique groups the rows.
+    With ``ordered`` the caller promises that rows with one anchor set
+    list it in one order (the symmetry restriction fixes the anchors'
+    order): the rows are grouped by their anchors as they stand, each
+    set is kept in that order and every rank is the identity.
+
+    Each row's set (sorted, unless ``ordered``), anchor ranks and free
+    bits are packed into one int64 key when ``num_vertices^q · q^q ·
+    2^free_width`` (no ``q^q`` when ``ordered``) fits 62 bits; one sort
+    groups the keys and the groups are decoded from the distinct keys.
+    Otherwise a row-wise unique groups the rows.
     """
     b, q = anchors.shape
-    rank = np.zeros((b, q), dtype=np.int64)
-    for k in range(q):
-        for j in range(k):
-            below = anchors[:, j] < anchors[:, k]
-            rank[:, k] += below
-            rank[:, j] += ~below
-    perms = q**q
+    if ordered:
+        rank = np.broadcast_to(np.arange(q, dtype=np.int64), (b, q))
+        perms = 1
+    else:
+        rank = np.zeros((b, q), dtype=np.int64)
+        for k in range(q):
+            for j in range(k):
+                below = anchors[:, j] < anchors[:, k]
+                rank[:, k] += below
+                rank[:, j] += ~below
+        perms = q**q
     if int(num_vertices) ** q * perms << free_width < 1 << 62:
-        # anchor j is digit rank[j] (base n) of the sorted set's key
+        # anchor j is digit rank[j] (base n) of the set's key
         digit = int(num_vertices) ** np.arange(q - 1, -1, -1, dtype=np.int64)
         key = np.zeros(b, dtype=np.int64)
         for j in range(q):
-            key += anchors[:, j] * digit[rank[:, j]]
-        for j in range(q):
-            key = key * q + rank[:, j]
+            key += anchors[:, j] * (digit[j] if ordered else digit[rank[:, j]])
+        if not ordered:
+            for j in range(q):
+                key = key * q + rank[:, j]
         key = np.sort((key << free_width) | free)
         new = np.empty(b, dtype=bool)
         new[:1] = True
@@ -613,11 +628,15 @@ def group_anchor_rows(
         counts[-1:] = b - starts[-1:]
         key = key[starts]
         free = key & ((1 << free_width) - 1)
-        set_key, perm = np.divmod(key >> free_width, perms)
+        set_key = key >> free_width
+        if ordered:
+            rank = np.broadcast_to(np.arange(q, dtype=np.int64), (len(key), q))
+        else:
+            set_key, perm = np.divmod(set_key, perms)
+            rank = (perm[:, None] // q ** np.arange(q - 1, -1, -1)) % q
         new = np.empty(len(key), dtype=bool)
         new[:1] = True
         np.not_equal(set_key[1:], set_key[:-1], out=new[1:])
-        rank = (perm[:, None] // q ** np.arange(q - 1, -1, -1)) % q
         sets = (set_key[new][:, None] // digit) % num_vertices
     else:
         srt = np.empty_like(anchors)

@@ -13,7 +13,6 @@ edges are removed at construction time.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -176,6 +175,8 @@ class CSRGraph:
         """
         fp = self._fingerprint
         if fp is None:
+            import hashlib  # only result caches ask: keep it off the import path
+
             h = hashlib.sha256()
             h.update(np.int64(self.num_vertices).tobytes())
             h.update(self.rowptr.tobytes())

@@ -24,12 +24,12 @@ effectively nothing with observability off.
 
 from __future__ import annotations
 
+import importlib
 import threading
 from contextlib import nullcontext
 from contextvars import ContextVar
 from typing import Iterable, Sequence
 
-from .export import metrics_table, prometheus_text, trace_jsonl_lines, write_trace_jsonl
 from .metrics import BUCKETS, Counter, Gauge, Histogram, MetricsRegistry
 from .trace import Span, Tracer
 
@@ -153,3 +153,14 @@ def observe_many(
     registry = active_metrics()
     if registry is not None:
         registry.histogram(name, **labels).observe_many(values, counts)
+
+
+_EXPORTS = ("metrics_table", "prometheus_text", "trace_jsonl_lines", "write_trace_jsonl")
+
+
+def __getattr__(name: str):
+    """The exporters (:mod:`repro.obs.export`) load on first use (PEP 562)."""
+    if name in _EXPORTS or name == "export":
+        export = importlib.import_module(f"{__name__}.export")
+        return export if name == "export" else getattr(export, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

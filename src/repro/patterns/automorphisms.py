@@ -24,7 +24,6 @@ Two distinct groups matter for Fringe-SGC:
 from __future__ import annotations
 
 from .decompose import Decomposition
-from .isomorphism import automorphisms_of
 from .pattern import Pattern
 from .symmetry import Perm, stabilizer_chain
 from .symmetry import search as symmetry_search
@@ -39,6 +38,8 @@ __all__ = [
 
 def aut_size_bruteforce(pattern: Pattern) -> int:
     """|Aut(P)| by enumeration — exponential, for small test patterns only."""
+    from .isomorphism import automorphisms_of
+
     return len(automorphisms_of(pattern))
 
 

@@ -421,17 +421,20 @@ def _shared_plan(plans: list[CountingPlan]) -> CountingPlan:
     """The plan a group's row source runs.
 
     It is the member with the smallest symmetry group under the
-    *weakest* per-position degree filter. Members carry different fringe
-    loads, hence different full-pattern degree filters. A match pruned by
-    a stricter member's filter still contributes 0 to that member's
-    polynomial (not enough neighbours to place its fringes), so the
-    elementwise minimum is both safe and complete for everyone.
+    *weakest* per-position degree filter and support bound. Members carry
+    different fringe loads, hence different full-pattern degree filters
+    and pivot-edge support bounds. A match pruned by a stricter member's
+    filter still contributes 0 to that member's polynomial (not enough
+    neighbours to place its fringes), so the elementwise minimum is both
+    safe and complete for everyone.
     """
     if len(plans) == 1:
         return plans[0]
     lead = min(plans, key=lambda p: p.group_order)
     min_degree = tuple(map(min, zip(*(p.core_plan.min_degree for p in plans))))
-    return replace(lead, core_plan=replace(lead.core_plan, min_degree=min_degree))
+    min_common = tuple(map(min, zip(*(p.core_plan.min_common for p in plans))))
+    core_plan = replace(lead.core_plan, min_degree=min_degree, min_common=min_common)
+    return replace(lead, core_plan=core_plan)
 
 
 def _engine_label(

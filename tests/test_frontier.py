@@ -8,7 +8,8 @@ replacement for the serial engine:
   Fig. 4 pattern) over a Kronecker graph, two built-in dataset
   stand-ins, and hypothesis-randomized graphs.
 * **Matcher equivalence** — the set of frontier rows is exactly the set
-  of tuples the per-match stack matcher yields, so symmetry-breaking
+  of tuples the per-match stack matcher yields that meet the support
+  bound (every tuple, with the bound zeroed), so symmetry-breaking
   masks and injectivity filters agree constraint-for-constraint.
 * **Budget invariance** — absurdly small ``max_frontier_rows`` values
   force recursive block splitting and change nothing but peak memory.
@@ -43,6 +44,7 @@ from repro.patterns import catalog
 from repro.patterns.decompose import decompose
 from repro.patterns.pattern import Pattern
 from repro.runtime import Runtime
+from tests.bound import bounded_rows, unbounded
 
 SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -145,9 +147,12 @@ def test_rows_match_stack_matcher(kron, pattern):
     plan = build_plan(decompose(pattern))
     rows = frontier_match_matrix(kron, plan)
     frontier_set = {tuple(int(v) for v in row) for row in rows}
-    stack_set = set(match_cores(kron, plan))
-    assert frontier_set == stack_set
+    assert frontier_set == bounded_rows(kron, plan)
     assert len(rows) == len(frontier_set)  # no duplicate embeddings
+    # without the support bound: every stack-matcher tuple
+    assert {tuple(map(int, r)) for r in frontier_match_matrix(kron, unbounded(plan))} == set(
+        match_cores(kron, plan)
+    )
 
 
 def test_symmetry_breaking_masks_applied(kron):
@@ -155,14 +160,19 @@ def test_symmetry_breaking_masks_applied(kron):
     group_order-fold set of ordered core embeddings, exactly like the
     stack matcher (each Aut_dec orbit expands to group_order tuples)."""
     decomp = decompose(catalog.four_clique())
-    sym = build_plan(decomp, symmetry_breaking=True)
-    nosym = build_plan(decomp, symmetry_breaking=False)
+    sym = unbounded(build_plan(decomp, symmetry_breaking=True))
+    nosym = unbounded(build_plan(decomp, symmetry_breaking=False))
     n_sym = len(frontier_match_matrix(kron, sym))
     n_nosym = len(frontier_match_matrix(kron, nosym))
     assert sym.group_order > 1
     assert n_nosym == n_sym * sym.group_order
     assert {tuple(map(int, r)) for r in frontier_match_matrix(kron, nosym)} == set(
         match_cores(kron, nosym)
+    )
+    # under the support bound, each side keeps its bounded stack rows
+    bounded = build_plan(decomp, symmetry_breaking=False)
+    assert {tuple(map(int, r)) for r in frontier_match_matrix(kron, bounded)} == bounded_rows(
+        kron, bounded
     )
 
 
@@ -268,21 +278,24 @@ def frontier_rows(graph, plan, **kwargs):
 
 
 def assert_orientation_invariant(graph, plan):
-    """Frontier rows equal the stack matcher's and the frontier pushes
-    the rows a full scan does, for every budget and both root halves."""
-    expect = set(match_cores(graph, plan))
-    _, volume = frontier_rows(graph, earliest_pivots(plan))
+    """Frontier rows equal the stack matcher's rows that meet the support
+    bound, and without the bound the frontier pushes the rows a full
+    scan does, for every budget and both root halves."""
+    expect = bounded_rows(graph, plan)
+    free = unbounded(plan)  # the earliest pivots' bound would differ
+    _, volume = frontier_rows(graph, earliest_pivots(free))
     for max_rows in (None, 1, 3, 17):
         kwargs = {} if max_rows is None else {"max_rows": max_rows}
-        rows, rows_pushed = frontier_rows(graph, plan, **kwargs)
+        rows, _ = frontier_rows(graph, plan, **kwargs)
         assert set(rows) == expect and len(rows) == len(expect)
+        _, rows_pushed = frontier_rows(graph, free, **kwargs)
         assert rows_pushed == volume, max_rows
     mid = graph.num_vertices // 2
-    lo, lo_pushed = frontier_rows(graph, plan, start_vertices=range(mid))
-    hi, hi_pushed = frontier_rows(
-        graph, plan, start_vertices=range(mid, graph.num_vertices)
-    )
+    lo, _ = frontier_rows(graph, plan, start_vertices=range(mid))
+    hi, _ = frontier_rows(graph, plan, start_vertices=range(mid, graph.num_vertices))
     assert set(lo) | set(hi) == expect and len(lo) + len(hi) == len(expect)
+    _, lo_pushed = frontier_rows(graph, free, start_vertices=range(mid))
+    _, hi_pushed = frontier_rows(graph, free, start_vertices=range(mid, graph.num_vertices))
     assert lo_pushed + hi_pushed == volume
 
 

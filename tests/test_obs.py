@@ -29,12 +29,14 @@ from repro import obs
 from repro import runtime as runtime_mod
 from repro.core.backends import FrontierBackend, PoolBackend, SerialBackend
 from repro.core.frontier import frontier_match_matrix
+from repro.core.matcher import match_cores
 from repro.core.venn import venn_batch
 from repro.graph import generators as gen
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.parallel import ParallelConfig
 from repro.patterns import catalog
+from tests.bound import bounded_rows
 
 
 @pytest.fixture(scope="module")
@@ -431,10 +433,15 @@ class TestStatsPropagation:
             "process": PoolBackend(num_workers=2, chunk_size=16).run(plan, kron_mid),
         }
 
-    def test_all_backends_nonzero_and_consistent(self, partials):
+    def test_all_backends_nonzero_and_consistent(self, partials, kron_mid):
         sigmas = {p.sigma for p in partials.values()}
-        matches = {p.matches for p in partials.values()}
-        assert len(sigmas) == 1 and len(matches) == 1
+        assert len(sigmas) == 1
+        # the serial oracle visits every core match, the frontier routes
+        # the ones that meet the support bound
+        core = compile_pattern(catalog.paw()).core_plan
+        assert partials["serial"].matches == sum(1 for _ in match_cores(kron_mid, core))
+        kept = len(bounded_rows(kron_mid, core))
+        assert partials["frontier"].matches == partials["process"].matches == kept
         for name, p in partials.items():
             assert p.matches > 0, name
             assert p.venn_fc_s > 0.0, name
@@ -553,16 +560,22 @@ class TestVennSetSizeHistogram:
         )
 
     def test_serial_oracle_records_one_sample_per_match(self, kron):
-        plan = compile_pattern(catalog.four_cycle())
-        with Observer(trace=False) as serial:
-            s = SerialBackend().run(plan, kron)
-        with Observer(trace=False) as frontier:
-            FrontierBackend().run(plan, kron)
-        assert serial.metrics.histogram("repro_candidate_set_size").count == s.matches
-        _same_histogram(
-            serial.metrics.histogram("repro_venn_set_size"),
-            frontier.metrics.histogram("repro_venn_set_size"),
-        )
+        for pattern in (catalog.four_cycle(), catalog.four_clique()):
+            plan = compile_pattern(pattern)
+            with Observer(trace=False) as serial:
+                s = SerialBackend().run(plan, kron)
+            with Observer(trace=False) as frontier:
+                FrontierBackend().run(plan, kron)
+            assert serial.metrics.histogram("repro_candidate_set_size").count == s.matches
+            # the frontier samples the stack rows that meet the support
+            # bound (all of them for the 4-cycle, whose bound is 0)
+            rows = np.array(sorted(bounded_rows(kron, plan.core_plan)), dtype=np.int64)
+            positions = list(plan.anchored_positions)
+            sizes = venn_batch(kron, rows[:, positions], rows).sum(axis=1)
+            hist = frontier.metrics.histogram("repro_venn_set_size")
+            _same_histogram(hist, _per_value(hist.buckets, sizes))
+            if not any(plan.core_plan.min_common):
+                _same_histogram(serial.metrics.histogram("repro_venn_set_size"), hist)
 
     def test_service_frontier_request_counts_every_match(self, kron):
         from repro.serve import CountingService, CountRequest, GraphRegistry

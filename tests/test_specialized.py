@@ -24,6 +24,7 @@ from repro.graph.csr import CSRGraph
 from repro.patterns import catalog
 from repro.patterns.decompose import decompose, decomposition_from_core
 from repro.patterns.pattern import all_connected_patterns
+from tests.bound import bounded_rows
 
 
 def closed_form(graph, pattern, config=None, decomposition=None):
@@ -124,19 +125,26 @@ class TestEdgeCore:
                     )
                     got = closed_form(g, pat, config, decomp)
                     assert got.count == expect.count, pat.edges()
-                    assert got.core_matches == expect.core_matches, pat.edges()
+                    # the oracle visits every core match, the closed form
+                    # the ones that meet the support bound
+                    core = compile_pattern(pat, config, decomposition=decomp).core_plan
+                    assert got.core_matches == len(bounded_rows(g, core)), pat.edges()
 
     def test_core_matches_pass_the_matcher_degree_filter(self):
         """An orientation whose ends fall below the core's full-pattern
-        degrees is no core embedding: every route reports the same
-        ``core_matches``."""
+        degrees is no core embedding, and one whose edge has no common
+        neighbour places no triangle: the closed form and the frontier
+        report the same ``core_matches``, the oracle's degree-filtered
+        matches less the unsupported ones."""
         g = gen.barabasi_albert(200, 2, seed=1)
         pat = catalog.k_tailed_triangle(2)
         got = {e: count_subgraphs(g, pat, engine=e) for e in ("auto", "frontier", "general")}
         assert got["auto"].engine == "fringe-specialized(edge-core)"
-        assert {e: (r.count, r.core_matches) for e, r in got.items()} == dict.fromkeys(
-            got, (6709, 471)
-        )
+        kept = len(bounded_rows(g, compile_pattern(pat).core_plan))
+        assert kept < 471
+        assert {e: (r.count, r.core_matches) for e, r in got.items()} == {
+            "auto": (6709, kept), "frontier": (6709, kept), "general": (6709, 471)
+        }
 
     def test_large_graph_consistency(self):
         g = gen.kronecker(9, 8, seed=2)
@@ -238,9 +246,10 @@ class TestEdgeCommonNeighbors:
         assert frontier_mod.adjacency_bitmap(fresh) is None
         assert slot_common_neighbors(fresh).tolist() == slot_common_neighbors(g).tolist()
         for pat in (catalog.diamond(), catalog.k_tailed_triangle(2), catalog.path(4)):
-            expect = count_subgraphs(g, pat, engine="general")
+            expect = closed_form(g, pat)
             got = closed_form(fresh, pat)
             assert (got.count, got.core_matches) == (expect.count, expect.core_matches)
+            assert got.count == count_subgraphs(g, pat, engine="general").count
 
     def test_edgeless_graph(self):
         g = CSRGraph.from_edges([], num_vertices=4)

@@ -268,7 +268,12 @@ def test_members_score_only_rows_their_own_filter_keeps():
     members = [dataclasses.replace(p, poly=c) for p, c in zip(plans, caps)]
     partial = FrontierBackend().run(shared, graph, members=members)
     for plan, cap, scored in zip(plans, caps, partial.sums):
-        own = FrontierBackend().run(dataclasses.replace(plan, poly=_Capture()), graph).matches
+        # the shared pass drops rows under the weakest support bound: the
+        # member's own degree filter under that bound
+        core = dataclasses.replace(plan.core_plan, min_common=shared.core_plan.min_common)
+        own = FrontierBackend().run(
+            dataclasses.replace(plan, poly=_Capture(), core_plan=core), graph
+        ).matches
         assert scored == own
         assert sum(int(c.sum()) for c in cap.counts) == own
     # the weakest filter is one member's own: that member scores every match
