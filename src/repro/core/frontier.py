@@ -534,8 +534,9 @@ def frontier_match_matrix(
     start_vertices: Sequence[int] | None = None,
     max_rows: int = DEFAULT_MAX_FRONTIER_ROWS,
 ) -> np.ndarray:
-    """All symmetry-reduced core embeddings as one ``(matches, p)``
-    matrix (testing/debug helper; production callers stream blocks)."""
+    """All symmetry-reduced core embeddings that meet the support bound
+    as one ``(matches, p)`` matrix (testing/debug helper; production
+    callers stream blocks)."""
     blocks = list(
         iter_frontier_blocks(
             graph, plan, start_vertices=start_vertices, max_rows=max_rows
