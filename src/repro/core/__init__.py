@@ -81,10 +81,10 @@ __all__ = [
     "venn_sorted",
 ]
 
-_LAZY = {name: "listing" for name in ("CoreMatch", "iter_core_matches", "per_vertex_counts", "top_cores")}
+_LISTING = ("CoreMatch", "iter_core_matches", "per_vertex_counts", "top_cores")
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    if name in _LISTING:
+        return getattr(importlib.import_module(f"{__name__}.listing"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

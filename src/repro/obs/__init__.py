@@ -160,7 +160,6 @@ _EXPORTS = ("metrics_table", "prometheus_text", "trace_jsonl_lines", "write_trac
 
 def __getattr__(name: str):
     """The exporters (:mod:`repro.obs.export`) load on first use (PEP 562)."""
-    if name in _EXPORTS or name == "export":
-        export = importlib.import_module(f"{__name__}.export")
-        return export if name == "export" else getattr(export, name)
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.export"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
