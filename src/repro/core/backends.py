@@ -239,6 +239,16 @@ def _row_venns(
     return venn_sets(graph, anchors, common, adjacent)
 
 
+def _group_anchors(
+    sets: np.ndarray, set_of: np.ndarray | None, rank: np.ndarray, s: int, e: int
+) -> np.ndarray:
+    """The anchor rows of groups ``s..e-1`` of a
+    :func:`~repro.core.venn.group_anchor_rows` result."""
+    if set_of is None:
+        return sets[s:e]
+    return np.take_along_axis(np.take(sets, set_of[s:e], axis=0), rank[s:e], axis=1)
+
+
 def venn_poly_sums(
     graph: CSRGraph,
     block: np.ndarray,
@@ -264,15 +274,20 @@ def venn_poly_sums(
     Otherwise rows with equal anchors in equal order and equal *free* exclusion
     bits (the graph edges between a non-anchor core vertex and the
     anchors it is not pattern-adjacent to) have equal diagrams, so
-    :func:`~repro.core.venn.group_anchor_rows` groups the block once and
-    :func:`~repro.core.venn.venn_sets` runs once per distinct anchor
-    set, in ``batch_size`` chunks. Each group's diagram is its set's,
-    permuted into the group's anchor order, minus the non-anchor core
-    vertices; every member's polynomial scores one row per group,
-    weighted by the group's size. A member whose own filter is stricter
-    than ``plan``'s scores only the groups whose anchors pass it (the
-    rest score 0 for it; non-anchor core vertices carry no fringe, so
-    every member filters them alike). With ``registry`` set it records
+    :func:`~repro.core.venn.group_anchor_rows` groups the block's anchor
+    columns once and :func:`~repro.core.venn.venn_sets` runs once per
+    distinct anchor set, in ``batch_size`` chunks. Each group's diagram
+    is its set's, permuted into the group's anchor order, minus the
+    non-anchor core vertices: one constant per region column for those
+    adjacent to fixed anchors only, one region per group for those with
+    free bits. When the anchors are ordered and no bit is free, every
+    group is its own set: each chunk of sets is diagrammed and scored
+    as it comes, with no gather (and no ``venn_unique`` span). Every
+    member's polynomial scores one row per group, weighted by the
+    group's size. A member whose own filter is stricter than ``plan``'s
+    scores only the groups whose anchors pass it (the rest score 0 for
+    it; non-anchor core vertices carry no fringe, so every member
+    filters them alike). With ``registry`` set it records
     one ``repro_venn_set_size`` sample per row (one weighted sample per
     row group: the group's set size, as many times as the group has
     rows), one ``repro_batch_matches`` sample per chunk, and the number
@@ -284,7 +299,6 @@ def venn_poly_sums(
         return sums, 0
     positions = list(plan.anchored_positions)
     q = len(positions)
-    anchors = block[:, positions]
     # per member, the anchor degrees its own filter asks for, when stricter
     shared = [plan.core_plan.min_degree[a] for a in positions]
     filters = []
@@ -296,6 +310,9 @@ def venn_poly_sums(
         set_size_hist = registry.histogram("repro_venn_set_size")
     if not groups_can_fold(plan):
         batches = 0
+        # every core vertex is an anchor: the block, its columns reordered
+        # only when the anchors are listed out of matching order
+        anchors = block if positions == list(range(q)) else block[:, positions]
         for s in range(0, len(block), batch_size):
             rows = anchors[s : s + batch_size]
             with obs.span("venn_fc_batch", matches=len(rows)):
@@ -315,41 +332,53 @@ def venn_poly_sums(
         if registry is not None:
             registry.counter("repro_venn_unique_anchor_rows_total").inc(len(block))
         return sums, batches
-    # per non-anchor core vertex, the anchors it is adjacent to: q bits
-    # each, packed side by side; only the free bits need an edge test
-    masks = np.zeros(len(block), dtype=np.int64)
+    columns = [block[:, a] for a in positions]  # contiguous column views
+    # a non-anchor core vertex leaves the region of the anchors it is
+    # adjacent to: its pattern-adjacent (fixed) anchors, plus the graph
+    # edges to the others (free bits: q per such vertex, packed side by
+    # side). Vertices with no free anchor leave one fixed region column.
     exclusions = _exclusions(plan)
-    for i, (c, fixed, free) in enumerate(exclusions):
-        mask = fixed
-        for j in free:
-            mask = mask | has_edges(graph, anchors[:, j], block[:, c]).astype(np.int64) << j
-        masks |= mask << (q * i)
+    varying = [(c, fixed, free) for c, fixed, free in exclusions if free]
+    constant = [fixed for _, fixed, free in exclusions if fixed and not free]
+    masks = None
+    if varying:
+        masks = np.zeros(len(block), dtype=np.int64)
+        for i, (c, _, free) in enumerate(varying):
+            for j in free:
+                hit = has_edges(graph, columns[j], block[:, c]).astype(np.int64)
+                hit <<= q * i + j
+                masks |= hit
+    ordered = anchors_ordered(plan)
     sets, set_of, rank, masks, counts = group_anchor_rows(
-        anchors, masks, q * len(exclusions), graph.num_vertices, anchors_ordered(plan)
+        columns, masks, q * len(varying), graph.num_vertices, ordered
     )
-    with obs.span("venn_unique", sets=len(sets), matches=len(block)):
-        set_venns = np.empty((len(sets), 1 << q), dtype=np.int64)
-        for s in range(0, len(sets), batch_size):
-            chunk = sets[s : s + batch_size]
-            set_venns[s : s + len(chunk)] = venn_sets(graph, chunk)
-    region_bits = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1  # (2^q, q)
+    set_venns = None
+    if set_of is not None:
+        with obs.span("venn_unique", sets=len(sets), matches=len(block)):
+            set_venns = np.empty((len(sets), 1 << q), dtype=np.int64)
+            for s in range(0, len(sets), batch_size):
+                chunk = sets[s : s + batch_size]
+                set_venns[s : s + len(chunk)] = venn_sets(graph, chunk)
+        region_bits = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1  # (2^q, q)
     batches = 0
     for s in range(0, len(counts), batch_size):
         e = min(s + batch_size, len(counts))
         chunk_counts = counts[s:e]
         with obs.span("venn_fc_batch", matches=int(chunk_counts.sum())):
-            venns = set_venns[set_of[s:e]]
-            ranks = rank[s:e]
-            if (ranks != np.arange(q)).any():
-                # group region T is region {rank[j] : j in T} of the sorted set
-                maps = (np.int64(1) << ranks) @ region_bits.T
-                venns = np.take_along_axis(venns, maps, axis=1)
-            # a non-anchor core vertex is a neighbour of exactly the anchors
-            # its mask names; it leaves that region
-            for i in range(len(exclusions)):
-                mask = masks[s:e] >> (q * i) & ((1 << q) - 1)
-                sel = np.flatnonzero(mask)
-                venns[sel, mask[sel]] -= 1
+            if set_of is None:  # every group is its own set, anchors in order
+                venns = venn_sets(graph, sets[s:e])
+            else:
+                venns = np.take(set_venns, set_of[s:e], axis=0)
+                if not ordered and (rank[s:e] != np.arange(q)).any():
+                    # group region T is region {rank[j] : j in T} of the sorted set
+                    maps = (np.int64(1) << rank[s:e]) @ region_bits.T
+                    venns = np.take_along_axis(venns, maps, axis=1)
+            for region in constant:
+                venns[:, region] -= 1
+            for i, (_, fixed, _) in enumerate(varying):
+                region = masks[s:e] >> (q * i) & ((1 << q) - 1) | fixed
+                sel = np.flatnonzero(region)
+                venns[sel, region[sel]] -= 1
             if registry is not None:
                 batch_hist.observe(int(chunk_counts.sum()))
                 set_size_hist.observe_many(venns.sum(axis=1), chunk_counts)
@@ -357,8 +386,8 @@ def venn_poly_sums(
                 if own is None:
                     sums[i] += m.poly.evaluate_batch(venns, chunk_counts)
                 else:
-                    group_anchors = np.take_along_axis(sets[set_of[s:e]], ranks, axis=1)
-                    keep = (graph.degrees[group_anchors] >= own).all(axis=1)
+                    anchors = _group_anchors(sets, set_of, rank, s, e)
+                    keep = (graph.degrees[anchors] >= own).all(axis=1)
                     sums[i] += m.poly.evaluate_batch(venns[keep], chunk_counts[keep])
         batches += 1
     if registry is not None:

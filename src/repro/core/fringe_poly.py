@@ -224,7 +224,7 @@ class FringePolynomial:
         if counts is not None:
             sizes = np.zeros(len(first), dtype=np.int64)
             np.add.at(sizes, inverse.reshape(-1), counts)
-        return venn_matrix[first], sizes
+        return np.take(venn_matrix, first, axis=0), sizes
 
     # -- the one term walk ----------------------------------------------
     def _walk(

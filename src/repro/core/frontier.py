@@ -6,7 +6,10 @@ interpreter round trip. The paper's GPU kernel instead advances
 *thousands* of partial embeddings in lockstep (Listing 7: one warp per
 embedding, one level per step). This module is the CPU analogue of that
 execution model: the partial-embedding frontier is a 2-D NumPy array
-with one row per embedding and one column per matched position, and each
+with one row per embedding and one column per matched position, stored
+column-major (one C-contiguous ``(positions, rows)`` array per level,
+handed out as its ``(rows, positions)`` transpose), so every column is
+contiguous and moves to the next level with a 1-D ``np.take``. Each
 step extends the whole frontier by one matching-order level with bulk
 array kernels:
 
@@ -313,7 +316,7 @@ def _sibling_bounds(plan: CorePlan) -> tuple[tuple[int, ...], ...]:
 
 
 def _scan_ranges(
-    walk: _Walk, block: np.ndarray, slots: np.ndarray | None, level: int
+    walk: _Walk, cols: np.ndarray, slots: np.ndarray | None, level: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's candidate slice ``colidx[start : start + length]`` at
     ``level``: the pivot's adjacency list above its tightest start —
@@ -322,51 +325,53 @@ def _scan_ranges(
     from the same list that the level must exceed)."""
     graph, plan = walk.graph, walk.plan
     piv = plan.pivot[level]
-    pivots = block[:, piv]
-    bounds = [slots[:, walk.carried.index(j)] + 1 for j in walk.siblings[level]]
+    pivots = cols[piv]
+    bounds = [slots[walk.carried.index(j)] + 1 for j in walk.siblings[level]]
     if piv in plan.less_than[level]:
-        bounds.append(upper_starts(graph)[pivots])
-    starts = functools.reduce(np.maximum, bounds) if bounds else graph.rowptr[pivots]
-    return starts, graph.rowptr[pivots + 1] - starts
+        bounds.append(np.take(upper_starts(graph), pivots))
+    starts = functools.reduce(np.maximum, bounds) if bounds else np.take(graph.rowptr, pivots)
+    return starts, np.take(graph.rowptr, pivots + 1) - starts
 
 
 def _expand_level(
     walk: _Walk,
-    block: np.ndarray,
+    cols: np.ndarray,
     level: int,
     starts: np.ndarray,
     lengths: np.ndarray,
     slots: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Extend every partial embedding in ``block`` by matching position
-    ``level``, gathering row ``r``'s candidates from its scan range
-    (``starts[r]``, ``lengths[r]``: :func:`_scan_ranges`); returns the
-    filtered ``(rows, level + 1)`` frontier and its slot columns:
-    ``slots`` (one column per carried level, or ``None``) follow their
-    rows, and at a carried level the CSR position each candidate was
-    read from joins them as a new last column."""
+    """Extend every partial embedding of the column-major frontier
+    ``cols`` (``(level, rows)``, row ``j`` the matches of position
+    ``j``) by matching position ``level``, gathering row ``r``'s
+    candidates from its scan range (``starts[r]``, ``lengths[r]``:
+    :func:`_scan_ranges`). Returns the filtered ``(level + 1, rows')``
+    frontier and its ``(k, rows')`` slot columns: ``slots`` (one row
+    per carried level, or ``None``) follow their rows, and at a carried
+    level the CSR position each candidate was read from joins them as a
+    new last row. Every column is gathered with a 1-D ``np.take``, so
+    no full-width row array is built."""
     graph, plan = walk.graph, walk.plan
     colidx, degrees = graph.colidx, graph.degrees
     piv = plan.pivot[level]
     carry = level in walk.carried
     total = int(lengths.sum())
     if total == 0:  # the caller drops an empty frontier with its slots
-        return np.empty((0, level + 1), dtype=np.int64), None
-    # bulk adjacency gather: candidate c of row r is colidx[starts[r] + o]
-    parent = np.repeat(np.arange(len(block), dtype=np.int64), lengths)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths
-    )
-    slot = starts[parent] + offsets
-    cand = colidx[slot]
+        return np.empty((level + 1, 0), dtype=np.int64), None
+    # bulk adjacency gather: candidate o of row r is colidx[starts[r] + o],
+    # so slot = (starts[r] - the rows' candidates before r) + running index
+    parent = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    slot = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    slot += np.arange(total, dtype=np.int64)
+    cand = np.take(colidx, slot)
 
-    keep = degrees[cand] >= plan.min_degree[level]
+    keep = np.take(degrees, cand) >= plan.min_degree[level]
     # support bound: the pivot edge needs as many common neighbours as
     # the pattern puts on it, read at the slot the candidate came from
     need = plan.min_common[level]
     if need:
         passed = np.count_nonzero(keep)
-        keep &= walk.common[slot] >= need
+        keep &= np.take(walk.common, slot) >= need
         dropped = int(passed - np.count_nonzero(keep))
         walk.stats.support_pruned += dropped
         if walk.pruned is not None:
@@ -378,13 +383,13 @@ def _expand_level(
     lts = plan.less_than[level]
     for j in lts:
         if j != piv and j not in walk.siblings[level]:
-            keep &= block[parent, j] < cand
+            keep &= np.take(cols[j], parent) < cand
     # injectivity against every earlier position (strict < above already
     # implies != for the symmetry-constrained columns, and a neighbour of
     # the pivot is never the pivot)
     for j in range(level):
         if j != piv and j not in lts:
-            keep &= block[parent, j] != cand
+            keep &= np.take(cols[j], parent) != cand
     if not keep.all():
         parent, cand = parent[keep], cand[keep]
         if carry:
@@ -393,18 +398,23 @@ def _expand_level(
     for b in plan.back_edges[level]:
         if b == piv or len(cand) == 0:
             continue
-        ok = has_edges(graph, block[parent, b], cand)
+        ok = has_edges(graph, np.take(cols[b], parent), cand)
         parent, cand = parent[ok], cand[ok]
         if carry:
             slot = slot[ok]
 
-    out = np.empty((len(cand), level + 1), dtype=np.int64)
-    out[:, :level] = block[parent]
-    out[:, level] = cand
-    if carry:
-        slots = slot[:, None] if slots is None else np.column_stack([slots[parent], slot])
-    elif slots is not None:
-        slots = slots[parent]
+    out = np.empty((level + 1, len(cand)), dtype=np.int64)
+    for j in range(level):  # in range: "clip" only skips the copy "raise" makes of out=
+        np.take(cols[j], parent, out=out[j], mode="clip")
+    out[level] = cand
+    kept = 0 if slots is None else len(slots)
+    if kept or carry:
+        moved = np.empty((kept + carry, len(cand)), dtype=np.int64)
+        for k in range(kept):
+            np.take(slots[k], parent, out=moved[k], mode="clip")
+        if carry:
+            moved[kept] = slot
+        slots = moved
     return out, slots
 
 
@@ -425,35 +435,38 @@ def _budget_spans(lengths: np.ndarray, budget: int) -> Iterator[tuple[int, int]]
 
 
 def _blocks(
-    walk: _Walk, block: np.ndarray, slots: np.ndarray | None, level: int
+    walk: _Walk, cols: np.ndarray, slots: np.ndarray | None, level: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Carry one frontier block (and its slot columns) through levels
-    ``level..p-1``, splitting whenever the next expansion would exceed
-    ``max_rows`` candidates."""
+    """Carry one column-major frontier block (and its slot columns)
+    through levels ``level..p-1``, splitting whenever the next expansion
+    would exceed ``max_rows`` candidates; yields ``(p, rows)`` blocks
+    and ``(k, rows)`` slots."""
     p = len(walk.plan.order)
     stats, registry = walk.stats, walk.registry
     while level < p:
-        if len(block) == 0:
+        rows = cols.shape[1]
+        if rows == 0:
             return  # empty-frontier early exit: nothing downstream matches
-        starts, lengths = _scan_ranges(walk, block, slots, level)
-        if int(lengths.sum()) > walk.max_rows and len(block) > 1:
+        starts, lengths = _scan_ranges(walk, cols, slots, level)
+        if int(lengths.sum()) > walk.max_rows and rows > 1:
             stats.spills += 1
             if registry is not None:
                 registry.counter("repro_frontier_spills_total").inc()
             for s, e in _budget_spans(lengths, walk.max_rows):
                 yield from _blocks(
-                    walk, block[s:e], None if slots is None else slots[s:e], level
+                    walk, cols[:, s:e], None if slots is None else slots[:, s:e], level
                 )
             return
-        with obs.span("frontier.level", level=level, rows_in=len(block)):
-            block, slots = _expand_level(walk, block, level, starts, lengths, slots)
-        stats.rows += len(block)
-        stats.peak_width = max(stats.peak_width, len(block))
+        with obs.span("frontier.level", level=level, rows_in=rows):
+            cols, slots = _expand_level(walk, cols, level, starts, lengths, slots)
+        rows = cols.shape[1]
+        stats.rows += rows
+        stats.peak_width = max(stats.peak_width, rows)
         if registry is not None:
-            registry.histogram("repro_frontier_width").observe(len(block))
+            registry.histogram("repro_frontier_width").observe(rows)
         level += 1
-    if len(block):
-        yield block, slots
+    if cols.shape[1]:
+        yield cols, slots
 
 
 def iter_frontier_blocks(
@@ -466,6 +479,11 @@ def iter_frontier_blocks(
     slot_levels: Sequence[int] = (),
 ) -> Iterator[np.ndarray] | Iterator[tuple[np.ndarray, np.ndarray]]:
     """Stream completed core embeddings as ``(rows, p)`` int64 blocks.
+
+    Each block is the transposed view of a C-contiguous ``(p, rows)``
+    array: indexing is by row and column as usual, and every column
+    ``block[:, j]`` is contiguous, so consumers read a position's matches
+    without copying the block.
 
     The rows are the :func:`repro.core.matcher.match_cores` tuples (same
     symmetry reduction, same matching-order column layout) whose pivot
@@ -484,8 +502,9 @@ def iter_frontier_blocks(
     With ``slot_levels`` (ascending levels ``>= 1``) it yields
     ``(block, slots)`` pairs instead: ``slots[i, k]`` is the position in
     ``colidx`` the matcher read ``block[i, slot_levels[k]]`` from, a slot
-    in the adjacency list of the level's pivot ``block[i, pivot]``. The
-    blocks are the same either way.
+    in the adjacency list of the level's pivot ``block[i, pivot]``,
+    laid out column-major like the block. The blocks are the same either
+    way.
     """
     if max_rows < 1:
         raise ValueError("max_rows must be positive")
@@ -510,21 +529,21 @@ def iter_frontier_blocks(
         if registry is not None:
             pruned = registry.counter("repro_frontier_support_pruned_total")
     walk = _Walk(graph, plan, carried, siblings, common, max_rows, stats, registry, pruned)
-    frontier = roots.reshape(-1, 1)
-    stats.rows += len(frontier)
-    stats.peak_width = max(stats.peak_width, len(frontier))
+    stats.rows += len(roots)
+    stats.peak_width = max(stats.peak_width, len(roots))
     if registry is not None:
-        registry.histogram("repro_frontier_width").observe(len(frontier))
-    blocks = _blocks(walk, frontier, None, 1)
+        registry.histogram("repro_frontier_width").observe(len(roots))
+    blocks = _blocks(walk, roots.reshape(1, -1), None, 1)
     if not slot_levels:
-        for block, _ in blocks:
-            yield block
+        for cols, _ in blocks:
+            yield cols.T
     elif carried == tuple(slot_levels):
-        yield from blocks
+        for cols, slots in blocks:
+            yield cols.T, slots.T
     else:  # drop the columns only the sibling scans needed
-        columns = [carried.index(level) for level in slot_levels]
-        for block, slots in blocks:
-            yield block, slots[:, columns]
+        rows = [carried.index(level) for level in slot_levels]
+        for cols, slots in blocks:
+            yield cols.T, slots[rows].T
 
 
 def frontier_match_matrix(

@@ -566,86 +566,117 @@ def group_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def group_anchor_rows(
-    anchors: np.ndarray,
-    free: np.ndarray,
+    anchors: Sequence[np.ndarray],
+    free: np.ndarray | None,
     free_width: int,
     num_vertices: int,
     ordered: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group the rows of a ``(B, q)`` anchor matrix that share their
-    anchor set, their anchor order and their ``free`` bits.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray | None, np.ndarray]:
+    """Group the rows of ``q`` anchor columns that share their anchor
+    set, their anchor order and their ``free`` bits.
 
-    ``free[i]`` holds ``free_width`` bits the caller needs equal within a
-    group (the adjacency of non-anchor core vertices to anchors). Rows of
-    one group have equal anchors in equal order, so they share one Venn
-    diagram. Returns ``(sets, set_of, rank, free, counts)`` over the
-    ``G`` groups, ordered by set: ``sets`` is ``(U, q)``, each row one
-    distinct set in ascending order (but see ``ordered``), and group ``g`` holds the set
+    ``anchors`` holds the ``q`` columns, each ``(B,)`` (a ``(q, B)``
+    array, or the column views of a frontier block: nothing is copied
+    into a ``(B, q)`` matrix). ``free[i]`` holds ``free_width`` bits the
+    caller needs equal within a group (the adjacency of non-anchor core
+    vertices to anchors), or is ``None`` when there are none
+    (``free_width`` 0). Rows of one group have equal anchors in equal
+    order, so they share one Venn diagram. Returns ``(sets, set_of,
+    rank, free, counts)`` over the ``G`` groups, ordered by set:
+    ``sets`` is ``(U, q)``, column-major, each row one distinct set in
+    ascending order (but see ``ordered``), and group ``g`` holds the set
     ``sets[set_of[g]]``; ``rank[g, j]`` is the position of the group's
     ``j``-th anchor within that set, so ``np.take_along_axis(
     sets[set_of], rank, axis=1)`` are the groups' anchor rows;
-    ``free[g]`` are the group's bits and ``counts[g]`` its size.
+    ``free[g]`` are the group's bits (``None`` without free bits) and
+    ``counts[g]`` its size.
 
     With ``ordered`` the caller promises that rows with one anchor set
     list it in one order (the symmetry restriction fixes the anchors'
     order): the rows are grouped by their anchors as they stand, each
-    set is kept in that order and every rank is the identity.
+    set is kept in that order and every rank is the identity. Without
+    free bits the groups are then the sets themselves, and ``set_of``
+    is ``None``: group ``g`` holds set ``g``.
 
     Each row's set (sorted, unless ``ordered``), anchor ranks and free
     bits are packed into one int64 key when ``num_vertices^q · q^q ·
-    2^free_width`` (no ``q^q`` when ``ordered``) fits 62 bits; one sort
-    groups the keys and the groups are decoded from the distinct keys.
-    Otherwise a row-wise unique groups the rows.
+    2^free_width`` (no ``q^q`` when ``ordered``) fits 62 bits; the key
+    is built and sorted in place and the groups are decoded from the
+    distinct keys. Otherwise a row-wise unique groups the rows.
     """
-    b, q = anchors.shape
+    columns = list(anchors)
+    q, b, n = len(columns), len(columns[0]), int(num_vertices)
     if ordered:
-        rank = np.broadcast_to(np.arange(q, dtype=np.int64), (b, q))
+        ranks = None
         perms = 1
     else:
-        rank = np.zeros((b, q), dtype=np.int64)
+        ranks = [np.zeros(b, dtype=np.int64) for _ in range(q)]
         for k in range(q):
             for j in range(k):
-                below = anchors[:, j] < anchors[:, k]
-                rank[:, k] += below
-                rank[:, j] += ~below
+                below = columns[j] < columns[k]
+                ranks[k] += below
+                below ^= True
+                ranks[j] += below
         perms = q**q
-    if int(num_vertices) ** q * perms << free_width < 1 << 62:
-        # anchor j is digit rank[j] (base n) of the set's key
-        digit = int(num_vertices) ** np.arange(q - 1, -1, -1, dtype=np.int64)
-        key = np.zeros(b, dtype=np.int64)
-        for j in range(q):
-            key += anchors[:, j] * (digit[j] if ordered else digit[rank[:, j]])
-        if not ordered:
-            for j in range(q):
-                key = key * q + rank[:, j]
-        key = np.sort((key << free_width) | free)
+    if n**q * perms << free_width < 1 << 62:
+        if ordered:  # the anchors are the set's digits (base n) in order
+            key = columns[0].astype(np.int64)
+            for col in columns[1:]:
+                key *= n
+                key += col
+        else:  # anchor j is digit rank[j] of the set's key
+            digit = n ** np.arange(q - 1, -1, -1, dtype=np.int64)
+            key = np.zeros(b, dtype=np.int64)
+            for col, rank in zip(columns, ranks):
+                term = np.take(digit, rank)
+                term *= col
+                key += term
+            for rank in ranks:
+                key *= q
+                key += rank
+        if free is not None:
+            key <<= free_width
+            key |= free
+        key.sort()
         new = np.empty(b, dtype=bool)
         new[:1] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
         starts = np.flatnonzero(new)
-        counts = np.empty(len(starts), dtype=np.int64)
-        counts[:-1] = starts[1:] - starts[:-1]
-        counts[-1:] = b - starts[-1:]
-        key = key[starts]
-        free = key & ((1 << free_width) - 1)
-        set_key = key >> free_width
+        counts = np.diff(starts, append=b)
+        key = np.take(key, starts)
+        if free is not None:
+            free = key & ((1 << free_width) - 1)
+            key >>= free_width
         if ordered:
             rank = np.broadcast_to(np.arange(q, dtype=np.int64), (len(key), q))
         else:
-            set_key, perm = np.divmod(set_key, perms)
+            key, perm = np.divmod(key, perms)
             rank = (perm[:, None] // q ** np.arange(q - 1, -1, -1)) % q
-        new = np.empty(len(key), dtype=bool)
-        new[:1] = True
-        np.not_equal(set_key[1:], set_key[:-1], out=new[1:])
-        sets = (set_key[new][:, None] // digit) % num_vertices
+        set_of = None
+        if free is not None or not ordered:
+            new = np.empty(len(key), dtype=bool)
+            new[:1] = True
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            set_of = np.cumsum(new) - 1
+            key = key[new]
+        # decode the distinct set keys column by column, last digit first
+        sets = np.empty((q, len(key)), dtype=np.int64)
+        for j in range(q - 1, -1, -1):
+            np.divmod(key, n, out=(key, sets[j]))
+        return sets.T, set_of, rank, free, counts
+    matrix = np.stack(columns, axis=1)
+    if ranks is None:
+        rank = np.broadcast_to(np.arange(q, dtype=np.int64), (b, q))
     else:
-        srt = np.empty_like(anchors)
-        np.put_along_axis(srt, rank, anchors, axis=1)
-        rows, counts = np.unique(
-            np.column_stack([srt, rank, free]), axis=0, return_counts=True
-        )
-        group_sets, rank, free = rows[:, :q], rows[:, q : 2 * q], rows[:, 2 * q]
-        new = np.ones(len(rows), dtype=bool)
-        np.any(group_sets[1:] != group_sets[:-1], axis=1, out=new[1:])
-        sets = group_sets[new]
-    return sets, np.cumsum(new) - 1, rank, free, counts
+        rank = np.stack(ranks, axis=1)
+        srt = np.empty_like(matrix)
+        np.put_along_axis(srt, rank, matrix, axis=1)
+        matrix = srt
+    bits = np.zeros(b, dtype=np.int64) if free is None else free
+    rows, counts = np.unique(np.column_stack([matrix, rank, bits]), axis=0, return_counts=True)
+    group_sets, rank = rows[:, :q], rows[:, q : 2 * q]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(group_sets[1:] != group_sets[:-1], axis=1, out=new[1:])
+    set_of = None if free is None and ordered else np.cumsum(new) - 1
+    sets = np.asfortranarray(group_sets[new])
+    return sets, set_of, rank, None if free is None else rows[:, 2 * q], counts

@@ -228,7 +228,7 @@ def test_skipped_grouping_would_keep_every_row_alone(graphs, graph_name, name):
     width = len(positions) * (len(plan.core_plan.order) - len(positions))
     for block in iter_frontier_blocks(graph, plan.core_plan):
         *_, counts = group_anchor_rows(
-            block[:, positions], np.zeros(len(block), dtype=np.int64), width,
+            block[:, positions].T, np.zeros(len(block), dtype=np.int64), width,
             graph.num_vertices,
         )
         assert (counts == 1).all()

@@ -278,8 +278,8 @@ def test_ordered_grouping_equals_sorted_grouping(num_vertices, q):
     anchors = anchors[(np.diff(anchors, axis=1) > 0).all(axis=1)]
     anchors = np.concatenate([anchors, anchors[:50]])  # repeated rows
     free = rng.integers(0, 4, size=len(anchors))
-    got = group_anchor_rows(anchors, free, 2, num_vertices, ordered=True)
-    ref = group_anchor_rows(anchors, free, 2, num_vertices)
+    got = group_anchor_rows(anchors.T, free, 2, num_vertices, ordered=True)
+    ref = group_anchor_rows(anchors.T, free, 2, num_vertices)
     sets, set_of, rank, groups_free, counts = got
     assert (rank == np.arange(q)).all()
 

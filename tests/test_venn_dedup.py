@@ -193,12 +193,12 @@ def test_row_wise_fallback_when_keys_do_not_pack():
     n = 1 << 21
     anchors = np.array([[5, n - 1, 9], [9, 5, n - 1], [1, 2, 3], [n - 1, 9, 5], [9, 5, n - 1]])
     free = np.array([0, 1, 0, 0, 1])
-    result = group_anchor_rows(anchors, free, 1, n)
+    result = group_anchor_rows(anchors.T, free, 1, n)
     np.testing.assert_array_equal(result[0], [[1, 2, 3], [5, 9, n - 1]])
     expect = {((5, n - 1, 9), 0): 1, ((9, 5, n - 1), 1): 2, ((1, 2, 3), 0): 1, ((n - 1, 9, 5), 0): 1}
     assert _groups(result) == expect
     # the packed key groups the same rows the same way
-    small = group_anchor_rows(np.where(anchors == n - 1, 63, anchors), free, 1, 64)
+    small = group_anchor_rows(np.where(anchors == n - 1, 63, anchors).T, free, 1, 64)
     np.testing.assert_array_equal(small[0], [[1, 2, 3], [5, 9, 63]])
     assert _groups(small) == {
         (tuple(63 if v == n - 1 else v for v in row), f): c for (row, f), c in expect.items()
